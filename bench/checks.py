@@ -15,24 +15,47 @@ import mpmath
 
 import oracles
 
+# Width caps.  An enclosure must also be tight, so that a change trading
+# accuracy for speed (coarser certification, lower working precision, a
+# looser error bound) fails a check instead of reading as a gain.  The
+# widest values seen on every workload are 6e-13 for err / max(1, |value|),
+# 1.9e-12 for identity_slack / max(1, |arch pairing|) and 5.1e-14 for a
+# disk radius.
+ERR_CAP = 1e-10          # err of a float value, relative to max(1, |value|)
+SLACK_CAP = 1e-10        # identity_slack, relative to max(1, |arch pairing|)
+RADIUS_CAP = 1e-13       # the tolerance arch_support asks certified_roots for
+
 
 def encloses(lv: dict, want, what: str) -> list[str]:
-    """The float value +/- err must contain the oracle value."""
+    """The float value +/- err must contain the oracle value, with err
+    within ERR_CAP."""
     if "value" not in lv:
         return ["%s: expected a float value, got %r" % (what, lv)]
+    out = []
+    if not lv["err"] <= ERR_CAP * max(1.0, abs(lv["value"])):
+        out.append("%s: err %.3g is wider than %g relative to %r"
+                   % (what, lv["err"], ERR_CAP, lv["value"]))
     with mpmath.workdps(oracles.SUM_DPS + 10):
         off = abs(mpmath.mpf(lv["value"]) - want)
-        if off <= mpmath.mpf(lv["err"]):
-            return []
-        return ["%s: %r +/- %.3g misses the oracle %s by %.3g"
-                % (what, lv["value"], lv["err"], mpmath.nstr(want, 20), float(off))]
+        if off > mpmath.mpf(lv["err"]):
+            out.append("%s: %r +/- %.3g misses the oracle %s by %.3g"
+                       % (what, lv["value"], lv["err"], mpmath.nstr(want, 20), float(off)))
+    return out
 
 
-def interval_encloses(h: dict, want, what: str) -> list[str]:
+def interval_encloses(h: dict, want, what: str, tail_eps: float) -> list[str]:
+    """[lo, hi] must contain the oracle value and be no wider than the
+    program promises: tail_eps plus twice an archimedean err within ERR_CAP."""
+    out = []
+    width_cap = tail_eps + 2 * ERR_CAP * max(1.0, abs(h["value"]))
+    if not h["hi"] - h["lo"] <= width_cap:
+        out.append("%s: interval width %.3g exceeds %.3g (tail_eps %g)"
+                   % (what, h["hi"] - h["lo"], width_cap, tail_eps))
     with mpmath.workdps(oracles.SUM_DPS + 10):
-        if mpmath.mpf(h["lo"]) <= want <= mpmath.mpf(h["hi"]):
-            return []
-    return ["%s: [%r, %r] misses the oracle %s" % (what, h["lo"], h["hi"], mpmath.nstr(want, 20))]
+        if not mpmath.mpf(h["lo"]) <= want <= mpmath.mpf(h["hi"]):
+            out.append("%s: [%r, %r] misses the oracle %s"
+                       % (what, h["lo"], h["hi"], mpmath.nstr(want, 20)))
+    return out
 
 
 def exact_coeff(lv: dict) -> Fraction:
@@ -71,6 +94,11 @@ def audit_disks(disks: list, roots: list) -> int:
             if not any(abs(c - roots[k]) <= r for k in near):
                 outside += 1
     return outside
+
+
+def wide_disks(disks: list) -> int:
+    """Number of disks (re, im, radius) with a radius above RADIUS_CAP."""
+    return sum(1 for _, _, rad in disks if not rad <= RADIUS_CAP)
 
 
 class InputOracle:
@@ -159,17 +187,18 @@ def check_arch_values(o: InputOracle, weight: str, fekete: dict, mahler: dict | 
     return out
 
 
-def check_height(o: InputOracle, weight: str, h: dict, what: str, primes: tuple = ()) -> list[str]:
-    out = interval_encloses(h, o.height(weight, primes), what + " height")
+def check_height(o: InputOracle, weight: str, h: dict, what: str, tail_eps: float,
+                 primes: tuple = ()) -> list[str]:
+    out = interval_encloses(h, o.height(weight, primes), what + " height", tail_eps)
     if weight == "std":
         closed = oracles.closed_form_height(o.inp)
         if closed is not None:
-            out += interval_encloses(h, closed, what + " height closed form")
+            out += interval_encloses(h, closed, what + " height closed form", tail_eps)
     return out
 
 
 def check_report(o: InputOracle, weight: str, rep: dict, what: str,
-                 tail_eps: float | None = None) -> list[str]:
+                 tail_eps: float) -> list[str]:
     """All checks on one GlobalReport."""
     out = []
     if rep["degree"] != o.degree or rep["inf_mult"] != o.inp["inf_mult"]:
@@ -185,13 +214,16 @@ def check_report(o: InputOracle, weight: str, rep: dict, what: str,
     arch = [r for r in rep["rows"] if r["place"] == "inf"]
     if len(arch) != 1:
         return out + ["%s: %d archimedean rows" % (what, len(arch))]
+    slack_cap = SLACK_CAP * max(1.0, abs(arch[0]["fekete"]["value"]))
+    if not rep["identity_slack"] <= slack_cap:
+        out.append("%s: identity_slack %.3g exceeds %.3g" % (what, rep["identity_slack"], slack_cap))
     out += check_arch_values(o, weight, arch[0]["fekete"], arch[0]["mahler_weighted"], what)
     out += dstar_rows(rep["rows"], o.dstar, what)
     finite = [r for r in rep["rows"] if r["place"] != "inf"]
     primes = tuple(int(r["place"]) for r in finite)
     if weight == "ex5":
         out += check_ex5_rows(o, rep, finite, what, tail_eps)
-    out += check_height(o, weight, rep["height"], what, primes)
+    out += check_height(o, weight, rep["height"], what, tail_eps, primes)
     return out
 
 

@@ -321,17 +321,16 @@ class Ex5Oracle:
         self._m: dict[int, int] = {}
 
     def branch_count(self, p: int) -> int:
+        """m_p = ceil(p^2 log p), always from 50-digit arithmetic: near
+        p = 80000, p^2 log p is about 7e10 and one double ulp is 1.5e-5, so
+        a double can land on the wrong side of an integer."""
         m = self._m.get(p)
         if m is None:
-            t = p * p * math.log(p)
-            if abs(t - round(t)) > 1e-6:          # float error is below 1e-7 here
-                m = math.ceil(t)
-            else:
-                with mpmath.workdps(50):
-                    t = mpmath.mpf(p) ** 2 * mpmath.log(p)
-                    if abs(t - mpmath.nint(t)) < mpmath.mpf(10) ** -30:
-                        raise OracleError("p^2 log p is too close to an integer at p=%d" % p)
-                    m = int(mpmath.ceil(t))
+            with mpmath.workdps(50):
+                t = mpmath.mpf(p) ** 2 * mpmath.log(p)
+                if abs(t - mpmath.nint(t)) < mpmath.mpf(10) ** -30:
+                    raise OracleError("p^2 log p is too close to an integer at p=%d" % p)
+                m = int(mpmath.ceil(t))
             self._m[p] = m
         return m
 

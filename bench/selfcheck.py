@@ -129,19 +129,31 @@ def checkers_pass_and_fail() -> None:
     expect("enclosure passes on the oracle's value", not checks.encloses(good, x, "t"))
     expect("enclosure fails 1e-11 away",
            bool(checks.encloses({"value": float(x) + 1e-11, "err": 1e-12}, x, "t")))
+    expect("enclosure fails with an inflated err that still contains the value",
+           bool(checks.encloses({"value": float(x), "err": 1e-6}, x, "t")))
     h = float(oracles.closed_form_height(inp))
+    tail_eps = 1e-9
     expect("height check passes on the closed form",
-           not checks.check_height(o, "std", {"lo": h - 1e-15, "hi": h + 1e-15}, "t"))
+           not checks.check_height(o, "std", {"value": h, "lo": h - 1e-15, "hi": h + 1e-15},
+                                   "t", tail_eps))
     expect("height check fails on an interval shifted off the closed form",
-           bool(checks.check_height(o, "std", {"lo": h + 1e-13, "hi": h + 3e-13}, "t")))
+           bool(checks.check_height(o, "std", {"value": h + 2e-13, "lo": h + 1e-13,
+                                                "hi": h + 3e-13}, "t", tail_eps)))
+    expect("height check fails on an interval widened past tail_eps",
+           bool(checks.check_height(o, "std", {"value": h, "lo": h - 1e-9, "hi": h + 1e-9},
+                                    "t", tail_eps)))
     # root audit: oracle roots rounded to doubles, radius above the rounding
     disks = [[float(z.real), float(z.imag), 1e-15] for z in o.roots()]
     expect("audit finds no disk outside on the oracle's own roots",
            checks.audit_disks(disks, o.roots()) == 0)
+    expect("audit finds no disk wider than the radius cap", checks.wide_disks(disks) == 0)
     moved = [list(d) for d in disks]
     moved[3] = [moved[3][0] + 1e-12, moved[3][1], 1e-13]
     expect("audit finds the disk whose centre moved by 1e-12",
            checks.audit_disks(moved, o.roots()) == 1)
+    wide = [list(d) for d in disks]
+    wide[2][2] = 1e-12
+    expect("audit finds the disk whose radius grew to 1e-12", checks.wide_disks(wide) == 1)
     # d* rows
     dstar = o.dstar
     rows = [{"place": str(p), "log_dstar": {"coeff": str(-oracles.valuation(dstar, p)), "log_base": p}}
@@ -149,6 +161,7 @@ def checkers_pass_and_fail() -> None:
     expect("d* rows rebuild |d*|", not checks.dstar_rows(rows, dstar, "t"))
     rows[0]["log_dstar"]["coeff"] = str(Fraction(rows[0]["log_dstar"]["coeff"]) - 1)
     expect("d* rows fail with one valuation off by one", bool(checks.dstar_rows(rows, dstar, "t")))
+    ex5_branch_counts()
     ex5_rows()
     reports_under_the_other_weight()
 
@@ -157,6 +170,18 @@ def sympy_primes(q: Fraction) -> list[int]:
     import sympy
 
     return sorted(set(sympy.factorint(q.numerator)) | set(sympy.factorint(q.denominator)))
+
+
+def ex5_branch_counts() -> None:
+    # m_p = ceil(p^2 log p) is the least m with exp(m / p^2) >= p; check
+    # that for the largest primes the workloads reach, in 80-digit arithmetic
+    ex5 = oracles.Ex5Oracle()
+    ok = True
+    with mpmath.workdps(80):
+        for p in (79979, 79987, 79997, 79999):
+            m = ex5.branch_count(p)
+            ok &= mpmath.exp(mpmath.mpf(m) / p ** 2) >= p > mpmath.exp(mpmath.mpf(m - 1) / p ** 2)
+    expect("ex5 branch counts are the least m with exp(m/p^2) >= p near p = 80000", ok)
 
 
 def ex5_rows() -> None:
@@ -193,16 +218,20 @@ def reports_under_the_other_weight() -> None:
         inp = {"id": "x", "form": form, "coeffs": coeffs, "inf_mult": 1}
         o = checks.InputOracle(inp)
         Z = adelic.divisor_from_poly(coeffs, 1)
-        std = adelic.global_fekete(Z, adelic.std_weight()).to_json()
-        triv = adelic.global_fekete(Z, adelic.trivial_weight()).to_json()
+        eps = 1e-9
+        std = adelic.global_fekete(Z, adelic.std_weight(), tail_eps=eps).to_json()
+        triv = adelic.global_fekete(Z, adelic.trivial_weight(), tail_eps=eps).to_json()
         expect("z^%d - %d report under std passes the std oracle" % (n, a),
-               not checks.check_report(o, "std", std, "t"))
+               not checks.check_report(o, "std", std, "t", eps))
         expect("z^%d - %d report under trivial passes the trivial oracle" % (n, a),
-               not checks.check_report(o, "trivial", triv, "t"))
+               not checks.check_report(o, "trivial", triv, "t", eps))
         expect("z^%d - %d report under trivial fails the std oracle" % (n, a),
-               bool(checks.check_report(o, "std", triv, "t")))
+               bool(checks.check_report(o, "std", triv, "t", eps)))
         expect("z^%d - %d report under std fails the trivial oracle" % (n, a),
-               bool(checks.check_report(o, "trivial", std, "t")))
+               bool(checks.check_report(o, "trivial", std, "t", eps)))
+        loose = dict(std, identity_slack=std["identity_slack"] * 1e4)
+        expect("z^%d - %d report fails with its identity_slack inflated 1e4-fold" % (n, a),
+               bool(checks.check_report(o, "std", loose, "t", eps)))
 
 
 def main() -> int:
