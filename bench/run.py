@@ -29,6 +29,8 @@ import subprocess
 import sys
 import time
 
+import refspeed
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 OUT_DIR = os.path.join(HERE, "out")
@@ -167,6 +169,15 @@ class Checker:
 # one run
 
 
+def _spans(r: dict) -> list:
+    return [o["span"] for o in r["ops"]]
+
+
+def op_times(r: dict) -> list[float]:
+    """A round's operation times at the machine's nominal speed."""
+    return [refspeed.scaled(a, b, r["samples"]) for a, b in _spans(r)]
+
+
 def run(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     import workloads
 
@@ -174,15 +185,17 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     t0 = time.monotonic()
     rounds: list[tuple[str, dict]] = []
     modes = ("run", "traced") if trace else ("run",)
+    # the per-layer metrics need no pooling: a traced run makes one pair
+    min_rounds = 1 if trace else workloads.MIN_ROUNDS[workload]
     for k in itertools.count(1):
         for mode in modes:
             rounds.append((mode, spawn(workload, seed, mode, deadline)))
-        if time.monotonic() - t0 >= seconds and k >= workloads.MIN_ROUNDS[workload]:
+        if time.monotonic() - t0 >= seconds and k >= min_rounds:
             break
-    setups = [r["setup_s"] for mode, r in rounds if mode == "run"]
+    starts = [r for mode, r in rounds if mode == "run"]
     if not trace:
-        while len(setups) < SETUP_SAMPLES:
-            setups.append(spawn(workload, seed, "setup", deadline)["setup_s"])
+        while len(starts) < SETUP_SAMPLES:
+            starts.append(spawn(workload, seed, "setup", deadline))
 
     checker = Checker(workload, seed)
     ops_by_id = {op["id"]: op for op in checker.spec["ops"]}
@@ -217,15 +230,23 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> dict:
                "failures": sorted(set(failures)), "unexpected": unexpected}
     runs = [r for mode, r in rounds if mode == "run"]
     if not trace:
-        durations = [o["seconds"] for r in runs for o in r["ops"]]
+        durations = [t for r in runs for t in op_times(r)]
+        setups = [refspeed.scaled(r["setup"][0], r["setup"][1], r["samples"]) for r in starts]
         metrics = {
-            "wall_s": statistics.median([r["wall_s"] for r in runs]),
+            "wall_s": statistics.median([sum(op_times(r)) for r in runs]),
             "op_p50_s": statistics.median(durations),
             "peak_rss_mb": statistics.median([r["peak_rss_kb"] / 1024.0 for r in runs]),
             "setup_s": statistics.median(setups),
         }
         summary["samples"] = {"wall_s": len(runs), "op_p50_s": len(durations),
                               "peak_rss_mb": len(runs), "setup_s": len(setups)}
+        speeds = [refspeed.NOMINAL_S / d for r in starts for _, d in r["samples"]]
+        summary["measured"] = {
+            "wall_s": statistics.median([r["wall_s"] for r in runs]),
+            "op_p50_s": statistics.median([b - a for r in runs for a, b in _spans(r)]),
+            "setup_s": statistics.median([r["setup"][2] for r in starts]),
+            "speed_q1_q3": statistics.quantiles(speeds, n=4)[::2],
+        }
         units = dict(END_TO_END)
     else:
         from tracer import PER_LAYER
@@ -242,7 +263,8 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> dict:
             elif name == "exact.dstar_digits":
                 vals = [digits]
             elif name == "trace.overhead_s":
-                vals = [statistics.median([r["wall_s"] for r in traced]) - statistics.median([r["wall_s"] for r in runs])]
+                vals = [statistics.median([sum(op_times(r)) for r in traced])
+                        - statistics.median([sum(op_times(r)) for r in runs])]
             else:
                 vals = [r["per_layer"][name] for r in traced]
             metrics[name] = statistics.median(vals)
@@ -368,6 +390,9 @@ def main(argv=None) -> int:
     for name, m in res["metrics"].items():
         print("  %-32s %.6g %s" % (name, m["value"], m["unit"]))
     print("  samples: %s" % json.dumps(summary["samples"]))
+    if "measured" in summary:
+        print("  as measured, before scaling to the nominal speed: %s"
+              % json.dumps(summary["measured"]))
     print(json.dumps(res))
     return 0
 

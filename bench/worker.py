@@ -2,9 +2,12 @@
 
 Started by run.py, never imported.  The interpreter imports ``adelic``
 from the checkout's ``src/``, builds the weights (that is the set-up time),
-then runs every operation of the round in order, timing each.  Outputs
-are serialised after the timed part, together with the certified root
-sets to audit, and written as JSON to --result; run.py checks them.
+then runs every operation of the round in order, recording when each
+started and ended.  From its first line to the end of the operations it
+samples the machine's speed (bench/refspeed.py).  Outputs are serialised
+after the timed part, together with the speed samples and the certified
+root sets to audit, and written as JSON to --result; run.py checks them
+and scales the times.
 
     python3 bench/worker.py --workload NAME --seed N --mode run|traced|setup \
         --spawned WALLCLOCK --result PATH --out-dir DIR
@@ -18,6 +21,8 @@ import os
 import resource
 import sys
 import time
+
+import refspeed
 
 
 def _args():
@@ -34,6 +39,8 @@ def _args():
 
 def main() -> int:
     args = _args()
+    sampler = refspeed.Sampler()
+    sampler.start()
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     sys.path.insert(0, src)
     import adelic
@@ -41,11 +48,14 @@ def main() -> int:
     weights = {"std": adelic.std_weight(), "trivial": adelic.trivial_weight(),
                "ex5": adelic.ex5_weight()}
     setup_s = time.time() - args.spawned
+    setup_end = time.perf_counter()
+    setup = [setup_end - setup_s, setup_end, setup_s]
     if not os.path.abspath(adelic.__file__).startswith(src + os.sep):
         print("adelic was imported from %s, not from %s" % (adelic.__file__, src), file=sys.stderr)
         return 3
     if args.mode == "setup":
-        _write(args.result, {"setup_s": setup_s})
+        sampler.stop()
+        _write(args.result, {"setup": setup, "samples": sampler.samples})
         return 0
 
     import adelic.cli
@@ -93,14 +103,15 @@ def main() -> int:
             tracer.current_op = k
         t = time.perf_counter()
         out = run_op(k, op)
-        results.append((time.perf_counter() - t, out))
+        results.append(((t, time.perf_counter()), out))
     wall_s = time.perf_counter() - t_start
+    sampler.stop()
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if tracer is not None:
         tracer.uninstall()
 
     ops = []
-    for op, (secs, out) in zip(spec["ops"], results):
+    for op, (span, out) in zip(spec["ops"], results):
         kind = op["kind"]
         if kind == "equidist":
             rc, path = out
@@ -114,7 +125,7 @@ def main() -> int:
                    for w, (a, b, c) in out.items()}
         else:
             out = out.to_json()
-        ops.append({"id": op["id"], "seconds": secs, "output": out})
+        ops.append({"id": op["id"], "span": span, "output": out})
 
     # the root sets the round certified, looked up again in the cache; the
     # key must match arch_support's call, which passes the 1e-13 tolerance
@@ -130,8 +141,8 @@ def main() -> int:
                            "cached": certified.cache_info().misses == misses,
                            "disks": [[z.real, z.imag, r] for z, r in disks]})
 
-    result = {"setup_s": setup_s, "wall_s": wall_s, "peak_rss_kb": peak_kb,
-              "ops": ops, "audits": audits}
+    result = {"setup": setup, "wall_s": wall_s, "peak_rss_kb": peak_kb,
+              "samples": sampler.samples, "ops": ops, "audits": audits}
     if tracer is not None:
         result["per_layer"] = tracer.per_layer()
         with open(os.path.join(args.out_dir, "trace-%s-%d.json" % (args.workload, args.seed)),

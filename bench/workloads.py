@@ -18,14 +18,16 @@ from math import gcd
 
 WORKLOADS = ("structured", "dense_arch", "generic_reports", "ex5_places")
 
-# Rounds a run makes at least, whatever --seconds says: two for the short
-# workloads, so that each run's wall_s and op_p50_s pool rounds taken at
-# different moments; one for structured, whose round takes about 35 s.
-MIN_ROUNDS = {"structured": 1, "dense_arch": 2, "generic_reports": 2, "ex5_places": 2}
+# Rounds a run makes at least, whatever --seconds says: four on
+# generic_reports, whose op_p50_s is a median of operations of a few
+# milliseconds, and the median of one round's moved by a tenth from one
+# interpreter to the next on the same inputs at the same sampled speed;
+# one elsewhere, where each operation takes a second or more.
+MIN_ROUNDS = {"structured": 1, "dense_arch": 1, "generic_reports": 4, "ex5_places": 1}
 
-# z^n - 2 with n near 128: a round takes three of these exponents, whose
-# reports cost about the same as z^128 - 1, and whose archimedean rows
-# enclose their closed form today.  n = 120, 121, 129 and 132-135 do not (see
+# z^n - 2 with n near 128: a round takes all four exponents, in seeded
+# order.  Their reports cost about the same as z^128 - 1, and their
+# archimedean rows enclose their closed form today.  n = 120, 121, 129 and 132-135 do not (see
 # CHANGES.md); a failure that depends on the seed cannot be counted.
 POW_EXPONENTS = (122, 123, 124, 127)
 
@@ -45,8 +47,8 @@ AUDIT_FAULT = "roots._certify rounds each centre to a double after computing " \
               "its radius about the ~166-bit point"
 
 # Three polynomials of degree 96 make the middle of a round, so op_p50_s
-# is the median of six similar reports on three seeded inputs rather than
-# of one input's two.
+# is the middle of three similar reports on three seeded inputs rather
+# than one input's report.
 DENSE_DEGREES = (64, 96, 96, 96, 192)
 DENSE_COEFF = 50
 # The leading coefficient is fixed at the coefficient bound: the working
@@ -62,14 +64,17 @@ DENSE_LC = 50
 # the order; the variants keep the discriminant that factoring works on.
 GENERIC_CORPUS_SEED = 20261017
 GENERIC_PER_DEGREE = 6
+# A round takes the first three of each degree: 15 polynomials whose first
+# report costs 0.01-1.7 s, 4 s in all, so that four rounds fit in a run.
+GENERIC_PER_ROUND = 3
 GENERIC_DEGREES = (8, 9, 10, 11, 12)
 GENERIC_COEFF = 30
 
 # ex5 slots: (tail_eps, multiplicities of the rational roots, multiplicity
 # at infinity), total degrees 3, 8 and four times 2: 432, 1007 and 2262
 # places.  The four 2262-place reports are the middle of the round, so
-# op_p50_s is the median of eight similar reports on four seeded divisors
-# rather than of one divisor's two.  Larger reports at 1e-4 fail the
+# op_p50_s falls among four similar reports on four seeded divisors
+# rather than on one divisor's report.  Larger reports at 1e-4 fail the
 # identity check on some seeds (see CHANGES.md), so the 7838-place report
 # is one fixed divisor that fails it every time.
 EX5_SLOTS = (
@@ -178,7 +183,8 @@ def chebyshev_preimage(depth: int) -> list[int]:
 
 
 def _structured(rng: random.Random) -> dict:
-    n_pows = sorted(rng.sample(POW_EXPONENTS, 3))
+    n_pows = list(POW_EXPONENTS)
+    rng.shuffle(n_pows)
     inputs = {}
     ops = []
 
@@ -212,16 +218,18 @@ def _structured(rng: random.Random) -> dict:
                  [{"id": "cheb:%d" % k, "coeffs": chebyshev_preimage(k), "inf_mult": 0,
                    "form": ["cheb", k]} for k in range(1, 8)])
 
-    # op_p50_s is in effect the median of the four mid-sized reports
-    # (z^128 - 1 and the three z^n - 2); they are spread over the round so
-    # that one slow stretch of the machine does not hold all of them
+    # op_p50_s is the mean of the middle two of the five mid-sized reports
+    # (z^128 - 1 and the four z^n - 2, 1.7-2.1 s each), not one report; they
+    # are spread over the round so that one slow stretch of the machine
+    # does not hold all of them
     unit(64)
-    unit(128)
     pow2(n_pows[0])
-    unit(256)
+    unit(128)
     pow2(n_pows[1])
-    preimages()
+    unit(256)
     pow2(n_pows[2])
+    preimages()
+    pow2(n_pows[3])
     return {"inputs": inputs, "ops": ops, "audit": sorted(inputs)}
 
 
@@ -248,23 +256,34 @@ def generic_corpus() -> list[list[int]]:
 def _generic_reports(rng: random.Random) -> dict:
     inputs = {}
     ops = []
-    corpus = generic_corpus()
+    corpus = [cs for j, cs in enumerate(generic_corpus())
+              if j % GENERIC_PER_DEGREE < GENERIC_PER_ROUND]
     order = list(range(len(corpus)))
     rng.shuffle(order)
-    for k in order:
+    # every round has the same mix of variants and multiplicities at
+    # infinity; the seed decides which polynomial gets which
+    variants = [j % 4 for j in range(len(corpus))]
+    inf_mults = [(0, 0, 1, 2)[j % 4] for j in range(len(corpus))]
+    rng.shuffle(variants)
+    rng.shuffle(inf_mults)
+    # one report per polynomial, under std and trivial in turn, then its
+    # height under both: 45 operations, whose median falls among the 30
+    # heights (about 1-3 ms) rather than on the edge between the heights
+    # and the reports (5-20 ms), where it would jump with the seed
+    for pos, k in enumerate(order):
         cs = list(corpus[k])
-        variant = rng.randrange(4)
+        variant = variants[pos]
         if variant & 1:
             cs = [c if j % 2 == 0 else -c for j, c in enumerate(cs)]
         if variant & 2:
             cs = cs[::-1]
-        inf_mult = rng.choice((0, 0, 1, 2))
+        inf_mult = inf_mults[pos]
         iid = "generic:%02d:v%d:i%d" % (k, variant, inf_mult)
         inputs[iid] = {"id": iid, "coeffs": cs, "inf_mult": inf_mult, "form": ["dense"]}
-        for kind in ("global_fekete", "height"):
-            for w in ("std", "trivial"):
-                ops.append({"id": "%s:%s:%s" % (iid, kind, w), "kind": kind,
-                            "input": iid, "weight": w, "tail_eps": 1e-9})
+        for kind, w in (("global_fekete", ("std", "trivial")[pos % 2]),
+                        ("height", "std"), ("height", "trivial")):
+            ops.append({"id": "%s:%s:%s" % (iid, kind, w), "kind": kind,
+                        "input": iid, "weight": w, "tail_eps": 1e-9})
     return {"inputs": inputs, "ops": ops, "audit": []}
 
 
