@@ -500,12 +500,17 @@ class LogValue:
 
 
 def float_sum(values: Iterable[LogValue]) -> tuple[float, float]:
-    """Sum LogValues across places as floats, returning (value, error bound)."""
-    tot, err = 0.0, 0.0
+    """Sum LogValues across places as floats, returning (value, error bound).
+
+    The sum is rounded once (math.fsum), so its error is the terms' own
+    errors plus one rounding of the total.
+    """
+    xs, errs = [], []
     for v in values:
         if v.is_minus_infinity:
             return -math.inf, 0.0
         x, e = v._as_float()
-        tot += x
-        err += e + _EPS * abs(x)
-    return tot, err
+        xs.append(x)
+        errs.append(e)
+    tot = math.fsum(xs)
+    return tot, math.fsum(errs) + _EPS * abs(tot)

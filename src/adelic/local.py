@@ -103,25 +103,30 @@ def fekete_sum_arch(Z: EffectiveDivisor, g: Weight,
     if len(pts) <= 1:
         return LogValue.zero()
     lip = g.arch.lip
-    total = 0.0
+    rows = []
     err = 0.0
     for i in range(len(pts)):
         wi, ri, mi = pts[i]
         gi = g.arch(wi)
+        row = []
         for j in range(i + 1, len(pts)):
             wj, rj, mj = pts[j]
             dist = chordal_arch(wi, wj)
             if dist <= 0.0:
                 raise DomainError("support points not separable at float precision")
             phi = math.log(dist) - gi - g.arch(wj)
-            total += 2.0 * mi * mj * phi
+            row.append(2.0 * mi * mj * phi)
             if wi is INF_POINT or wj is INF_POINT:
                 slope = 0.5 + lip
             else:
                 sep = max(abs(wi - wj) - ri - rj, _TINY)
                 slope = 1.0 / sep + 0.5 + lip
             err += 2.0 * mi * mj * (slope * (ri + rj) + 4.0 * _EPS * (1.0 + abs(phi)))
-    return LogValue.real(total, err)
+        # fsum rounds each row sum, and then the total, once
+        rows.append(math.fsum(row))
+        err += _EPS * abs(rows[-1])
+    total = math.fsum(rows)
+    return LogValue.real(total, err + _EPS * abs(total))
 
 
 def fekete_sum_arch_identity(Z: EffectiveDivisor, g: Weight,

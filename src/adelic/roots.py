@@ -1,45 +1,31 @@
 """Certified complex root isolation for integer polynomials.
 
-Initial estimates come from the numpy companion-matrix solver, with a
-divide-and-conquer reduction for polynomials whose root set is symmetric
-about its mean (they are polynomials in (z - mu)^2, and iterated
-quadratics fall in this class at every level).  Estimates are polished by
-Newton iteration in mpmath against the exact integer coefficients at a
-working precision chosen adaptively from rigorous evaluation-error
-bounds.  Each returned root carries a radius d*|f(z)/f'(z)|, inflated by
-the evaluation error, that is certified to contain a true root; the
-disks are checked to be pairwise disjoint so multiplicities cannot be
-confused.
+A polynomial whose roots are symmetric about their mean p/q is a polynomial
+in (q z - p)^2, as iterated quadratics are at every level.  Splitting such
+levels off leaves a base polynomial, whose roots numpy estimates; they are
+lifted back (u -> (p +- sqrt u)/q) and at each level moved to the nearest
+double by Aberth-corrected Newton steps, with f/f' evaluated exactly at the
+double, a dyadic rational, over the Gaussian integers along the chain.
+
+Each returned centre is that double, with radius an outward-rounded upper
+bound of d*|f/f'| there, so its disk holds a root (Henrici, Applied and
+Computational Complex Analysis I); the disks are pairwise disjoint, so each
+holds exactly one.  A radius at or above tol, or two disks that meet, is a
+refusal: once d |z| 2^-53 nears tol, no double centre can meet it.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .exact import DomainError, IntPoly
 
 DEGREE_CAP = 512
-_MAX_DIGITS = 800
-
-
-def _float_coeffs(coeffs: tuple[int, ...]) -> list[float]:
-    bits = max(abs(c).bit_length() for c in coeffs if c != 0)
-    shift = max(0, bits - 900)
-    return [math.ldexp(1.0, -shift) * float(c >> shift) if shift else float(c) for c in coeffs]
-
-
-def _mp_eval(coeffs, z):
-    # dense Horner, highest degree first
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-    return acc
+_STEPS = 8  # Newton steps per point and level
 
 
 @functools.lru_cache(maxsize=256)
@@ -55,276 +41,168 @@ def certified_roots(f: IntPoly, tol: float = 1e-13) -> list[tuple[complex, float
     d = f.degree
     if d > DEGREE_CAP:
         raise DomainError("degree %d exceeds the certified-root cap %d" % (d, DEGREE_CAP))
-    if d == 0:
-        return []
+    cs = f.coeffs
     out = []
-    coeffs = f.coeffs
-    ntrail = 0
-    while coeffs[ntrail] == 0:
-        ntrail += 1
-    if ntrail > 1:
-        raise DomainError("polynomial is not squarefree at 0")
-    if ntrail == 1:
+    if d and cs[0] == 0:
+        if cs[1] == 0:
+            raise DomainError("polynomial is not squarefree at 0")
         out.append((0j, 0.0))
-        coeffs = coeffs[1:]
-        d -= 1
-    if d == 0:
-        return out
-    if d == 1:
-        root = -coeffs[0] / coeffs[1]
-        out.append((complex(root), 4.0 * abs(root) * 2.3e-16))
-        return sorted(out, key=lambda t: (t[0].real, t[0].imag))
-
-    certified = _attempt(coeffs, _initial_estimates(coeffs), tol, d)
-    if certified is None and d <= 64:
-        with mpmath.workdps(160):
-            try:
-                fallback = mpmath.polyroots(
-                    [mpmath.mpf(c) for c in reversed(coeffs)], maxsteps=100, extraprec=200
-                )
-            except mpmath.libmp.NoConvergence:
-                fallback = None
-        if fallback is not None:
-            certified = _attempt(coeffs, list(fallback), tol, d)
-    if certified is None:
+        cs = cs[1:]
+    if len(cs) > 1:
+        chain, base = _chain(cs)
+        terms = [(j, c) for j, c in enumerate(base) if c or not j][::-1]
+        dterms = [(j - 1, j * c) for j, c in enumerate(base) if j and (c or j == 1)][::-1]
+        shift = max(0, max(abs(c).bit_length() for c in base) - 900)
+        try:
+            with np.errstate(all="ignore"):
+                pts = np.roots([c / (1 << shift) for c in reversed(base)])
+        except np.linalg.LinAlgError:
+            raise DomainError("coefficients too far apart to estimate roots") from None
+        for level in range(len(chain), -1, -1):
+            sub = chain[level:]
+            pts, rads = _refine(pts, lambda z: _ratio(z, sub, terms, dterms))
+            if level:
+                q, p = chain[level - 1]
+                r = np.sqrt(pts)
+                pts = np.concatenate([(p + r) / q, (p - r) / q])
+        out += zip(map(complex, pts), rads)
+    if len(out) != d or any(not rad < tol for _, rad in out):
         raise DomainError("could not certify roots to tolerance %g" % tol)
-    return sorted(out + certified, key=lambda t: (t[0].real, t[0].imag))
-
-
-def _eval_digits(coeffs, extra: int) -> int:
-    # digits needed so Horner evaluation resolves values near the roots:
-    # log10 of sum |c_k| B^k at the Fujiwara-style root bound B, plus slack
-    d = len(coeffs) - 1
-    lead = abs(coeffs[d]).bit_length()
-    blog = 1.0
-    for k in range(d):
-        if coeffs[k]:
-            blog = max(blog, 1.0 + (abs(coeffs[k]).bit_length() - lead) / (d - k))
-    mag_bits = max(abs(c).bit_length() + k * blog for k, c in enumerate(coeffs) if c)
-    return int(0.302 * (mag_bits + d.bit_length())) + extra
-
-
-def _attempt(coeffs, roots, tol, d):
-    # Certification drives the loop.  Each rung re-polishes only the
-    # points whose disks failed, at the current working precision; the
-    # precision grows only when certification reports evaluation noise,
-    # since points stuck in a slow linear phase of Newton need more
-    # iterations, not more digits.  Progress is measured by the failing
-    # count; three rungs without improvement is a refusal.
-    dps = max(30, _eval_digits(coeffs, 12 + int(-math.log10(tol))))
-    bad = None
-    best = (len(roots) + 1, math.inf)
-    stall = 0
-    for _ in range(24):
-        roots = _polish(coeffs, roots, dps, idx=bad)
-        pairs, suggest, bad = _certify(coeffs, roots, tol, dps)
-        if bad is None:
-            return pairs
-        if not bad:
-            return None
-        worst = max(pairs[i][1] for i in bad)
-        if len(bad) < best[0] or worst < 0.5 * best[1]:
-            best = (min(best[0], len(bad)), min(best[1], worst))
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 3:
-                return None
-        if suggest > dps:
-            if suggest > _MAX_DIGITS:
-                return None
-            dps = suggest
-    return None
-
-
-def _taylor_shift(coeffs, a: Fraction) -> tuple[Fraction, ...]:
-    # coefficients of f(z + a) by repeated synthetic division
-    cs = [Fraction(c) for c in coeffs]
-    d = len(cs) - 1
-    for i in range(d):
-        for j in range(d - 1, i - 1, -1):
-            cs[j] += a * cs[j + 1]
-    return tuple(cs)
-
-
-def _clear_denominators(coeffs) -> tuple[int, ...]:
-    scale = 1
-    for c in coeffs:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    ints = [int(c * scale) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    return tuple(c // g for c in ints)
-
-
-def _looks_symmetric(coeffs, mu: Fraction) -> bool:
-    # cheap necessary condition for the root set to be symmetric about mu
-    with mpmath.workdps(30):
-        m = mpmath.mpf(mu.numerator) / mu.denominator
-        t = mpmath.mpc("0.8312", "0.3179")
-        cs = [mpmath.mpmathify(c) for c in coeffs]
-        a = _mp_eval(cs, m + t)
-        b = _mp_eval(cs, m - t)
-        return abs(a - b) <= mpmath.mpf("1e-9") * (1 + abs(a) + abs(b))
-
-
-def _initial_estimates(coeffs) -> list[complex]:
-    # If the root set is symmetric about its mean mu, then f(z + mu) is a
-    # polynomial in z^2 and the roots are mu plus the square roots of the
-    # half-degree even part's roots.  Recursing on that structure keeps the
-    # eigenvalue stage well conditioned at high degree; anything without
-    # the symmetry goes straight to the companion matrix.
-    d = len(coeffs) - 1
-    if d > 2 and d % 2 == 0:
-        mu = Fraction(-coeffs[d - 1], d * coeffs[d])
-        if _looks_symmetric(coeffs, mu):
-            shifted = _taylor_shift(coeffs, mu)
-            if all(shifted[j] == 0 for j in range(1, d + 1, 2)):
-                even = _clear_denominators(shifted[::2])
-                sub_dps = max(30, _eval_digits(even, 12))
-                sub = _initial_estimates(even)
-                for _ in range(3):
-                    sub = _polish(even, sub, sub_dps)
-                sub = [complex(z) for z in sub]
-                m = complex(mu)
-                roots = []
-                for w in sub:
-                    s = cmath.sqrt(complex(w))
-                    roots.append(m + s)
-                    roots.append(m - s)
-                return roots
-    approx = np.roots(list(reversed(_float_coeffs(coeffs))))
-    return [complex(z) for z in approx]
-
-
-def _polish(coeffs, roots, dps, idx=None, sweeps=12):
-    # Best-effort simultaneous refinement; certification is the strict
-    # gate.  Each sweep applies the repulsion-corrected Newton step
-    #     z -= n / (1 - n * sum_j 1/(z - z_j)),   n = f(z)/f'(z),
-    # so distinct points cannot merge onto one root the way independent
-    # Newton runs do; exact duplicates are jittered apart first.  The
-    # repulsion sums run in machine precision (they only matter while
-    # steps are large); values below the rigorous evaluation-error floor
-    # count as converged.  Only the points in idx move when it is given.
-    d = len(coeffs) - 1
-    deriv = tuple(j * coeffs[j] for j in range(1, d + 1))
-    targets = list(range(len(roots))) if idx is None else list(idx)
-    with mpmath.workdps(dps):
-        unit = mpmath.mpf(2) ** (3 - mpmath.mp.prec)
-        slack = (4 * d + 8) * unit
-        cs = [mpmath.mpmathify(c) for c in coeffs]
-        ds = [mpmath.mpmathify(c) for c in deriv]
-        acs = [abs(c) for c in cs]
-        half = mpmath.mpf("0.5")
-        tiny = mpmath.mpf(10) ** (8 - dps)
-        cur = [mpmath.mpc(z) for z in roots]
-        seen = {}
-        for i, z in enumerate(cur):
-            key = complex(z)
-            k = seen.get(key, 0)
-            seen[key] = k + 1
-            if k:
-                bump = 1e-6 * (1.0 + abs(key)) * cmath.exp(2j * math.pi * (k / 7.0 + 0.1))
-                cur[i] = z + bump
-        active = set(targets)
-        for _ in range(sweeps):
-            if not active:
+    out.sort(key=lambda t: (t[0].real, t[0].imag))
+    widest = max((r for _, r in out), default=0.0)
+    for i, (zi, ri) in enumerate(out):
+        for zj, rj in out[i + 1:]:
+            if zj.real - zi.real > 2 * (ri + widest):
                 break
-            snap = np.array([complex(z) for z in cur])
-            diff = snap[:, None] - snap[None, :]
-            np.fill_diagonal(diff, np.inf)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rep = np.where(diff != 0, 1.0 / diff, 0.0).sum(axis=1)
-            for i in tuple(active):
-                z = cur[i]
-                fz = _mp_eval(cs, z)
-                if abs(fz) <= 3 * _mp_eval(acs, abs(z)) * slack:
-                    active.discard(i)
-                    continue
-                dz = _mp_eval(ds, z)
-                if dz == 0:
-                    active.discard(i)
-                    continue
-                n = fz / dz
-                try:
-                    nf = complex(n)
-                except (OverflowError, ValueError):
-                    nf = 0.0
-                denom = 1.0 - nf * complex(rep[i])
-                if denom == 0 or not (math.isfinite(denom.real) and math.isfinite(denom.imag)):
-                    denom = 1.0
-                step = n / denom
-                astep = abs(step)
-                if astep > half * (1 + abs(z)):
-                    continue
-                cur[i] = z - step
-                if astep <= tiny * (1 + abs(z)):
-                    active.discard(i)
-        return cur
+            # 1e-15 covers the rounding of |zi - zj|
+            if abs(zi - zj) * (1 - 1e-15) <= ri + rj:
+                raise DomainError("certified root disks overlap")
+    return out
 
 
-def _certify(coeffs, roots, tol, dps):
-    """One rigorous certification pass.
+def _chain(cs):
+    # f = g1((q0 z - p0)^2)/lam0, g1 = g2((q1 u - p1)^2)/lam1, ... down to a
+    # base; a level exists when H(s) = q^d f((s + p)/q) is even in s.  The
+    # Taylor shift fixes H's coefficient i in pass i, so it stops at the
+    # first odd one that is not zero.
+    chain = []
+    while len(cs) > 2 and len(cs) % 2:
+        d = len(cs) - 1
+        mu = Fraction(-cs[d - 1], d * cs[d])
+        p, q = mu.numerator, mu.denominator
+        h = [c * q ** (d - j) for j, c in enumerate(cs)]
+        for i in range(d if p else 0):
+            for j in range(d - 1, i - 1, -1):
+                h[j] += p * h[j + 1]
+            if i % 2 and h[i]:
+                break
+        if any(h[1::2]):
+            break
+        g = math.gcd(*h[::2])
+        cs = tuple(c // g for c in h[::2])
+        chain.append((q, p))
+    return chain, cs
 
-    Returns (pairs, dps, bad) with pairs holding a (point, radius) entry
-    for every input point.  On success bad is None and every radius is
-    below tol; when some disks fail, bad is the tuple of their indices
-    and the middle entry is the working precision the pass wants next
-    (equal to dps when more digits would not help); an empty bad marks a
-    structural failure, meaning every disk certifies but two of them
-    overlap, so the points do not separate the roots.
+
+def _gpow(a, n):
+    out = None
+    while True:
+        if n & 1:
+            out = a if out is None else (out[0] * a[0] - out[1] * a[1],
+                                         out[0] * a[1] + out[1] * a[0])
+        n >>= 1
+        if not n:
+            return out
+        a = (a[0] + a[1]) * (a[0] - a[1]), 2 * a[0] * a[1]
+
+
+def _horner(terms, e, N, K):
+    # sum of c_j N^j 2^(K (e - j)) over the (j, c_j), degree descending down
+    # to j = 0, with powers by squaring across runs of zero coefficients
+    (j, c), *rest = terms
+    x, y = c << K * (e - j), 0
+    for i, c in rest:
+        a, b = N if j - i == 1 else _gpow(N, j - i)
+        x, y, j = x * a - y * b + (c << K * (e - i)), x * b + y * a, i
+    return x, y
+
+
+def _ratio(z, chain, terms, dterms):
+    """(f/f' as a complex, upper bound of d*|f/f'|) at the double z.
+
+    With u_0 = z = N/2^k, u_(l+1) = w_l^2 and w_l = q_l u_l - p_l = W_l/2^(k 2^l),
+    f/f' = b(u_L) / (b'(u_L) prod 2 q_l w_l) = B / (2^k prod(2 q_l) B' prod W_l)
+    for the scaled base values B, B'; these and the W_l are exact integers.
     """
-    d = len(coeffs) - 1
-    deriv = tuple(j * coeffs[j] for j in range(1, d + 1))
-    tol_mp = mpmath.mpf(tol)
-    with mpmath.workdps(dps + 20):
-        unit = mpmath.mpf(2) ** (3 - mpmath.mp.prec)
-        slack = 4 * d + 8
-        cs = [mpmath.mpmathify(c) for c in coeffs]
-        ds = [mpmath.mpmathify(c) for c in deriv]
-        acs = [abs(c) for c in cs]
-        ads = [abs(c) for c in ds]
-        pairs = []
-        suggest = dps
-        bad = []
-        for i, z in enumerate(roots):
-            az = abs(z)
-            fz = abs(_mp_eval(cs, z))
-            dz = abs(_mp_eval(ds, z))
-            magf = _mp_eval(acs, az)
-            magd = _mp_eval(ads, az)
-            ef = magf * unit * slack
-            ed = magd * unit * slack
-            if dz <= 2 * ed:
-                # derivative drowned in evaluation noise: digits do help
-                grow = int(mpmath.ceil(mpmath.log10(ed + 1))) + 15
-                suggest = max(suggest, dps + max(grow, 10))
-                bad.append(i)
-                pairs.append((complex(z), math.inf))
-                continue
-            rad = d * (fz + ef) / (dz - ed)
-            if rad < tol_mp:
-                pairs.append((complex(z), float(rad * (1 + mpmath.mpf("1e-9")))))
-                continue
-            bad.append(i)
-            pairs.append((complex(z), float(rad)))
-            if ef >= fz / 4:
-                # the residual is mostly evaluation noise: more digits
-                u_req = tol_mp * dz / (6 * d * magf * slack)
-                if u_req > 0:
-                    suggest = max(suggest, int(mpmath.ceil(-mpmath.log10(u_req))) + 8)
-                else:
-                    suggest = max(suggest, 2 * dps)
-        if bad:
-            return pairs, suggest, tuple(bad)
-    for i in range(len(pairs)):
-        zi, ri = pairs[i]
-        for j in range(i + 1, len(pairs)):
-            zj, rj = pairs[j]
-            if abs(zi - zj) <= ri + rj:
-                return pairs, dps, ()
-    return pairs, dps, None
+    (a, s), (b, t) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    k = max(s, t).bit_length() - 1
+    N, K, q2, den = ((a << k) // s, (b << k) // t), k, 1, []
+    for q, p in chain:
+        w = (q * N[0] - (p << K), q * N[1])
+        den.append(w)
+        q2 *= 2 * q
+        N, K = _gpow(w, 2), 2 * K
+    e = terms[0][0]
+    den.append(_horner(dterms, e - 1, N, K))
+    m, E, _, P = _split(_horner(terms, e, N, K))
+    E, P, Q = E - k, P * (e << len(chain)) ** 2, q2 * q2
+    for g in den:
+        mg, s, lo, _ = _split(g)
+        if not lo:
+            return complex(math.inf), math.inf
+        m, E, Q = m / mg, E - s, Q * lo
+    try:
+        return complex(math.ldexp(m.real, E), math.ldexp(m.imag, E)) / q2, _sqrt_up(P, Q, E)
+    except OverflowError:
+        return complex(math.inf), math.inf
+
+
+def _split(g):
+    # g = m 2^s to 64 bits, with lo <= |g|^2 / 4^s <= hi
+    s = max(0, max(abs(g[0]).bit_length(), abs(g[1]).bit_length()) - 64)
+    a, b, u = abs(g[0]) >> s, abs(g[1]) >> s, 1 if s else 0
+    return complex(g[0] >> s, g[1] >> s), s, a * a + b * b, (a + u) ** 2 + (b + u) ** 2
+
+
+def _sqrt_up(P, Q, E):
+    # a double >= sqrt(P/Q) 2^E, from ceil(sqrt(ceil(P 4^t / Q))) ~ 2^64
+    if not P:
+        return 0.0
+    t = 64 - (P.bit_length() - Q.bit_length()) // 2
+    v = -(-(P << 2 * t) // Q) if t >= 0 else -(-P // (Q << -2 * t))
+    r = math.isqrt(v - 1) + 1
+    return math.nextafter(math.ldexp(math.nextafter(float(r), math.inf), E - t), math.inf)
+
+
+def _snap(z):
+    # a component 2^60 below the other only lengthens the exact arithmetic;
+    # dropping it is sound, the disk is certified about the centre returned
+    x, y = z.real, z.imag
+    return complex(0.0 if abs(x) < 2.0 ** -60 * abs(y) else x,
+                   0.0 if abs(y) < 2.0 ** -60 * abs(x) else y)
+
+
+def _refine(pts, ratio):
+    # Aberth steps z -= n / (1 - n sum_j 1/(z - z_j)), n = f/f' exact, one
+    # point at a time until the step leaves the double unchanged; each
+    # radius is the one evaluated at the point returned
+    pts = np.array([_snap(complex(z)) for z in pts])
+    rads = []
+    for i, z in enumerate(map(complex, pts)):
+        for _ in range(_STEPS):
+            n, rad = ratio(z)
+            diff = z - pts
+            diff[i] = 1.0
+            with np.errstate(all="ignore"):
+                step = complex(n / (1.0 - n * ((1.0 / diff).sum() - 1.0)))
+            new = _snap(z - step)
+            if new == z or not abs(step) <= 0.5 * (1.0 + abs(z)):
+                break
+            z = pts[i] = new
+        else:
+            rad = ratio(z)[1]
+        rads.append(rad)
+    return pts, rads
 
 
 def arch_support(divisor, tol: float = 1e-13) -> list[tuple[complex, float, int]]:

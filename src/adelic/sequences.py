@@ -79,10 +79,11 @@ def generate(spec: SequenceSpec) -> Iterator[EffectiveDivisor]:
             yield divisor_from_poly([-spec.param] + [0] * (n - 1) + [1])
     else:
         f = IntPoly.make([spec.param, 0, 1])
-        for n in spec.indices():
+        for n in range(1, spec.n_max + 1):
             if n > 1:
                 f = (f * f).add_scalar(spec.param)
-            yield divisor_from_poly(f.coeffs)
+            if n >= spec.n_min:
+                yield divisor_from_poly(f.coeffs)
 
 
 CSV_COLUMNS = (

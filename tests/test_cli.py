@@ -49,6 +49,15 @@ def test_fekete_all_places(capsys):
     assert data["dstar_product_formula"] is True
 
 
+def test_equidist_preimages_start_at_n_min(capsys, tmp_path):
+    # depth 6 of z^2 - 2 is degree 64 even when the run starts there
+    out_path = tmp_path / "pre.csv"
+    code, out, _ = run_cli(capsys, "equidist", "--family", "preimages:-2",
+                           "--n-min", "6", "--n-max", "6", "--out", str(out_path))
+    assert code == 0
+    assert "1 rows, final degree 64" in out
+
+
 def test_equidist_writes_csv(capsys, tmp_path):
     out_path = tmp_path / "runs.csv"
     code, out, _ = run_cli(capsys, "equidist", "--family", "unit_roots",

@@ -177,6 +177,16 @@ def test_float_sum_folds_mixed_values():
     assert 0 < err < 1e-12
 
 
+def test_float_sum_bounds_running_sum_rounding():
+    # 1 + 4000 * 1e-16: each tiny term is lost against a running sum of 1,
+    # so a bound of eps per term misses the 4e-13 that rounding drops
+    vals = [LogValue.real(1.0)] + [LogValue.real(1e-16)] * 4000
+    tot, err = float_sum(vals)
+    exact = Fraction(1.0) + 4000 * Fraction(1e-16)
+    assert abs(Fraction(tot) - exact) <= Fraction(err)
+    assert err < 1e-15
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         val_p(3, 4)

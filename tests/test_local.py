@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from adelic.divisors import EffectiveDivisor, d_star, divisor_from_poly
@@ -96,6 +97,18 @@ def test_fekete_arch_unit_roots_closed_form():
         Z = divisor_from_poly([-1] + [0] * (n - 1) + [1])
         got = fekete_sum_arch(Z, std_weight())
         assert abs(got.value - n * math.log(n)) < 1e-9
+
+
+def test_fekete_arch_encloses_closed_form_at_high_degree():
+    # n log n - (n - 1) log a for z^n - a under std; the bound must cover
+    # the rounding of the sum over ~n^2/2 pairs, and stay narrow
+    for n, a in ((192, 1), (120, 2), (121, 2)):
+        Z = divisor_from_poly([-a] + [0] * (n - 1) + [1])
+        got = fekete_sum_arch(Z, std_weight())
+        with mpmath.workdps(30):
+            want = float(n * mpmath.log(n) - (n - 1) * mpmath.log(a))
+        assert abs(got.value - want) <= got.err + 2.3e-16 * want
+        assert got.err <= 1e-10 * want
 
 
 def test_fekete_nonarch_hand_values():

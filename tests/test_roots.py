@@ -1,11 +1,13 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 from adelic.divisors import divisor_from_poly
-from adelic.exact import DomainError, IntPoly
+from adelic.exact import DomainError, IntPoly, squarefree_decomposition
 from adelic.roots import arch_support, certified_roots
 
 
@@ -71,7 +73,6 @@ def test_residual_bound_random_polys():
         d = rng.randint(2, 25)
         coeffs = [rng.randint(-50, 50) for _ in range(d)] + [rng.randint(1, 50)]
         f = IntPoly.make(coeffs)
-        from adelic.exact import squarefree_decomposition
         parts = squarefree_decomposition(f)
         if len(parts) != 1 or parts[0][1] != 1:
             continue  # skip the rare non-squarefree draw
@@ -115,3 +116,68 @@ def test_arch_support_multiplicities():
 def test_degree_cap_refused():
     with pytest.raises(DomainError):
         certified_roots(IntPoly.make([-1] + [0] * 600 + [1]))
+
+
+def _assert_disks_hold_roots(f, disks, oracle):
+    # every disk holds an oracle root (decided at 70 digits, where the double
+    # centres and radii are exact), a radius-0 disk an exact root, and no
+    # two disks share one
+    assert len(disks) == f.degree
+    held = set()
+    with mpmath.workdps(70):
+        for z, rad in disks:
+            c = mpmath.mpc(z.real, z.imag)
+            k = min(range(len(oracle)), key=lambda i: abs(oracle[i] - c))
+            if rad == 0.0:
+                x, y = Fraction(z.real), Fraction(z.imag)
+                re = im = Fraction(0)
+                for a in reversed(f.coeffs):
+                    re, im = re * x - im * y + a, re * y + im * x
+                assert re == im == 0, z
+            else:
+                assert abs(oracle[k] - c) <= mpmath.mpf(rad), (z, rad)
+            held.add(k)
+    assert len(held) == f.degree
+
+
+def test_disks_contain_polyroots_random():
+    rng = random.Random(60)
+    checked = 0
+    while checked < 12:
+        d = rng.randint(2, 25)
+        coeffs = [rng.randint(-50, 50) for _ in range(d)] + [rng.randint(1, 50)]
+        f = IntPoly.make(coeffs)
+        parts = squarefree_decomposition(f)
+        if len(parts) != 1 or parts[0][1] != 1:
+            continue
+        with mpmath.workdps(60):
+            oracle = mpmath.polyroots(list(reversed(coeffs)), maxsteps=200, extraprec=120)
+        _assert_disks_hold_roots(f, certified_roots(f), oracle)
+        checked += 1
+
+
+def test_disks_contain_unit_roots():
+    # 60-digit closed form; polyroots at degree 64 alone takes about 5 s
+    for n in range(1, 65):
+        f = IntPoly.make([-1] + [0] * (n - 1) + [1])
+        with mpmath.workdps(60):
+            oracle = [mpmath.expjpi(mpmath.mpf(2 * k) / n) for k in range(n)]
+        _assert_disks_hold_roots(f, certified_roots(f), oracle)
+
+
+def test_disks_contain_chebyshev_preimages():
+    # the n-fold iterate of z^2 - 2 has roots 2 cos((2k+1) pi / 2^(n+1))
+    f = IntPoly.make([-2, 0, 1])
+    for n in range(1, 6):
+        with mpmath.workdps(60):
+            oracle = [2 * mpmath.cospi(mpmath.mpf(2 * k + 1) / 2 ** (n + 1))
+                      for k in range(2 ** n)]
+        _assert_disks_hold_roots(f, certified_roots(f), oracle)
+        f = (f * f).add_scalar(-2)
+
+
+def test_large_roots_refused():
+    # roots near +-10^4: a double centre is up to 9e-13 from the root, and
+    # the certified radius 2|f/f'| is above tol, so no disk is returned
+    with pytest.raises(DomainError):
+        certified_roots(IntPoly.make([-(10 ** 8 + 1), 0, 1]))
