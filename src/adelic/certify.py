@@ -16,12 +16,14 @@ cap.  Certification therefore asserts the stronger bound 3*eps/4.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Sequence
 
 from .exact import DomainError
 
-__all__ = ["Certificate", "Refusal", "lemma43_certify", "certify_uniform_sup"]
+__all__ = ["Certificate", "Refusal", "lemma43_certify", "certify_uniform_sup",
+           "random_certifier_instance", "random_adversarial_instance"]
 
 
 @dataclass(frozen=True)
@@ -146,3 +148,39 @@ def lemma43_certify(
 
 
 certify_uniform_sup = lemma43_certify
+
+
+def random_certifier_instance(rng: random.Random):
+    """A (rows, tails, tail_bound, eps) tuple satisfying every hypothesis."""
+    m_cols = rng.randint(1, 6)
+    n_rows = rng.randint(1, 5)
+    eps = rng.uniform(0.05, 2.0)
+    col_limit = eps / (4.0 * m_cols)
+    q = 0.9 * min(col_limit, eps / (8.0 * m_cols))
+    rows = [[rng.uniform(-q, q) for _ in range(m_cols)] for _ in range(n_rows)]
+    tail_bound = 0.1 * eps / 4.0
+    tails = [q for _ in range(m_cols)]
+    return rows, tails, tail_bound, eps
+
+
+def random_adversarial_instance(rng: random.Random):
+    """A broken instance plus the reason the certifier must give."""
+    rows, tails, tail_bound, eps = random_certifier_instance(rng)
+    m_cols = len(tails)
+    kind = rng.randint(0, 2)
+    if kind == 2 and m_cols == 1:
+        kind = rng.choice([0, 1])
+    if kind == 0:
+        return rows, tails, eps / 4.0 * rng.uniform(1.0, 3.0), eps, "tail_bound"
+    col_limit = eps / (4.0 * m_cols)
+    row = rng.randrange(len(rows))
+    if kind == 1:
+        rows[row] = [0.93 * col_limit] * m_cols
+        tails = [0.95 * col_limit] * m_cols
+        return rows, tails, tail_bound, eps, "row_sum"
+    bad = 1.5 * col_limit
+    rows[row] = [0.0] * m_cols
+    rows[row][0] = bad
+    rows[row][1] = -bad * 0.999
+    tails = [1.01 * bad] * m_cols
+    return rows, tails, tail_bound, eps, "row_sup"

@@ -14,9 +14,9 @@ import sys
 from fractions import Fraction
 
 from .berkovich import BerkPoint
-from .certify import lemma43_certify
+from .certify import lemma43_certify, random_adversarial_instance, random_certifier_instance
 from .divisors import d_star, divisor_from_poly
-from .exact import DomainError, val_p
+from .exact import DomainError, factorize, val_p
 from .heights import global_fekete, height
 from .local import fekete_sum
 from .places import ARCH, Place, log_abs, product_formula_check
@@ -85,11 +85,9 @@ def _emit(obj: dict) -> None:
 
 
 def _cmd_dstar(args) -> int:
-    import sympy
-
     Z = divisor_from_poly(_parse_poly(args.poly), args.inf_mult)
     ds = d_star(Z)
-    primes = set(sympy.factorint(ds.numerator)) | set(sympy.factorint(ds.denominator))
+    primes = set(factorize(ds.numerator)) | set(factorize(ds.denominator))
     places = [ARCH] + [Place(p) for p in sorted(p for p in primes if p > 1)]
     table = [{"place": str(v), "log_abs": log_abs(ds, v).to_json()} for v in places]
     _emit({
@@ -201,8 +199,6 @@ def _suite_identity(rng: random.Random) -> tuple[bool, list[str]]:
 
 
 def _suite_ex5(rng: random.Random) -> tuple[bool, list[str]]:
-    import sympy
-
     import mpmath
     import sympy
 
@@ -260,42 +256,6 @@ def _suite_ex5(rng: random.Random) -> tuple[bool, list[str]]:
     lines.append("branching family: grid bound, kernel match, zero self-energy, "
                  "reciprocal radii all hold")
     return True, lines
-
-
-def random_certifier_instance(rng: random.Random):
-    """A (rows, tails, tail_bound, eps) tuple satisfying every hypothesis."""
-    m_cols = rng.randint(1, 6)
-    n_rows = rng.randint(1, 5)
-    eps = rng.uniform(0.05, 2.0)
-    col_limit = eps / (4.0 * m_cols)
-    q = 0.9 * min(col_limit, eps / (8.0 * m_cols))
-    rows = [[rng.uniform(-q, q) for _ in range(m_cols)] for _ in range(n_rows)]
-    tail_bound = 0.1 * eps / 4.0
-    tails = [q for _ in range(m_cols)]
-    return rows, tails, tail_bound, eps
-
-
-def random_adversarial_instance(rng: random.Random):
-    """A broken instance plus the reason the certifier must give."""
-    rows, tails, tail_bound, eps = random_certifier_instance(rng)
-    m_cols = len(tails)
-    kind = rng.randint(0, 2)
-    if kind == 2 and m_cols == 1:
-        kind = rng.choice([0, 1])
-    if kind == 0:
-        return rows, tails, eps / 4.0 * rng.uniform(1.0, 3.0), eps, "tail_bound"
-    col_limit = eps / (4.0 * m_cols)
-    row = rng.randrange(len(rows))
-    if kind == 1:
-        rows[row] = [0.93 * col_limit] * m_cols
-        tails = [0.95 * col_limit] * m_cols
-        return rows, tails, tail_bound, eps, "row_sum"
-    bad = 1.5 * col_limit
-    rows[row] = [0.0] * m_cols
-    rows[row][0] = bad
-    rows[row][1] = -bad * 0.999
-    tails = [1.01 * bad] * m_cols
-    return rows, tails, tail_bound, eps, "row_sup"
 
 
 def _suite_lemma43(rng: random.Random) -> tuple[bool, list[str]]:

@@ -333,9 +333,7 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
         A = B
         B = [c // denom for c in R[: _deg(R) + 1]]
         gg = A[_deg(A)]
-        if delta == 0:
-            hh = hh  # h unchanged when degrees drop by zero steps
-        else:
+        if delta:  # h is unchanged when the degree drops by zero steps
             hh = gg ** delta // hh ** (delta - 1)
     dA = _deg(A)
     lB = B[0]
@@ -391,11 +389,6 @@ def newton_polygon(f: IntPoly, p: int) -> list:
 # LogValue
 # ---------------------------------------------------------------------------
 
-def _log_int(n: int) -> float:
-    # math.log accepts arbitrarily large ints
-    return math.log(n)
-
-
 @dataclass(frozen=True)
 class LogValue:
     """A logarithmic quantity attached to one place.
@@ -417,7 +410,7 @@ class LogValue:
         c = Fraction(coeff)
         if c == 0:
             return LogValue.zero()
-        v = float(c) * _log_int(base)
+        v = float(c) * math.log(base)
         return LogValue(c, base, v, 0.0)
 
     @staticmethod

@@ -8,22 +8,13 @@ only sources of interval width.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .berkovich import INF_POINT
 from .divisors import EffectiveDivisor
-from .exact import _EPS, INF, LogValue, float_sum, val_p
-from .local import (
-    arch_support,
-    fekete_sum,
-    fekete_sum_arch_identity,
-    mahler_g,
-    mahler_sharp,
-    nonarch_root_data,
-)
-from .places import ARCH, Place, log_abs, product_formula_check, relevant_places
+from .exact import _EPS, LogValue, float_sum
+from .local import LocalData, fekete_sum_arch, mahler_g
+from .places import Place, log_abs, product_formula_check, relevant_places
 from .weights import Weight
 
 __all__ = [
@@ -89,8 +80,7 @@ def height(
     evaluation error.
     """
     rel = relevant_places(Z, g, tail_eps / 2.0)
-    vals = [mahler_g(Z, g, v, root_tol) for v in rel.places]
-    tot, err = float_sum(vals)
+    tot, err = float_sum(mahler_g(Z, g, v, root_tol) for v in rel.places)
     d = Z.degree
     return HeightInterval(tot / d, err / d + _EPS * abs(tot / d), rel.tail_bound)
 
@@ -201,47 +191,6 @@ class GlobalReport:
         }
 
 
-def _diag_weight(Z: EffectiveDivisor, g: Weight, v: Place, root_tol: float) -> LogValue:
-    # sum over support points of (multiplicity squared) * weight value
-    if not v.is_archimedean:
-        comp = g.finite(v.prime)
-        acc = Fraction(0)
-        for val, m in nonarch_root_data(Z, v.prime):
-            s = -val if val != INF else -INF
-            acc += m * m * comp.coeff_fn(s)
-        acc += Z.inf_mult ** 2 * comp.at_infinity
-        return LogValue.exact_log(acc, v.prime)
-    tot = 0.0
-    err = 0.0
-    for w, rad, m in arch_support(Z, root_tol):
-        t = g.arch(w)
-        tot += m * m * t
-        err += m * m * (g.arch.lip * rad + 4.0 * _EPS * (1.0 + abs(t)))
-    if Z.inf_mult:
-        t = g.arch(INF_POINT)
-        tot += Z.inf_mult ** 2 * t
-        err += Z.inf_mult ** 2 * 4.0 * _EPS * (1.0 + abs(t))
-    return LogValue.real(tot, err)
-
-
-def _diag_inf_link(Z: EffectiveDivisor, v: Place, root_tol: float) -> LogValue:
-    # sum over finite support points of (multiplicity squared) times the
-    # log of the round-metric distance to the point at infinity
-    if not v.is_archimedean:
-        acc = Fraction(0)
-        for val, m in nonarch_root_data(Z, v.prime):
-            if val != INF and val < 0:
-                acc -= m * m * (-val)
-        return LogValue.exact_log(acc, v.prime)
-    tot = 0.0
-    err = 0.0
-    for w, rad, m in arch_support(Z, root_tol):
-        t = -0.5 * math.log1p(abs(w) ** 2)
-        tot += m * m * t
-        err += m * m * (0.5 * rad + 4.0 * _EPS * (1.0 + abs(t)))
-    return LogValue.real(tot, err)
-
-
 def global_fekete(
     Z: EffectiveDivisor,
     g: Weight,
@@ -255,42 +204,42 @@ def global_fekete(
     the pairwise difference product.  The report's identity_residual is
     the defect of the global relation
 
-        sum_v (Z,Z)_v  =  -2 d^2 h + 2 sum_w m_w^2 G(w) - 2 cross
+        sum_v (Z,Z)_v  =  -2 d^2 h + 2 sum_w m_w^2 (G(w) + R(w))
 
     with G(w) the adelic sum of weight values at the support point and
-    cross the adelic sum of round-metric links to infinity; it must
-    vanish within identity_slack.  The product formula for the pairwise
-    difference product is checked exactly and reported as a flag.
+    R(w) the adelic sum of its round-metric terms (the log of its
+    projective norm at each place); it must vanish within identity_slack.
+    The product formula for the pairwise difference product is checked
+    exactly and reported as a flag.
     """
     rel = relevant_places(Z, g, tail_eps / 2.0)
     d = Z.degree
-    ds = Z.d_star
     rows = []
     diag_vals = []
-    cross_vals = []
     for v in rel.places:
-        m_round = mahler_sharp(Z, v, root_tol)
-        m_g = mahler_g(Z, g, v, root_tol)
-        fek = fekete_sum(Z, g, v, root_tol)
-        rows.append(PlaceRow(v, m_round, m_g, fek, log_abs(ds, v)))
-        diag_vals.append(_diag_weight(Z, g, v, root_tol))
-        cross_vals.append(_diag_inf_link(Z, v, root_tol))
+        data = LocalData(Z, g, v, root_tol)
+        if v.is_archimedean:
+            # kept for the cross-check below; finite places keep only rows
+            arch = data
+            fek = direct = fekete_sum_arch(Z, g, root_tol)
+        else:
+            fek = data.pairing()
+        rows.append(PlaceRow(v, data.round, data.round + data.weight, fek,
+                             log_abs(Z.d_star, v)))
+        diag_vals += [data.diag_weight, data.diag_round]
 
     lhs, lhs_err = float_sum(r.fekete for r in rows)
     h_tot, h_err = float_sum(r.mahler_weighted for r in rows)
     dg, dg_err = float_sum(diag_vals)
-    cr, cr_err = float_sum(cross_vals)
-    rhs = -2.0 * d * h_tot + 2.0 * dg - 2.0 * cr
-    slack = lhs_err + 2.0 * d * h_err + 2.0 * dg_err + 2.0 * cr_err
+    rhs = -2.0 * d * h_tot + 2.0 * dg
+    slack = lhs_err + 2.0 * d * h_err + 2.0 * dg_err
     slack += 16.0 * _EPS * (abs(lhs) + abs(rhs) + 1.0)
     residual = abs(lhs - rhs)
 
     # the archimedean row also has to match its difference-product route
     if d >= 2:
-        direct = next(r.fekete for r in rows if r.place.is_archimedean)
-        via_dstar = fekete_sum_arch_identity(Z, g, root_tol)
         dv, de = direct._as_float()
-        iv, ie = via_dstar._as_float()
+        iv, ie = arch.pairing()._as_float()
         residual = max(residual, abs(dv - iv))
         slack = max(slack, de + ie + 4.0 * _EPS * (1.0 + abs(dv)))
 
@@ -304,7 +253,7 @@ def global_fekete(
         prime_cutoff=rel.prime_cutoff,
         identity_residual=residual,
         identity_slack=slack,
-        dstar_product_formula=product_formula_check(ds),
+        dstar_product_formula=product_formula_check(Z.d_star),
     )
 
 

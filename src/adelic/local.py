@@ -10,16 +10,97 @@ propagated error bounds.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .berkovich import INF_POINT, chordal_arch
 from .divisors import EffectiveDivisor
-from .exact import _EPS, INF, DomainError, LogValue, newton_polygon, val_p
-from .places import ARCH, Place, log_abs_float
+from .exact import _EPS, DomainError, LogValue, newton_polygon, val_p
+from .places import ARCH, Place, log_abs
 from .roots import arch_support
 from .weights import Weight
 
 _TINY = 1e-300
+
+
+@dataclass
+class LocalData:
+    """A divisor's support at one place, found once, and its moments
+    against one weight (g may be None if only round moments are read).
+
+    round and weight sum the round-metric term (the log of the projective
+    norm, zero at infinity) and the weight over the support, each point
+    counted with its multiplicity m; diag_round and diag_weight put m^2 in
+    place of m.  Each is computed on first use: an exact LogValue at a
+    finite place, an error-bounded float at the archimedean place.
+    """
+
+    Z: EffectiveDivisor
+    g: Weight | None
+    v: Place
+    root_tol: float = 1e-13
+
+    @cached_property
+    def points(self) -> list:
+        """Finite support: (root, radius, multiplicity) at the archimedean
+        place, (multiplicity, Newton polygon valuations) per factor at p."""
+        if self.v.is_archimedean:
+            return arch_support(self.Z, self.root_tol)
+        return [(m, newton_polygon(f, self.v.prime)) for f, m in self.Z.squarefree_factors]
+
+    @cached_property
+    def _factor_weights(self) -> list[tuple[int, Fraction]]:
+        # (multiplicity, weight coefficient summed over the factor's roots)
+        comp = self.g.finite(self.v.prime)
+        return [(m, sum(comp.coeff_fn(-val) for val in vals)) for m, vals in self.points]
+
+    def _moment(self, k: int, weighted: bool) -> LogValue:
+        # sum over the support of m^k times the weight or the round term
+        Z = self.Z
+        if not self.v.is_archimedean:
+            p = self.v.prime
+            if not weighted:
+                # a factor is primitive: its roots' max(0, -v_p) sum to v_p(lc)
+                return LogValue.exact_log(
+                    sum(m ** k * val_p(f.lc, p) for f, m in Z.squarefree_factors), p)
+            acc = sum(m ** k * c for m, c in self._factor_weights)
+            return LogValue.exact_log(acc + Z.inf_mult ** k * self.g.finite(p).at_infinity, p)
+        if weighted:
+            term, slope = self.g.arch, self.g.arch.lip
+        else:
+            term, slope = (lambda w: 0.5 * math.log1p(abs(w) ** 2)), 0.5
+        total = 0.0
+        err = 0.0
+        for w, rad, m in self.points:
+            t = term(w)
+            total += m ** k * t
+            err += m ** k * (slope * rad + 4.0 * _EPS * (1.0 + abs(t)))
+        if weighted and Z.inf_mult:
+            t = term(INF_POINT)
+            total += Z.inf_mult ** k * t
+            err += Z.inf_mult ** k * 4.0 * _EPS * (1.0 + abs(t))
+        return LogValue.real(total, err)
+
+    round = cached_property(lambda self: self._moment(1, False))
+    weight = cached_property(lambda self: self._moment(1, True))
+    diag_round = cached_property(lambda self: self._moment(2, False))
+    diag_weight = cached_property(lambda self: self._moment(2, True))
+
+    def pairing(self) -> LogValue:
+        """Off-diagonal weighted pairing sum, assembled as
+
+            log|d*|_v - 2d (round + weight) + 2 (diag_round + diag_weight).
+
+        Exact at a finite place; at the archimedean place this is the
+        cross-check route to fekete_sum_arch.  Zero for a single support
+        point.
+        """
+        Z = self.Z
+        if sum(f.degree for f, _ in Z.squarefree_factors) + (Z.inf_mult > 0) <= 1:
+            return LogValue.zero()
+        return (log_abs(Z.d_star, self.v) - (self.round + self.weight).scaled(2 * Z.degree)
+                + (self.diag_round + self.diag_weight).scaled(2))
 
 
 def nonarch_root_data(Z: EffectiveDivisor, p: int) -> list[tuple[object, int]]:
@@ -28,11 +109,7 @@ def nonarch_root_data(Z: EffectiveDivisor, p: int) -> list[tuple[object, int]]:
     Valuations are Fractions, or the infinity marker for roots at 0; the
     point at infinity of the divisor is not included.
     """
-    out = []
-    for g, m in Z.squarefree_factors:
-        for v in newton_polygon(g, p):
-            out.append((v, m))
-    return out
+    return [(val, m) for m, vals in LocalData(Z, None, Place(p)).points for val in vals]
 
 
 def mahler_sharp(Z: EffectiveDivisor, v: Place, root_tol: float = 1e-13) -> LogValue:
@@ -44,54 +121,21 @@ def mahler_sharp(Z: EffectiveDivisor, v: Place, root_tol: float = 1e-13) -> LogV
     archimedean place each point contributes half the log of 1 + |w|^2.
     The point at infinity contributes zero at every place.
     """
-    if not v.is_archimedean:
-        return LogValue.exact_log(val_p(Z.finite_part.lc, v.prime), v.prime)
-    total = 0.0
-    err = 0.0
-    for w, rad, m in arch_support(Z, root_tol):
-        r2 = abs(w) ** 2
-        term = 0.5 * math.log1p(r2)
-        total += m * term
-        err += m * (0.5 * rad + 4.0 * _EPS * (1.0 + term))
-    return LogValue.real(total, err)
+    return LocalData(Z, None, v, root_tol).round
 
 
 def integral_against(Z: EffectiveDivisor, g: Weight, v: Place,
                      root_tol: float = 1e-13) -> LogValue:
     """Integral of the weight at v against the divisor's counting measure."""
-    if not v.is_archimedean:
-        comp = g.finite(v.prime)
-        acc = Fraction(0)
-        for val, m in nonarch_root_data(Z, v.prime):
-            s = -val if val != INF else -INF
-            acc += m * comp.coeff_fn(s)
-        acc += Z.inf_mult * comp.at_infinity
-        return LogValue.exact_log(acc, v.prime)
-    total = 0.0
-    err = 0.0
-    for w, rad, m in arch_support(Z, root_tol):
-        term = g.arch(w)
-        total += m * term
-        err += m * (g.arch.lip * rad + 4.0 * _EPS * (1.0 + abs(term)))
-    if Z.inf_mult:
-        term = g.arch(INF_POINT)
-        total += Z.inf_mult * term
-        err += Z.inf_mult * 4.0 * _EPS * (1.0 + abs(term))
-    return LogValue.real(total, err)
+    return LocalData(Z, g, v, root_tol).weight
 
 
 def mahler_g(Z: EffectiveDivisor, g: Weight, v: Place,
              root_tol: float = 1e-13) -> LogValue:
     """Weighted local Mahler measure: round-metric term plus the integral
     of the weight against the divisor."""
-    return mahler_sharp(Z, v, root_tol) + integral_against(Z, g, v, root_tol)
-
-
-def _arch_points(Z: EffectiveDivisor, root_tol: float):
-    pts = [(w, rad, m) for w, rad, m in arch_support(Z, root_tol)]
-    if Z.inf_mult:
-        pts.append((INF_POINT, 0.0, Z.inf_mult))
-    return pts
+    data = LocalData(Z, g, v, root_tol)
+    return data.round + data.weight
 
 
 def fekete_sum_arch(Z: EffectiveDivisor, g: Weight,
@@ -99,14 +143,15 @@ def fekete_sum_arch(Z: EffectiveDivisor, g: Weight,
     """Off-diagonal weighted pairing sum at the archimedean place, computed
     directly from certified roots as a double sum over distinct support
     points."""
-    pts = _arch_points(Z, root_tol)
+    pts = arch_support(Z, root_tol)
+    if Z.inf_mult:
+        pts.append((INF_POINT, 0.0, Z.inf_mult))
     if len(pts) <= 1:
         return LogValue.zero()
     lip = g.arch.lip
     rows = []
     err = 0.0
-    for i in range(len(pts)):
-        wi, ri, mi = pts[i]
+    for i, (wi, ri, mi) in enumerate(pts):
         gi = g.arch(wi)
         row = []
         for j in range(i + 1, len(pts)):
@@ -137,23 +182,7 @@ def fekete_sum_arch_identity(Z: EffectiveDivisor, g: Weight,
     Cross-check companion to fekete_sum_arch; the two agree up to their
     error bounds.
     """
-    if len(_arch_points(Z, root_tol)) <= 1:
-        return LogValue.zero()
-    dval, derr = log_abs_float(Z.d_star)
-    mg, mgerr = mahler_g(Z, g, ARCH, root_tol)._as_float()
-    total = dval - 2.0 * Z.degree * mg
-    err = derr + 2.0 * Z.degree * mgerr
-    for w, rad, m in arch_support(Z, root_tol):
-        gw = g.arch(w)
-        half = 0.5 * math.log1p(abs(w) ** 2)
-        total += 2.0 * m * m * (gw + half)
-        err += 2.0 * m * m * ((g.arch.lip + 0.5) * rad
-                              + 4.0 * _EPS * (1.0 + abs(gw) + half))
-    if Z.inf_mult:
-        gi = g.arch(INF_POINT)
-        total += 2.0 * Z.inf_mult ** 2 * gi
-        err += 2.0 * Z.inf_mult ** 2 * 4.0 * _EPS * (1.0 + abs(gi))
-    return LogValue.real(total, err)
+    return LocalData(Z, g, ARCH, root_tol).pairing()
 
 
 def fekete_sum_nonarch(Z: EffectiveDivisor, g: Weight, p: int) -> LogValue:
@@ -163,23 +192,7 @@ def fekete_sum_nonarch(Z: EffectiveDivisor, g: Weight, p: int) -> LogValue:
     weighted Mahler measure, and diagonal corrections; every ingredient
     is an exact rational multiple of log p.
     """
-    comp = g.finite(p)
-    data = nonarch_root_data(Z, p)
-    coeff = Fraction(-val_p(Z.d_star, p))
-    mg = Fraction(val_p(Z.finite_part.lc, p))
-    diag = Fraction(0)
-    for val, m in data:
-        s = -val if val != INF else -INF
-        gw = comp.coeff_fn(s)
-        mg += m * gw
-        diag += m * m * gw
-        if val != INF and val < 0:
-            diag += m * m * (-val)
-    if Z.inf_mult:
-        mg += Z.inf_mult * comp.at_infinity
-        diag += Z.inf_mult ** 2 * comp.at_infinity
-    coeff += -2 * Z.degree * mg + 2 * diag
-    return LogValue.exact_log(coeff, p)
+    return LocalData(Z, g, Place(p)).pairing()
 
 
 def fekete_sum(Z: EffectiveDivisor, g: Weight, v: Place,

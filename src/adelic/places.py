@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Union
 
 from sympy import primerange
 
-from .exact import DomainError, LogValue, factorize, require_prime, val_p
+from .exact import _EPS, DomainError, LogValue, factorize, require_prime, val_p
 
 if TYPE_CHECKING:
     from .divisors import EffectiveDivisor
@@ -31,7 +31,6 @@ __all__ = [
     "relevant_places",
 ]
 
-_EPS = 2.220446049250313e-16
 Rational = Union[int, Fraction]
 
 

@@ -13,16 +13,16 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
 import mpmath
 from scipy.integrate import quad
 
-from .berkovich import INF_POINT, BerkPoint, chordal_arch, gauss_point, hsia_kernel
+from .berkovich import INF_POINT, BerkPoint, chordal_arch, hsia_kernel
 from .exact import _EPS, DomainError, LogValue
-from .places import ARCH, Place
+from .places import Place
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,40 +56,46 @@ class ArchWeight:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FiniteWeight:
-    """Weight component at a finite place p.
+    """Weight component at a finite place p, as plain data.
 
-    coeff_fn maps log_p of the sup-norm of a Berkovich point (a Fraction,
-    or -inf for the zero point) to the exact coefficient of log p in the
-    weight value.  at_infinity is the coefficient at the point at
-    infinity.  measure_point is the Dirac mass carrying the equilibrium
-    measure of this component.
+    The coefficient of log p at a Berkovich point whose sup-norm has
+    log_p s is the ramp half + s clamped to [-half, half], plus shift
+    (a constant when half = 0).  The equilibrium measure is the Dirac mass
+    at the disk about 0 of radius p^(-2 half), the Gauss point if half = 0.
     """
 
     prime: int
-    coeff_fn: Callable[[object], Fraction]
-    at_infinity: Fraction
-    sup_coeff: Fraction
-    inf_coeff: Fraction
-    measure_point: BerkPoint
+    half: Fraction = Fraction(0)
+    shift: Fraction = Fraction(0)
+
+    def coeff_fn(self, s) -> Fraction:
+        """Coefficient at log_p sup-norm s: a Fraction, or -inf at 0."""
+        # clamp(half + s, -half, half) + shift; s = -inf gives -half, and
+        # the flat top (s >= 0) needs no Fraction arithmetic
+        h = self.half
+        t = h if not h or s >= 0 else max(h + s, -h)
+        return t + self.shift if self.shift else t
+
+    @property
+    def at_infinity(self) -> Fraction:
+        return self.half + self.shift
+
+    sup_coeff = at_infinity  # the ramp is highest at infinity
+
+    @property
+    def inf_coeff(self) -> Fraction:
+        return self.shift - self.half
+
+    @property
+    def measure_point(self) -> BerkPoint:
+        return BerkPoint.disk(self.prime, 0, -2 * self.half)
 
     def value_coeff(self, x: BerkPoint) -> Fraction:
         if x.is_infinity:
             return self.at_infinity
         return self.coeff_fn(x.log_sup_norm())
-
-    def shifted(self, delta: Fraction) -> "FiniteWeight":
-        base = self.coeff_fn
-        delta = Fraction(delta)
-        return FiniteWeight(
-            prime=self.prime,
-            coeff_fn=lambda s: base(s) + delta,
-            at_infinity=self.at_infinity + delta,
-            sup_coeff=self.sup_coeff + delta,
-            inf_coeff=self.inf_coeff + delta,
-            measure_point=self.measure_point,
-        )
 
 
 class Weight:
@@ -241,18 +247,6 @@ def radii(g: Weight, v: Place) -> Radii:
 # weight families
 
 
-def _zero_finite(p: int) -> FiniteWeight:
-    zero = Fraction(0)
-    return FiniteWeight(
-        prime=p,
-        coeff_fn=lambda s: zero,
-        at_infinity=zero,
-        sup_coeff=zero,
-        inf_coeff=zero,
-        measure_point=gauss_point(p),
-    )
-
-
 def _const_arch(c: float, measure: str) -> ArchWeight:
     return ArchWeight(fn=lambda z: c, sup=c, inf=c, lip=0.0, measure=measure)
 
@@ -266,7 +260,7 @@ def trivial_weight() -> Weight:
     return Weight(
         name="trivial",
         arch=_const_arch(-0.25, "fubini_study"),
-        make_finite=_zero_finite,
+        make_finite=FiniteWeight,
         finitely_supported=True,
     )
 
@@ -300,7 +294,7 @@ def std_weight() -> Weight:
     return Weight(
         name="std",
         arch=arch,
-        make_finite=_zero_finite,
+        make_finite=FiniteWeight,
         finitely_supported=True,
     )
 
@@ -309,18 +303,6 @@ def std_weight() -> Weight:
 def _default_branch_count(p: int) -> int:
     with mpmath.workdps(40):
         return int(mpmath.ceil(mpmath.mpf(p) ** 2 * mpmath.ln(p)))
-
-
-def _ramp_coeff(half: Fraction, s) -> Fraction:
-    # clamp(half + s) to [-half, half]; s is a Fraction or -inf float
-    if s == -math.inf:
-        return -half
-    t = half + Fraction(s)
-    if t > half:
-        return half
-    if t < -half:
-        return -half
-    return t
 
 
 def ex5_weight(branch_count: Optional[Callable[[int], int]] = None) -> Weight:
@@ -343,15 +325,7 @@ def ex5_weight(branch_count: Optional[Callable[[int], int]] = None) -> Weight:
                     raise DomainError(
                         "branch count %d at p=%d is below p^2 log p" % (m, p)
                     )
-        half = Fraction(1, 2 * m)
-        return FiniteWeight(
-            prime=p,
-            coeff_fn=lambda s, _h=half: _ramp_coeff(_h, s),
-            at_infinity=half,
-            sup_coeff=half,
-            inf_coeff=-half,
-            measure_point=BerkPoint.disk(p, Fraction(0), Fraction(-1, m)),
-        )
+        return FiniteWeight(p, Fraction(1, 2 * m))
 
     return Weight(
         name="ex5",
@@ -366,7 +340,7 @@ def zero_weight() -> Weight:
     return Weight(
         name="zero",
         arch=_const_arch(0.0, "fubini_study"),
-        make_finite=_zero_finite,
+        make_finite=FiniteWeight,
         finitely_supported=True,
     )
 
@@ -516,5 +490,6 @@ def normalize(g: Weight, v: Place, quad_tol: float = 1e-7) -> Weight:
         energy = equilibrium_energy(g, v, quad_tol)
         return g.with_components(name, arch=g.arch.shifted(0.5 * energy))
     coeff = equilibrium_coeff(g, v.prime)
-    comp = g.finite(v.prime).shifted(coeff / 2)
+    comp = g.finite(v.prime)
+    comp = replace(comp, shift=comp.shift + coeff / 2)
     return g.with_components(name, finite_override=comp)

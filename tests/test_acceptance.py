@@ -12,7 +12,7 @@ import sympy
 
 from adelic.berkovich import BerkPoint
 from adelic.certify import lemma43_certify
-from adelic.cli import random_adversarial_instance, random_certifier_instance
+from adelic.certify import random_adversarial_instance, random_certifier_instance
 from adelic.divisors import d_star, divisor_from_poly
 from adelic.exact import DomainError, IntPoly, squarefree_decomposition, val_p
 from adelic.heights import global_fekete, height, uniform_sup

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from adelic.certify import Certificate, Refusal, certify_uniform_sup, lemma43_certify
-from adelic.cli import random_adversarial_instance, random_certifier_instance
+from adelic.certify import random_adversarial_instance, random_certifier_instance
 from adelic.exact import DomainError
 
 

@@ -7,7 +7,7 @@ from adelic.divisors import divisor_from_poly
 from adelic.heights import HeightInterval, global_fekete, height, uniform_sup
 from adelic.weights import ex5_weight, std_weight, trivial_weight
 
-from helpers import LOG2, random_divisor
+from helpers import LOG2, random_divisor, rational_root_divisor
 
 
 def test_height_interval_contains():
@@ -115,3 +115,25 @@ def test_height_tail_is_reported():
     h = height(Z, ex5_weight(), tail_eps=1e-2)
     assert 0 < h.tail < 1e-2
     assert h.hi - h.lo >= 2 * h.tail
+
+
+def test_report_builds_each_newton_polygon_once(monkeypatch):
+    # one support pass per place: every (squarefree factor, prime) pair
+    # of an ex5 report gets exactly one Newton polygon
+    import adelic.local
+
+    calls = {}
+    real = adelic.local.newton_polygon
+
+    def counting(f, p):
+        calls[(f, p)] = calls.get((f, p), 0) + 1
+        return real(f, p)
+
+    monkeypatch.setattr(adelic.local, "newton_polygon", counting)
+    Z, _ = rational_root_divisor(random.Random(5))
+    report = global_fekete(Z, ex5_weight(), tail_eps=1e-2)
+    primes = [r.place.prime for r in report.rows if not r.place.is_archimedean]
+    want = {(f, p) for f, _ in Z.squarefree_factors for p in primes}
+    assert len(Z.squarefree_factors) >= 2 and len(primes) > 100
+    assert set(calls) == want
+    assert set(calls.values()) == {1}

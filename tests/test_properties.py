@@ -1,0 +1,68 @@
+"""Property tests of global reports against independent oracles.
+
+Examples come from the derandomized profile in conftest.py, so every
+run checks the same divisors.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from adelic.divisors import divisor_from_poly
+from adelic.exact import DomainError, IntPoly
+from adelic.heights import global_fekete
+from adelic.local import mahler_g
+from adelic.weights import ex5_weight, std_weight, trivial_weight
+
+from helpers import pairwise_fekete_nonarch
+
+rational_roots = st.dictionaries(
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 8)),
+    st.sampled_from([1, 1, 2]),
+    min_size=2,
+    max_size=4,
+)
+inf_mults = st.sampled_from([0, 0, 1])
+
+
+def _rational_root_divisor(roots, inf_mult):
+    f = IntPoly.make([1])
+    for q, m in roots.items():
+        for _ in range(m):
+            f = f * IntPoly.make([-q.numerator, q.denominator])
+    return divisor_from_poly(list(f.coeffs), inf_mult)
+
+
+def _check_report(Z, g, tail_eps, points=None):
+    report = global_fekete(Z, g, tail_eps=tail_eps)
+    for row in report.rows:
+        assert row.mahler_weighted == mahler_g(Z, g, row.place)
+        if points is not None and not row.place.is_archimedean:
+            p = row.place.prime
+            want = pairwise_fekete_nonarch(points, Z.inf_mult, g.finite(p), p)
+            assert row.fekete.coeff == want
+    assert report.identity_residual <= report.identity_slack
+
+
+@given(rational_roots, inf_mults)
+def test_ex5_rational_roots_match_pairwise_oracle(roots, inf_mult):
+    Z = _rational_root_divisor(roots, inf_mult)
+    _check_report(Z, ex5_weight(), 1e-2, sorted(roots.items()))
+
+
+@given(rational_roots, inf_mults, st.sampled_from([std_weight, trivial_weight]))
+def test_rational_roots_match_pairwise_oracle(roots, inf_mult, weight):
+    Z = _rational_root_divisor(roots, inf_mult)
+    _check_report(Z, weight(), 1e-9, sorted(roots.items()))
+
+
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=5),
+       st.integers(1, 20), st.sampled_from([0, 0, 1, 2]),
+       st.sampled_from([std_weight, trivial_weight]))
+def test_small_divisors_rows_and_identity(low, lead, inf_mult, weight):
+    try:
+        Z = divisor_from_poly(low + [lead], inf_mult)
+    except DomainError:
+        return
+    _check_report(Z, weight(), 1e-9)
