@@ -1,11 +1,13 @@
 """Exact integer and rational building blocks.
 
 This module is the arithmetic bedrock of the package: p-adic valuations,
-primitive integer polynomials, squarefree decomposition, resultants via the
-subresultant remainder sequence, discriminants, and Newton polygons.  Every
-function here is exact; no floating point enters any computation.  The one
-numeric type, LogValue, keeps finite-place values as exact rational multiples
-of log p and archimedean values as floats with an explicit error bound.
+primitive integer polynomials, squarefree decomposition and gcds (sympy's
+dense routines over ZZ: a heuristic gcd inside Yun's algorithm),
+resultants via the subresultant remainder sequence, discriminants, and
+Newton polygons, all in exact integer or rational arithmetic.  The one
+numeric type, LogValue, keeps finite-place values as exact rational
+multiples of log p and archimedean values as floats with an explicit error
+bound; float_sum adds LogValues across places as floats.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from functools import reduce
 from typing import Iterable, Union
 
 from sympy import factorint, isprime
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dup_gcd
+from sympy.polys.sqfreetools import dup_sqf_list
 
 __all__ = [
     "DomainError",
@@ -56,16 +61,18 @@ def require_prime(p: int) -> int:
 
 def val_p(q: Rational, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
-    require_prime(p)
-    q = Fraction(q)
-    if q == 0:
+    return _val(Fraction(q), require_prime(p))
+
+
+def _val(q: Rational, p: int) -> int:
+    # val_p for a p already known to be prime
+    n, d = q.numerator, q.denominator
+    if n == 0:
         raise DomainError("valuation of zero is undefined")
     v = 0
-    n = q.numerator
     while n % p == 0:
         n //= p
         v += 1
-    d = q.denominator
     while d % p == 0:
         d //= p
         v -= 1
@@ -208,98 +215,29 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _primitive_list(cs: list[int]) -> list[int]:
-    c = _content(cs)
-    if c == 0:
-        return []
-    return [x // c for x in cs]
+def _dup(f: IntPoly) -> list:
+    # sympy's dense form: coefficients over ZZ, descending by degree
+    return [ZZ(c) for c in reversed(f.coeffs)]
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Primitive gcd in Z[z] with positive leading coefficient, computed with
-    a primitive pseudo-remainder sequence."""
-    a = _primitive_list(list(f.coeffs))
-    b = _primitive_list(list(g.coeffs))
-    if _deg(a) < _deg(b):
-        a, b = b, a
-    while _deg(b) >= 0:
-        r = _primitive_list(_prem(a, b))
-        a, b = b, r
-    a = a[: _deg(a) + 1]
-    if a[-1] < 0:
-        a = [-c for c in a]
-    return IntPoly(tuple(a))
-
-
-def _divexact(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Exact quotient f / g in Q[z]; raises if the division is not exact.
-    For primitive f, g with g | f the quotient is an integer polynomial."""
-    num = [Fraction(c) for c in f.coeffs]
-    den = [Fraction(c) for c in g.coeffs]
-    dn, dd = len(num) - 1, len(den) - 1
-    if dn < dd:
-        raise DomainError("inexact polynomial division")
-    q = [Fraction(0)] * (dn - dd + 1)
-    for k in range(dn - dd, -1, -1):
-        c = num[k + dd] / den[dd]
-        q[k] = c
-        if c:
-            for i in range(dd + 1):
-                num[k + i] -= c * den[i]
-    if any(num):
-        raise DomainError("inexact polynomial division")
-    if any(c.denominator != 1 for c in q):
-        raise DomainError("quotient not integral")
-    return IntPoly.make([int(c) for c in q])
-
-
-def _sub_lists(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _trim(out)
-
-
-def _deriv_list(cs: tuple[int, ...]) -> tuple[int, ...]:
-    return _trim([j * c for j, c in enumerate(cs)][1:])
+    """Primitive gcd in Z[z] with positive leading coefficient: sympy's
+    heuristic gcd of the primitive parts (of f and g themselves it would
+    keep the gcd of their contents)."""
+    a, b = (_dup(content_primitive(h)[1]) for h in (f, g))
+    return IntPoly.make(reversed(dup_gcd(a, b, ZZ)))
 
 
 def squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
-    """Yun decomposition of a nonconstant f: pairwise coprime primitive
-    squarefree factors with multiplicities, f = +/- content * prod f_i^(m_i).
+    """Yun decomposition of f: pairwise coprime primitive squarefree factors
+    with ascending multiplicities, f = +/- content * prod f_i^(m_i), from
+    sympy's dense routine over ZZ (heuristic gcd inside Yun's loop).
 
     Factors come out with positive leading coefficient; content and the
-    overall sign are dropped (neither affects a divisor)."""
-    _, f = content_primitive(f)
-    if f.is_constant:
-        return []
-    if f.lc < 0:
-        f = f.scale(-1)
-    d = f.derivative()
-    a = poly_gcd(f, d)
-    if a.is_constant:
-        return [(f, 1)]
-    b = _divexact(f, a)
-    c = _divexact(d, a)
-    out: list[tuple[IntPoly, int]] = []
-    i = 1
-    while b.degree > 0:
-        z = _sub_lists(c.coeffs, _deriv_list(b.coeffs))
-        if not z:
-            out.append((b, i))
-            break
-        h = poly_gcd(b, IntPoly(z))
-        if h.degree > 0:
-            out.append((h, i))
-            b = _divexact(b, h)
-            c = _divexact(IntPoly(z), h)
-        else:
-            c = IntPoly(z)
-        i += 1
-    return out
+    overall sign are dropped (neither affects a divisor), and a constant
+    gives no factors."""
+    _, factors = dup_sqf_list(_dup(f), ZZ)
+    return [(IntPoly.make(reversed(g)), m) for g, m in factors]
 
 
 def resultant(f: IntPoly, g: IntPoly) -> int:
@@ -365,7 +303,7 @@ def newton_polygon(f: IntPoly, p: int) -> list:
     require_prime(p)
     if f.degree == 0:
         return []
-    pts = [(j, val_p(c, p)) for j, c in enumerate(f.coeffs) if c != 0]
+    pts = [(j, _val(c, p)) for j, c in enumerate(f.coeffs) if c != 0]
     j0 = pts[0][0]
     vals: list = []
     hull: list[tuple[int, int]] = []

@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .berkovich import INF_POINT, chordal_arch
 from .divisors import EffectiveDivisor
-from .exact import _EPS, DomainError, LogValue, newton_polygon, val_p
+from .exact import _EPS, DomainError, LogValue, _val, newton_polygon
 from .places import ARCH, Place, log_abs
 from .roots import arch_support
 from .weights import Weight
@@ -63,7 +63,7 @@ class LocalData:
             if not weighted:
                 # a factor is primitive: its roots' max(0, -v_p) sum to v_p(lc)
                 return LogValue.exact_log(
-                    sum(m ** k * val_p(f.lc, p) for f, m in Z.squarefree_factors), p)
+                    sum(m ** k * _val(f.lc, p) for f, m in Z.squarefree_factors), p)
             acc = sum(m ** k * c for m, c in self._factor_weights)
             return LogValue.exact_log(acc + Z.inf_mult ** k * self.g.finite(p).at_infinity, p)
         if weighted:

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Union
 
 from sympy import primerange
 
-from .exact import _EPS, DomainError, LogValue, factorize, require_prime, val_p
+from .exact import _EPS, DomainError, LogValue, _val, factorize, require_prime, val_p
 
 if TYPE_CHECKING:
     from .divisors import EffectiveDivisor
@@ -83,7 +83,7 @@ def log_abs(q: Rational, v: Place) -> LogValue:
     if v.is_archimedean:
         val, err = log_abs_float(q)
         return LogValue.real(val, err)
-    return LogValue.exact_log(-val_p(q, v.prime), v.prime)
+    return LogValue.exact_log(-_val(q, v.prime), v.prime)
 
 
 def product_formula_check(q: Rational) -> bool:

@@ -6,6 +6,8 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
+
 from adelic.divisors import EffectiveDivisor, divisor_from_poly
 from adelic.exact import DomainError, IntPoly, val_p
 
@@ -99,3 +101,25 @@ def close(a: float, b: float, tol: float) -> bool:
 
 
 LOG2 = math.log(2.0)
+
+
+def assert_disks_hold_roots(f, disks, oracle):
+    # every disk holds an oracle root (decided at 70 digits, where the double
+    # centres and radii are exact), a radius-0 disk an exact root, and no
+    # two disks share one
+    assert len(disks) == f.degree
+    held = set()
+    with mpmath.workdps(70):
+        for z, rad in disks:
+            c = mpmath.mpc(z.real, z.imag)
+            k = min(range(len(oracle)), key=lambda i: abs(oracle[i] - c))
+            if rad == 0.0:
+                x, y = Fraction(z.real), Fraction(z.imag)
+                re = im = Fraction(0)
+                for a in reversed(f.coeffs):
+                    re, im = re * x - im * y + a, re * y + im * x
+                assert re == im == 0, z
+            else:
+                assert abs(oracle[k] - c) <= mpmath.mpf(rad), (z, rad)
+            held.add(k)
+    assert len(held) == f.degree

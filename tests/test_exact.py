@@ -71,6 +71,10 @@ def test_poly_gcd():
     b = IntPoly.make([-1, 1]) * IntPoly.make([-3, 1])
     assert poly_gcd(a, b).coeffs == (-1, 1)
     assert poly_gcd(a, IntPoly.make([1])).coeffs == (1,)
+    # contents and signs are dropped: 2(z-1) and 4(z-1) share z-1
+    assert poly_gcd(IntPoly.make([-2, 2]), IntPoly.make([-4, 4])).coeffs == (-1, 1)
+    assert poly_gcd(IntPoly.make([2, -2]), b.scale(-3)).coeffs == (-1, 1)
+    assert poly_gcd(IntPoly.make([6]), IntPoly.make([4])).coeffs == (1,)
 
 
 def test_squarefree_decomposition():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 from adelic.divisors import divisor_from_poly
+from adelic.exact import factorize
 from adelic.heights import HeightInterval, global_fekete, height, uniform_sup
 from adelic.weights import ex5_weight, std_weight, trivial_weight
 
@@ -137,3 +138,25 @@ def test_report_builds_each_newton_polygon_once(monkeypatch):
     assert len(Z.squarefree_factors) >= 2 and len(primes) > 100
     assert set(calls) == want
     assert set(calls.values()) == {1}
+
+
+def test_report_checks_each_prime_once_per_call(monkeypatch):
+    # a finite place's prime is checked when the Place is made and once per
+    # Newton polygon, not once per valuation; product_formula_check adds
+    # one public val_p per prime of d*
+    import adelic.exact
+
+    calls = [0]
+    real = adelic.exact.isprime
+
+    def counting(p):
+        calls[0] += 1
+        return real(p)
+
+    monkeypatch.setattr(adelic.exact, "isprime", counting)
+    Z, _ = rational_root_divisor(random.Random(5))
+    report = global_fekete(Z, ex5_weight(), tail_eps=1e-2)
+    places = sum(1 for r in report.rows if not r.place.is_archimedean)
+    ds = Z.d_star
+    dstar_primes = set(factorize(ds.numerator)) | set(factorize(ds.denominator))
+    assert calls[0] <= places * (1 + len(Z.squarefree_factors)) + len(dstar_primes)

@@ -1,21 +1,32 @@
-"""Property tests of global reports against independent oracles.
+"""Property tests of exact algebra, root disks and global reports against
+independent oracles.
 
 Examples come from the derandomized profile in conftest.py, so every
 run checks the same divisors.
 """
 
 from fractions import Fraction
+from functools import reduce
 
-from hypothesis import given
+import mpmath
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from adelic.divisors import divisor_from_poly
-from adelic.exact import DomainError, IntPoly
+from adelic.exact import (
+    DomainError,
+    IntPoly,
+    content_primitive,
+    discriminant,
+    resultant,
+    squarefree_decomposition,
+)
 from adelic.heights import global_fekete
 from adelic.local import mahler_g
+from adelic.roots import certified_roots
 from adelic.weights import ex5_weight, std_weight, trivial_weight
 
-from helpers import pairwise_fekete_nonarch
+from helpers import assert_disks_hold_roots, pairwise_fekete_nonarch
 
 rational_roots = st.dictionaries(
     st.builds(Fraction, st.integers(-12, 12), st.integers(1, 8)),
@@ -24,6 +35,9 @@ rational_roots = st.dictionaries(
     max_size=4,
 )
 inf_mults = st.sampled_from([0, 0, 1])
+small_factor = st.builds(lambda low, lead: IntPoly.make(low + [lead]),
+                         st.lists(st.integers(-5, 5), min_size=1, max_size=3),
+                         st.integers(-5, 5).filter(bool))
 
 
 def _rational_root_divisor(roots, inf_mult):
@@ -66,3 +80,36 @@ def test_small_divisors_rows_and_identity(low, lead, inf_mult, weight):
     except DomainError:
         return
     _check_report(Z, weight(), 1e-9)
+
+
+@given(st.lists(st.tuples(small_factor, st.integers(1, 3)), min_size=1, max_size=3),
+       st.integers(-6, 6).filter(bool))
+def test_squarefree_decomposition_of_products(factors, c):
+    # c * prod g_i^m_i, with content and sign, against the in-house
+    # discriminant and resultant
+    f = IntPoly.make([c])
+    for g, m in factors:
+        for _ in range(m):
+            f = f * g
+    parts = squarefree_decomposition(f)
+    mults = [m for _, m in parts]
+    assert mults == sorted(set(mults))
+    for i, (g, _) in enumerate(parts):
+        assert g.degree >= 1 and g.lc > 0 and content_primitive(g)[0] == 1
+        assert discriminant(g) != 0
+        for h, _ in parts[i + 1:]:
+            assert resultant(g, h) != 0
+    prod = reduce(IntPoly.__mul__, (g for g, m in parts for _ in range(m)))
+    prim = content_primitive(f)[1]
+    assert prod.coeffs in (prim.coeffs, prim.scale(-1).coeffs)
+
+
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=10),
+       st.integers(-20, 20).filter(bool))
+@example([0, -13], 5)  # linear base: a root sits at 1 - 3e-16 of its radius
+def test_root_disks_hold_polyroots(low, lead):
+    f = IntPoly.make(low + [lead])
+    assume(discriminant(f) != 0)
+    with mpmath.workdps(60):
+        oracle = mpmath.polyroots(list(reversed(f.coeffs)), maxsteps=200, extraprec=120)
+    assert_disks_hold_roots(f, certified_roots(f), oracle)

@@ -1,7 +1,6 @@
 import cmath
 import math
 import random
-from fractions import Fraction
 
 import mpmath
 import pytest
@@ -9,6 +8,8 @@ import pytest
 from adelic.divisors import divisor_from_poly
 from adelic.exact import DomainError, IntPoly, squarefree_decomposition
 from adelic.roots import arch_support, certified_roots
+
+from helpers import assert_disks_hold_roots
 
 
 def _poly_value(coeffs, z):
@@ -118,28 +119,6 @@ def test_degree_cap_refused():
         certified_roots(IntPoly.make([-1] + [0] * 600 + [1]))
 
 
-def _assert_disks_hold_roots(f, disks, oracle):
-    # every disk holds an oracle root (decided at 70 digits, where the double
-    # centres and radii are exact), a radius-0 disk an exact root, and no
-    # two disks share one
-    assert len(disks) == f.degree
-    held = set()
-    with mpmath.workdps(70):
-        for z, rad in disks:
-            c = mpmath.mpc(z.real, z.imag)
-            k = min(range(len(oracle)), key=lambda i: abs(oracle[i] - c))
-            if rad == 0.0:
-                x, y = Fraction(z.real), Fraction(z.imag)
-                re = im = Fraction(0)
-                for a in reversed(f.coeffs):
-                    re, im = re * x - im * y + a, re * y + im * x
-                assert re == im == 0, z
-            else:
-                assert abs(oracle[k] - c) <= mpmath.mpf(rad), (z, rad)
-            held.add(k)
-    assert len(held) == f.degree
-
-
 def test_disks_contain_polyroots_random():
     rng = random.Random(60)
     checked = 0
@@ -152,7 +131,7 @@ def test_disks_contain_polyroots_random():
             continue
         with mpmath.workdps(60):
             oracle = mpmath.polyroots(list(reversed(coeffs)), maxsteps=200, extraprec=120)
-        _assert_disks_hold_roots(f, certified_roots(f), oracle)
+        assert_disks_hold_roots(f, certified_roots(f), oracle)
         checked += 1
 
 
@@ -162,7 +141,7 @@ def test_disks_contain_unit_roots():
         f = IntPoly.make([-1] + [0] * (n - 1) + [1])
         with mpmath.workdps(60):
             oracle = [mpmath.expjpi(mpmath.mpf(2 * k) / n) for k in range(n)]
-        _assert_disks_hold_roots(f, certified_roots(f), oracle)
+        assert_disks_hold_roots(f, certified_roots(f), oracle)
 
 
 def test_disks_contain_chebyshev_preimages():
@@ -172,7 +151,7 @@ def test_disks_contain_chebyshev_preimages():
         with mpmath.workdps(60):
             oracle = [2 * mpmath.cospi(mpmath.mpf(2 * k + 1) / 2 ** (n + 1))
                       for k in range(2 ** n)]
-        _assert_disks_hold_roots(f, certified_roots(f), oracle)
+        assert_disks_hold_roots(f, certified_roots(f), oracle)
         f = (f * f).add_scalar(-2)
 
 
