@@ -59,9 +59,9 @@ def main():
 
     print()
     print("== normalization: shift a weight so its energy vanishes ==")
-    e0 = equilibrium_energy(zero_weight(), ARCH, quad_tol=1e-8)
-    gn = normalize(zero_weight(), ARCH, quad_tol=1e-8)
-    en = equilibrium_energy(gn, ARCH, quad_tol=1e-8)
+    e0 = equilibrium_energy(zero_weight(), ARCH)
+    gn = normalize(zero_weight(), ARCH)
+    en = equilibrium_energy(gn, ARCH)
     print("  energy of the zero weight on the sphere: %.9f" % e0)
     print("  normalized arch constant: %.9f (expect -0.25)" % gn.arch(1.0))
     print("  energy after normalization: %.2e" % en)

@@ -1,8 +1,8 @@
 """Exact integer and rational building blocks.
 
 This module is the arithmetic bedrock of the package: p-adic valuations,
-primitive integer polynomials, squarefree decomposition and gcds (sympy's
-dense routines over ZZ: a heuristic gcd inside Yun's algorithm),
+primitive integer polynomials, squarefree decomposition (sympy's dense
+routine over ZZ: a heuristic gcd inside Yun's algorithm),
 resultants via the subresultant remainder sequence, discriminants, and
 Newton polygons, all in exact integer or rational arithmetic.  The one
 numeric type, LogValue, keeps finite-place values as exact rational
@@ -20,7 +20,6 @@ from typing import Iterable, Union
 
 from sympy import factorint, isprime
 from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dup_gcd
 from sympy.polys.sqfreetools import dup_sqf_list
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "factorize",
     "require_prime",
     "content_primitive",
-    "poly_gcd",
     "squarefree_decomposition",
     "resultant",
     "discriminant",
@@ -218,14 +216,6 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
 def _dup(f: IntPoly) -> list:
     # sympy's dense form: coefficients over ZZ, descending by degree
     return [ZZ(c) for c in reversed(f.coeffs)]
-
-
-def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Primitive gcd in Z[z] with positive leading coefficient: sympy's
-    heuristic gcd of the primitive parts (of f and g themselves it would
-    keep the gcd of their contents)."""
-    a, b = (_dup(content_primitive(h)[1]) for h in (f, g))
-    return IntPoly.make(reversed(dup_gcd(a, b, ZZ)))
 
 
 def squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:

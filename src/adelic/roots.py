@@ -28,7 +28,6 @@ DEGREE_CAP = 512
 _STEPS = 8  # Newton steps per point and level
 
 
-@functools.lru_cache(maxsize=256)
 def certified_roots(f: IntPoly, tol: float = 1e-13) -> list[tuple[complex, float]]:
     """All complex roots of a squarefree integer polynomial, with radii.
 
@@ -36,8 +35,13 @@ def certified_roots(f: IntPoly, tol: float = 1e-13) -> list[tuple[complex, float
     disk of the given radius about the returned root contains exactly one
     root of f, and the radii are below tol.  Raises DomainError above
     degree 512 or if certification fails at the requested tolerance.
-    Results are cached per (polynomial, tolerance).
+    Results are cached per (polynomial, tolerance), however tol is passed.
     """
+    return _certified_roots(f, tol)
+
+
+@functools.lru_cache(maxsize=256)
+def _certified_roots(f: IntPoly, tol: float) -> list[tuple[complex, float]]:
     d = f.degree
     if d > DEGREE_CAP:
         raise DomainError("degree %d exceeds the certified-root cap %d" % (d, DEGREE_CAP))
@@ -78,6 +82,10 @@ def certified_roots(f: IntPoly, tol: float = 1e-13) -> list[tuple[complex, float
             if abs(zi - zj) * (1 - 1e-15) <= ri + rj:
                 raise DomainError("certified root disks overlap")
     return out
+
+
+certified_roots.cache_info = _certified_roots.cache_info
+certified_roots.cache_clear = _certified_roots.cache_clear
 
 
 def _chain(cs):

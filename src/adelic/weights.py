@@ -3,9 +3,13 @@
 A weight assigns a bounded potential function to every place: a real
 function of a complex (or infinite) point at the archimedean place, and
 an exact rational multiple of log p as a function of a Berkovich point
-at each finite place.  Each component carries its equilibrium measure
-in a form concrete enough to integrate against, together with sup/inf
-bounds and a tail estimate over the omitted primes.
+at each finite place.  Weights are plain data.  The archimedean
+component is a pair (equilibrium measure, shift): minus the potential
+of the measure plus a constant, so its bounds and its equilibrium
+energy are closed forms.  A finite component is a clamped ramp
+(FiniteWeight).  The quadrature functions at the end integrate the
+energies independently, as a cross-check of the closed forms; they
+import scipy on first use.
 """
 
 from __future__ import annotations
@@ -15,10 +19,9 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import mpmath
-from scipy.integrate import quad
 
 from .berkovich import INF_POINT, BerkPoint, chordal_arch, hsia_kernel
 from .exact import _EPS, DomainError, LogValue
@@ -27,33 +30,53 @@ from .places import Place
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ArchWeight:
-    """Archimedean weight component.
+    """Archimedean weight component: an equilibrium measure and a shift.
 
-    fn maps a complex number or INF_POINT to a float.  sup and inf bound
-    the range, lip bounds |d fn / dz| on C, and measure names the
-    equilibrium measure ("fubini_study", "unit_circle", or "dirac").
+    measure "fubini_study": the weight is the constant shift (the
+    Fubini-Study measure has constant chordal potential), with
+    equilibrium energy -1/2 - 2 shift.  measure "unit_circle": the
+    weight is log+|z| - (1/2) log(1 + |z|^2) + shift, with equilibrium
+    measure uniform on the unit circle and energy -2 shift.  sup and inf
+    bound the range and lip bounds |d g / dz| on C.
     """
 
-    fn: Callable[[object], float]
-    sup: float
-    inf: float
-    lip: float
     measure: str
+    shift: float = 0.0
+
+    def __post_init__(self):
+        if self.measure not in ("fubini_study", "unit_circle"):
+            raise DomainError("unknown equilibrium measure %r" % (self.measure,))
 
     def __call__(self, z) -> float:
-        return self.fn(z)
+        """Value at a complex number or INF_POINT."""
+        if self.measure == "fubini_study" or z is INF_POINT:
+            return self.shift
+        r = abs(complex(z))
+        if r > 1.0:
+            r = 1.0 / r
+        return self.shift - 0.5 * math.log1p(r * r)
 
-    def shifted(self, delta: float) -> "ArchWeight":
-        base = self.fn
-        return ArchWeight(
-            fn=lambda z: base(z) + delta,
-            sup=self.sup + delta,
-            inf=self.inf + delta,
-            lip=self.lip,
-            measure=self.measure,
-        )
+    @property
+    def sup(self) -> float:
+        return self.shift
+
+    @property
+    def inf(self) -> float:
+        if self.measure == "fubini_study":
+            return self.shift
+        return self.shift - 0.5 * math.log(2.0)
+
+    @property
+    def lip(self) -> float:
+        return 0.0 if self.measure == "fubini_study" else 0.5
+
+    @property
+    def energy(self) -> float:
+        """Equilibrium energy: the kernel's energy (-1/2 on the sphere,
+        -log 2 on the circle) minus twice the weight's mean."""
+        return (-0.5 if self.measure == "fubini_study" else 0.0) - 2.0 * self.shift
 
 
 @dataclass(frozen=True)
@@ -98,33 +121,37 @@ class FiniteWeight:
         return self.coeff_fn(x.log_sup_norm())
 
 
+@dataclass(frozen=True)
 class Weight:
     """A global weight: one archimedean component plus one per prime.
 
-    Finite components are built lazily through make_finite and cached.
-    finitely_supported means every finite component is identically zero,
-    so sums over primes truncate exactly.
+    With branch_count None every finite component is zero, so sums over
+    primes truncate exactly (finitely_supported).  Otherwise the
+    component at p is the ramp of half-width 1/(2 m_p), m_p =
+    branch_count(p), which must be at least p^2 log p.  overrides holds
+    components shifted by normalize, at most one per prime.
     """
 
-    def __init__(
-        self,
-        name: str,
-        arch: ArchWeight,
-        make_finite: Callable[[int], FiniteWeight],
-        finitely_supported: bool,
-    ):
-        self.name = name
-        self.arch = arch
-        self._make_finite = make_finite
-        self.finitely_supported = finitely_supported
-        self._finite_cache: dict[int, FiniteWeight] = {}
+    name: str
+    arch: ArchWeight
+    branch_count: Optional[Callable[[int], int]] = None
+    overrides: tuple[FiniteWeight, ...] = ()
+
+    # bench/tracer.py times finite() on primes missing from this; a
+    # weight keeps no per-instance cache, so that is every call
+    _finite_cache: ClassVar[tuple] = ()
+
+    @property
+    def finitely_supported(self) -> bool:
+        return self.branch_count is None
 
     def finite(self, p: int) -> FiniteWeight:
-        comp = self._finite_cache.get(p)
-        if comp is None:
-            comp = self._make_finite(p)
-            self._finite_cache[p] = comp
-        return comp
+        for comp in self.overrides:
+            if comp.prime == p:
+                return comp
+        if self.branch_count is None:
+            return FiniteWeight(p)
+        return _ramp(self.branch_count, p)
 
     def tail_sum_bound(self, prime_floor: int) -> float:
         """Certified bound on sum over primes p > prime_floor of sup |g_p|."""
@@ -151,26 +178,6 @@ class Weight:
         comp = self.finite(v.prime)
         c = max(abs(comp.sup_coeff), abs(comp.inf_coeff))
         return float(c) * math.log(v.prime)
-
-    def with_components(
-        self,
-        name: str,
-        arch: Optional[ArchWeight] = None,
-        finite_override: Optional[FiniteWeight] = None,
-    ) -> "Weight":
-        new = Weight(
-            name=name,
-            arch=arch if arch is not None else self.arch,
-            make_finite=self._make_finite,
-            finitely_supported=self.finitely_supported,
-        )
-        new._finite_cache.update(self._finite_cache)
-        if finite_override is not None:
-            new._finite_cache[finite_override.prime] = finite_override
-        return new
-
-    def __repr__(self):
-        return f"Weight({self.name!r})"
 
 
 def weight_eval(g: Weight, v: Place, x) -> LogValue:
@@ -247,34 +254,13 @@ def radii(g: Weight, v: Place) -> Radii:
 # weight families
 
 
-def _const_arch(c: float, measure: str) -> ArchWeight:
-    return ArchWeight(fn=lambda z: c, sup=c, inf=c, lip=0.0, measure=measure)
-
-
 def trivial_weight() -> Weight:
     """Zero at every finite place, constant -1/4 at the archimedean place.
 
     Normalized so the global pairing has no constant defect; the
     archimedean equilibrium measure is the Fubini-Study measure.
     """
-    return Weight(
-        name="trivial",
-        arch=_const_arch(-0.25, "fubini_study"),
-        make_finite=FiniteWeight,
-        finitely_supported=True,
-    )
-
-
-def _std_arch_value(z) -> float:
-    if z is INF_POINT:
-        return 0.0
-    r = abs(complex(z))
-    if r == 0.0:
-        return 0.0
-    if r <= 1.0:
-        return -0.5 * math.log1p(r * r)
-    inv = 1.0 / r
-    return -0.5 * math.log1p(inv * inv)
+    return Weight("trivial", ArchWeight("fubini_study", -0.25))
 
 
 def std_weight() -> Weight:
@@ -284,25 +270,24 @@ def std_weight() -> Weight:
     the equilibrium energy vanishes, so heights against this weight agree
     with the classical logarithmic height of the divisor.
     """
-    arch = ArchWeight(
-        fn=_std_arch_value,
-        sup=0.0,
-        inf=-0.5 * math.log(2.0),
-        lip=0.5,
-        measure="unit_circle",
-    )
-    return Weight(
-        name="std",
-        arch=arch,
-        make_finite=FiniteWeight,
-        finitely_supported=True,
-    )
+    return Weight("std", ArchWeight("unit_circle"))
 
 
-@functools.lru_cache(maxsize=None)
 def _default_branch_count(p: int) -> int:
     with mpmath.workdps(40):
         return int(mpmath.ceil(mpmath.mpf(p) ** 2 * mpmath.ln(p)))
+
+
+@functools.lru_cache(maxsize=None)
+def _ramp(branch_count: Callable[[int], int], p: int) -> FiniteWeight:
+    # the ex5 component at p; a user-supplied count is checked against
+    # its floor p^2 log p, the default meets it by construction
+    m = int(branch_count(p))
+    if branch_count is not _default_branch_count:
+        with mpmath.workdps(40):
+            if mpmath.mpf(m) < mpmath.mpf(p) ** 2 * mpmath.ln(p):
+                raise DomainError("branch count %d at p=%d is below p^2 log p" % (m, p))
+    return FiniteWeight(p, Fraction(1, 2 * m))
 
 
 def ex5_weight(branch_count: Optional[Callable[[int], int]] = None) -> Weight:
@@ -314,39 +299,62 @@ def ex5_weight(branch_count: Optional[Callable[[int], int]] = None) -> Weight:
     measure is the Dirac mass at the disk of radius p^(-1/m_p) about 0,
     and the tail sum over primes beyond P is at most 1/(2P).
     """
-
-    def make(p: int) -> FiniteWeight:
-        if branch_count is None:
-            m = _default_branch_count(p)
-        else:
-            m = int(branch_count(p))
-            with mpmath.workdps(40):
-                if mpmath.mpf(m) < mpmath.mpf(p) ** 2 * mpmath.ln(p):
-                    raise DomainError(
-                        "branch count %d at p=%d is below p^2 log p" % (m, p)
-                    )
-        return FiniteWeight(p, Fraction(1, 2 * m))
-
-    return Weight(
-        name="ex5",
-        arch=_const_arch(-0.25, "fubini_study"),
-        make_finite=make,
-        finitely_supported=False,
-    )
+    if branch_count is None:
+        branch_count = _default_branch_count
+    return Weight("ex5", ArchWeight("fubini_study", -0.25), branch_count)
 
 
 def zero_weight() -> Weight:
     """Identically zero at every place.  Not normalized at infinity."""
-    return Weight(
-        name="zero",
-        arch=_const_arch(0.0, "fubini_study"),
-        make_finite=FiniteWeight,
-        finitely_supported=True,
-    )
+    return Weight("zero", ArchWeight("fubini_study"))
 
 
 # ---------------------------------------------------------------------------
 # equilibrium energies and normalization
+
+
+def equilibrium_energy(g: Weight, v: Place) -> float:
+    """Energy of the equilibrium measure of g at v under the weighted kernel.
+
+    Exact (hence 0.0 exactly for the built-in families) at finite places;
+    the closed form ArchWeight.energy at the archimedean place.
+    """
+    if v.is_archimedean:
+        return g.arch.energy
+    return float(equilibrium_coeff(g, v.prime)) * math.log(v.prime)
+
+
+def equilibrium_coeff(g: Weight, p: int) -> Fraction:
+    """Exact coefficient of log p in the equilibrium energy at p."""
+    comp = g.finite(p)
+    point = comp.measure_point
+    base = hsia_kernel(p, point, point)
+    if base.is_minus_infinity:
+        raise DomainError("equilibrium measure at p=%d sits at a rigid point" % p)
+    return base.coeff - 2 * comp.value_coeff(point)
+
+
+def normalize(g: Weight, v: Place) -> Weight:
+    """Shift the component of g at v so its equilibrium energy vanishes.
+
+    Adds half the current energy to the component at v; other places are
+    untouched.  Exact at finite places, a closed form at the archimedean
+    place.
+    """
+    name = g.name + "+norm"
+    if v.is_archimedean:
+        arch = replace(g.arch, shift=g.arch.shift + 0.5 * g.arch.energy)
+        return replace(g, name=name, arch=arch)
+    comp = g.finite(v.prime)
+    comp = replace(comp, shift=comp.shift + equilibrium_coeff(g, v.prime) / 2)
+    others = tuple(c for c in g.overrides if c.prime != v.prime)
+    return replace(g, name=name, overrides=others + (comp,))
+
+
+# ---------------------------------------------------------------------------
+# quadrature: an independent cross-check of the closed forms above.  Each
+# returns (value, error), the error being quad's estimate plus tol/2, not
+# a certified bound.
 
 
 def _fs_angular_mean(t: float, u: float) -> float:
@@ -362,8 +370,9 @@ def _fs_angular_mean(t: float, u: float) -> float:
 def fs_kernel_energy(tol: float = 1e-9) -> tuple[float, float]:
     """Double integral of the log chordal kernel against Fubini-Study squared.
 
-    Returns (value, error estimate).  The exact value is -1/2.
+    The exact value is -1/2.
     """
+    from scipy.integrate import quad
 
     def inner(t: float) -> float:
         val, _ = quad(
@@ -383,6 +392,7 @@ def fs_kernel_energy(tol: float = 1e-9) -> tuple[float, float]:
 
 def fs_average(fn: Callable[[object], float], tol: float = 1e-9) -> tuple[float, float]:
     """Mean of fn against the Fubini-Study measure, by nested quadrature."""
+    from scipy.integrate import quad
 
     def radial(t: float) -> float:
         r = math.sqrt(t / (1.0 - t))
@@ -402,6 +412,8 @@ def fs_average(fn: Callable[[object], float], tol: float = 1e-9) -> tuple[float,
 
 def circle_average(fn: Callable[[object], float], tol: float = 1e-9) -> tuple[float, float]:
     """Mean of fn over the unit circle."""
+    from scipy.integrate import quad
+
     val, err = quad(
         lambda th: fn(cmath.exp(1j * th)),
         0.0,
@@ -416,6 +428,8 @@ def circle_average(fn: Callable[[object], float], tol: float = 1e-9) -> tuple[fl
 @functools.lru_cache(maxsize=None)
 def circle_kernel_energy_quadrature(tol: float = 1e-9) -> tuple[float, float]:
     """Quadrature of the log chordal kernel on the circle; exactly -log 2."""
+    from scipy.integrate import quad
+
     # mean over the circle pair reduces to one angular integral of
     # log(2 sin(th/2)) minus the metric correction log 2
     val, err = quad(
@@ -429,67 +443,14 @@ def circle_kernel_energy_quadrature(tol: float = 1e-9) -> tuple[float, float]:
     return val / math.pi - math.log(2.0), err / math.pi + tol / 2.0
 
 
-def equilibrium_energy(g: Weight, v: Place, quad_tol: float = 1e-7) -> float:
-    """Energy of the equilibrium measure of g at v under the weighted kernel.
-
-    Exact (hence 0.0 exactly for the built-in families) at finite places;
-    closed forms plus quadrature of the weight at the archimedean place.
-    """
-    val, _ = equilibrium_energy_with_error(g, v, quad_tol)
-    return val
-
-
-def equilibrium_energy_with_error(
-    g: Weight, v: Place, quad_tol: float = 1e-7
-) -> tuple[float, float]:
-    if not v.is_archimedean:
-        return float(equilibrium_coeff(g, v.prime)) * math.log(v.prime), 0.0
-    measure = g.arch.measure
-    if measure == "unit_circle":
-        kernel, kerr = -math.log(2.0), 0.0
-        avg, aerr = circle_average(g.arch, quad_tol)
-    elif measure == "fubini_study":
-        kernel, kerr = fs_kernel_energy(min(quad_tol, 1e-9))
-        avg, aerr = fs_average(g.arch, quad_tol)
+def equilibrium_energy_quadrature(g: Weight, tol: float = 1e-9) -> tuple[float, float]:
+    """Archimedean equilibrium energy with every term done by quadrature:
+    the kernel's energy against the equilibrium measure, minus twice the
+    weight's mean.  Cross-check of equilibrium_energy at ARCH."""
+    if g.arch.measure == "unit_circle":
+        kernel, kerr = circle_kernel_energy_quadrature(tol)
+        avg, aerr = circle_average(g.arch, tol)
     else:
-        raise DomainError("no integration rule for measure %r" % measure)
+        kernel, kerr = fs_kernel_energy(tol)
+        avg, aerr = fs_average(g.arch, tol)
     return kernel - 2.0 * avg, kerr + 2.0 * aerr
-
-
-def circle_energy_quadrature(g: Weight, quad_tol: float = 1e-9) -> tuple[float, float]:
-    """Archimedean energy with the kernel term itself done by quadrature.
-
-    Cross-check companion to equilibrium_energy for circle-measure weights.
-    """
-    if g.arch.measure != "unit_circle":
-        raise DomainError("quadrature cross-check requires the circle measure")
-    kernel, kerr = circle_kernel_energy_quadrature(quad_tol)
-    avg, aerr = circle_average(g.arch, quad_tol)
-    return kernel - 2.0 * avg, kerr + 2.0 * aerr
-
-
-def equilibrium_coeff(g: Weight, p: int) -> Fraction:
-    """Exact coefficient of log p in the equilibrium energy at p."""
-    comp = g.finite(p)
-    point = comp.measure_point
-    base = hsia_kernel(p, point, point)
-    if base.is_minus_infinity:
-        raise DomainError("equilibrium measure at p=%d sits at a rigid point" % p)
-    return base.coeff - 2 * comp.value_coeff(point)
-
-
-def normalize(g: Weight, v: Place, quad_tol: float = 1e-7) -> Weight:
-    """Shift the component of g at v so its equilibrium energy vanishes.
-
-    Adds half the current energy to the component at v; other places are
-    untouched.  Exact at finite places, quadrature-accurate at the
-    archimedean place.
-    """
-    name = g.name + "+norm"
-    if v.is_archimedean:
-        energy = equilibrium_energy(g, v, quad_tol)
-        return g.with_components(name, arch=g.arch.shifted(0.5 * energy))
-    coeff = equilibrium_coeff(g, v.prime)
-    comp = g.finite(v.prime)
-    comp = replace(comp, shift=comp.shift + coeff / 2)
-    return g.with_components(name, finite_override=comp)

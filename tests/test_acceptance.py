@@ -75,7 +75,7 @@ def test_A2_sphere_energy_and_normalization():
     t0 = time.monotonic()
     val, err = fs_kernel_energy(tol=1e-8)
     ok1 = abs(val - (-0.5)) < 1e-6
-    gn = normalize(zero_weight(), ARCH, quad_tol=2e-8)
+    gn = normalize(zero_weight(), ARCH)
     worst = max(abs(gn.arch(z) - (-0.25))
                 for z in (0.0, 0.5, 1.0, 2.0, 10.0))
     ok2 = worst < 5e-7
@@ -172,7 +172,7 @@ def test_A4_nonarch_direct_pairwise_oracle():
 
 
 def test_A5_std_weight_normalized():
-    e = equilibrium_energy(std_weight(), ARCH, quad_tol=1e-8)
+    e = equilibrium_energy(std_weight(), ARCH)
     _verdict("A5", abs(e) < 1e-6,
              "std circle energy %.2e (tol 1e-6)" % e)
 

@@ -13,7 +13,6 @@ from adelic.exact import (
     factorize,
     float_sum,
     newton_polygon,
-    poly_gcd,
     resultant,
     squarefree_decomposition,
     val_p,
@@ -63,18 +62,6 @@ def test_content_primitive():
     # content stays positive; the sign lives in the primitive part
     c, f = content_primitive(IntPoly.make([-4, -8]))
     assert c == 4 and f.coeffs == (-1, -2)
-
-
-def test_poly_gcd():
-    # (z-1)(z+2) and (z-1)(z-3) share exactly z-1
-    a = IntPoly.make([-1, 1]) * IntPoly.make([2, 1])
-    b = IntPoly.make([-1, 1]) * IntPoly.make([-3, 1])
-    assert poly_gcd(a, b).coeffs == (-1, 1)
-    assert poly_gcd(a, IntPoly.make([1])).coeffs == (1,)
-    # contents and signs are dropped: 2(z-1) and 4(z-1) share z-1
-    assert poly_gcd(IntPoly.make([-2, 2]), IntPoly.make([-4, 4])).coeffs == (-1, 1)
-    assert poly_gcd(IntPoly.make([2, -2]), b.scale(-3)).coeffs == (-1, 1)
-    assert poly_gcd(IntPoly.make([6]), IntPoly.make([4])).coeffs == (1,)
 
 
 def test_squarefree_decomposition():

@@ -160,3 +160,15 @@ def test_large_roots_refused():
     # the certified radius 2|f/f'| is above tol, so no disk is returned
     with pytest.raises(DomainError):
         certified_roots(IntPoly.make([-(10 ** 8 + 1), 0, 1]))
+
+
+def test_cache_key_ignores_how_tol_is_passed():
+    f = IntPoly.make([101, -17, 0, 1])
+    before = certified_roots.cache_info()
+    a = certified_roots(f)
+    b = certified_roots(f, 1e-13)
+    c = certified_roots(f, tol=1e-13)
+    after = certified_roots.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == 2
+    assert a is b is c

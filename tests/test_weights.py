@@ -1,14 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import adelic
 from adelic.berkovich import BerkPoint, INF_POINT
 from adelic.exact import DomainError
 from adelic.places import ARCH, Place
 from adelic.weights import (
-    circle_energy_quadrature,
     equilibrium_energy,
+    equilibrium_energy_quadrature,
     ex5_weight,
     fs_kernel_energy,
     normalize,
@@ -102,19 +106,19 @@ def test_fs_kernel_energy_is_minus_half():
 
 
 def test_std_circle_energy_vanishes():
-    e = equilibrium_energy(std_weight(), ARCH, quad_tol=1e-8)
+    e = equilibrium_energy(std_weight(), ARCH)
     assert abs(e) < 1e-6
-    val, err = circle_energy_quadrature(std_weight(), quad_tol=1e-9)
+    val, err = equilibrium_energy_quadrature(std_weight(), tol=1e-9)
     assert abs(val) < 1e-6
 
 
 def test_normalize_zero_weight_gives_trivial():
     g0 = zero_weight()
-    gn = normalize(g0, ARCH, quad_tol=1e-8)
+    gn = normalize(g0, ARCH)
     for z in (0.0, 1.0, 2.5, INF_POINT):
         assert abs(gn.arch(z) - (-0.25)) < 5e-7
     # normalized weight has vanishing equilibrium energy
-    assert abs(equilibrium_energy(gn, ARCH, quad_tol=1e-8)) < 2e-6
+    assert abs(equilibrium_energy(gn, ARCH)) < 2e-6
 
 
 def test_ex5_equilibrium_vanishes_exactly():
@@ -122,3 +126,29 @@ def test_ex5_equilibrium_vanishes_exactly():
     for p in (2, 3, 5, 13):
         x = g.finite(p).measure_point
         assert potential_kernel(g, Place(p), x, x).coeff == 0
+
+
+def test_closed_form_energies_match_quadrature():
+    weights = [trivial_weight(), std_weight(), zero_weight(), ex5_weight(),
+               normalize(zero_weight(), ARCH)]
+    for g in weights:
+        val, err = equilibrium_energy_quadrature(g, tol=1e-8)
+        gap = abs(equilibrium_energy(g, ARCH) - val)
+        assert gap <= err and gap < 1e-6, (g.name, val, err)
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy backs only the quadrature cross-checks, imported on first use
+    code = (
+        "import sys, adelic\n"
+        "ws = adelic.trivial_weight(), adelic.std_weight(), adelic.ex5_weight()\n"
+        "ws[2].finite(7)\n"
+        "assert 'scipy' not in sys.modules\n"
+        "from adelic.weights import fs_kernel_energy\n"
+        "print(fs_kernel_energy()[0])\n"
+    )
+    src = os.path.dirname(os.path.dirname(adelic.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert abs(float(out.stdout) + 0.5) < 1e-6
