@@ -88,7 +88,7 @@ def _cmd_dstar(args) -> int:
     Z = divisor_from_poly(_parse_poly(args.poly), args.inf_mult)
     ds = d_star(Z)
     primes = set(factorize(ds.numerator)) | set(factorize(ds.denominator))
-    places = [ARCH] + [Place(p) for p in sorted(p for p in primes if p > 1)]
+    places = [ARCH] + [Place(p) for p in sorted(primes)]
     table = [{"place": str(v), "log_abs": log_abs(ds, v).to_json()} for v in places]
     _emit({
         "degree": Z.degree,

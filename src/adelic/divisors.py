@@ -52,10 +52,6 @@ class EffectiveDivisor:
             raise DomainError("divisor must have degree >= 1")
 
     @property
-    def finite_degree(self) -> int:
-        return self.finite_part.degree
-
-    @property
     def degree(self) -> int:
         return self.finite_part.degree + self.inf_mult
 

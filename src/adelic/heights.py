@@ -70,7 +70,6 @@ def height(
     Z: EffectiveDivisor,
     g: Weight,
     tail_eps: float = 1e-9,
-    root_tol: float = 1e-13,
 ) -> HeightInterval:
     """Weighted height of the divisor: sum over places of the weighted
     Mahler measure, divided by the degree.
@@ -80,7 +79,7 @@ def height(
     evaluation error.
     """
     rel = relevant_places(Z, g, tail_eps / 2.0)
-    tot, err = float_sum(mahler_g(Z, g, v, root_tol) for v in rel.places)
+    tot, err = float_sum(mahler_g(Z, g, v) for v in rel.places)
     d = Z.degree
     return HeightInterval(tot / d, err / d + _EPS * abs(tot / d), rel.tail_bound)
 
@@ -195,7 +194,6 @@ def global_fekete(
     Z: EffectiveDivisor,
     g: Weight,
     tail_eps: float = 1e-9,
-    root_tol: float = 1e-13,
 ) -> GlobalReport:
     """Per-place pairing table with the assembled global identity.
 
@@ -217,11 +215,11 @@ def global_fekete(
     rows = []
     diag_vals = []
     for v in rel.places:
-        data = LocalData(Z, g, v, root_tol)
+        data = LocalData(Z, g, v)
         if v.is_archimedean:
             # kept for the cross-check below; finite places keep only rows
             arch = data
-            fek = direct = fekete_sum_arch(Z, g, root_tol)
+            fek = direct = fekete_sum_arch(Z, g)
         else:
             fek = data.pairing()
         rows.append(PlaceRow(v, data.round, data.round + data.weight, fek,
@@ -261,8 +259,7 @@ def uniform_sup(
     Z: EffectiveDivisor,
     g: Weight,
     tail_eps: float = 1e-9,
-    root_tol: float = 1e-13,
 ) -> float:
     """Sup over all places of the normalized pairing magnitude, with the
     omitted places covered by four times the certified weight tail."""
-    return global_fekete(Z, g, tail_eps, root_tol).uniform_sup
+    return global_fekete(Z, g, tail_eps).uniform_sup

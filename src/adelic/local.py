@@ -39,14 +39,13 @@ class LocalData:
     Z: EffectiveDivisor
     g: Weight | None
     v: Place
-    root_tol: float = 1e-13
 
     @cached_property
     def points(self) -> list:
         """Finite support: (root, radius, multiplicity) at the archimedean
         place, (multiplicity, Newton polygon valuations) per factor at p."""
         if self.v.is_archimedean:
-            return arch_support(self.Z, self.root_tol)
+            return arch_support(self.Z)
         return [(m, newton_polygon(f, self.v.prime)) for f, m in self.Z.squarefree_factors]
 
     @cached_property
@@ -103,16 +102,7 @@ class LocalData:
                 + (self.diag_round + self.diag_weight).scaled(2))
 
 
-def nonarch_root_data(Z: EffectiveDivisor, p: int) -> list[tuple[object, int]]:
-    """(valuation, multiplicity) pairs for the finite support at p.
-
-    Valuations are Fractions, or the infinity marker for roots at 0; the
-    point at infinity of the divisor is not included.
-    """
-    return [(val, m) for m, vals in LocalData(Z, None, Place(p)).points for val in vals]
-
-
-def mahler_sharp(Z: EffectiveDivisor, v: Place, root_tol: float = 1e-13) -> LogValue:
+def mahler_sharp(Z: EffectiveDivisor, v: Place) -> LogValue:
     """Local Mahler term of the divisor against the round projective metric.
 
     The sum over the support of the log of the projective norm of each
@@ -121,29 +111,26 @@ def mahler_sharp(Z: EffectiveDivisor, v: Place, root_tol: float = 1e-13) -> LogV
     archimedean place each point contributes half the log of 1 + |w|^2.
     The point at infinity contributes zero at every place.
     """
-    return LocalData(Z, None, v, root_tol).round
+    return LocalData(Z, None, v).round
 
 
-def integral_against(Z: EffectiveDivisor, g: Weight, v: Place,
-                     root_tol: float = 1e-13) -> LogValue:
+def integral_against(Z: EffectiveDivisor, g: Weight, v: Place) -> LogValue:
     """Integral of the weight at v against the divisor's counting measure."""
-    return LocalData(Z, g, v, root_tol).weight
+    return LocalData(Z, g, v).weight
 
 
-def mahler_g(Z: EffectiveDivisor, g: Weight, v: Place,
-             root_tol: float = 1e-13) -> LogValue:
+def mahler_g(Z: EffectiveDivisor, g: Weight, v: Place) -> LogValue:
     """Weighted local Mahler measure: round-metric term plus the integral
     of the weight against the divisor."""
-    data = LocalData(Z, g, v, root_tol)
+    data = LocalData(Z, g, v)
     return data.round + data.weight
 
 
-def fekete_sum_arch(Z: EffectiveDivisor, g: Weight,
-                    root_tol: float = 1e-13) -> LogValue:
+def fekete_sum_arch(Z: EffectiveDivisor, g: Weight) -> LogValue:
     """Off-diagonal weighted pairing sum at the archimedean place, computed
     directly from certified roots as a double sum over distinct support
     points."""
-    pts = arch_support(Z, root_tol)
+    pts = arch_support(Z)
     if Z.inf_mult:
         pts.append((INF_POINT, 0.0, Z.inf_mult))
     if len(pts) <= 1:
@@ -174,15 +161,14 @@ def fekete_sum_arch(Z: EffectiveDivisor, g: Weight,
     return LogValue.real(total, err + _EPS * abs(total))
 
 
-def fekete_sum_arch_identity(Z: EffectiveDivisor, g: Weight,
-                             root_tol: float = 1e-13) -> LogValue:
+def fekete_sum_arch_identity(Z: EffectiveDivisor, g: Weight) -> LogValue:
     """Archimedean off-diagonal sum assembled from the difference product,
     the weighted Mahler measure, and diagonal corrections.
 
     Cross-check companion to fekete_sum_arch; the two agree up to their
     error bounds.
     """
-    return LocalData(Z, g, ARCH, root_tol).pairing()
+    return LocalData(Z, g, ARCH).pairing()
 
 
 def fekete_sum_nonarch(Z: EffectiveDivisor, g: Weight, p: int) -> LogValue:
@@ -195,13 +181,12 @@ def fekete_sum_nonarch(Z: EffectiveDivisor, g: Weight, p: int) -> LogValue:
     return LocalData(Z, g, Place(p)).pairing()
 
 
-def fekete_sum(Z: EffectiveDivisor, g: Weight, v: Place,
-               root_tol: float = 1e-13) -> LogValue:
+def fekete_sum(Z: EffectiveDivisor, g: Weight, v: Place) -> LogValue:
     """Off-diagonal weighted pairing sum at any place.
 
     Exact at finite places; certified floats at the archimedean place.
     Degree-one divisors give exactly zero.
     """
     if v.is_archimedean:
-        return fekete_sum_arch(Z, g, root_tol)
+        return fekete_sum_arch(Z, g)
     return fekete_sum_nonarch(Z, g, v.prime)

@@ -48,10 +48,6 @@ class Place:
     def is_archimedean(self) -> bool:
         return self.prime is None
 
-    @staticmethod
-    def finite(p: int) -> "Place":
-        return Place(p)
-
     def _key(self):
         return (1, 0) if self.prime is None else (0, self.prime)
 

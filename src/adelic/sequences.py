@@ -172,7 +172,6 @@ def experiment_run(
     g: Weight,
     out: str | None = None,
     tail_eps: float = 1e-9,
-    root_tol: float = 1e-13,
 ) -> ExperimentResult:
     """One global report per index of the family, with optional emission.
 
@@ -181,7 +180,7 @@ def experiment_run(
     """
     rows = []
     for n, Z in zip(spec.indices(), generate(spec)):
-        rows.append(ExperimentRow(n, global_fekete(Z, g, tail_eps, root_tol)))
+        rows.append(ExperimentRow(n, global_fekete(Z, g, tail_eps)))
     result = ExperimentResult(spec, g.name, tuple(rows))
     if out is not None:
         result.write(out)

@@ -15,7 +15,6 @@ from adelic.local import (
     integral_against,
     mahler_g,
     mahler_sharp,
-    nonarch_root_data,
 )
 from adelic.places import ARCH, Place
 from adelic.weights import ex5_weight, std_weight, trivial_weight

@@ -11,9 +11,11 @@ from adelic.berkovich import BerkPoint, INF_POINT
 from adelic.exact import DomainError
 from adelic.places import ARCH, Place
 from adelic.weights import (
+    circle_average,
     equilibrium_energy,
     equilibrium_energy_quadrature,
     ex5_weight,
+    fs_average,
     fs_kernel_energy,
     normalize,
     potential_kernel,
@@ -137,18 +139,37 @@ def test_closed_form_energies_match_quadrature():
         assert gap <= err and gap < 1e-6, (g.name, val, err)
 
 
+def test_fs_average_of_std_weight():
+    # on either side of the unit circle the std weight is (1/2) log(1 - t)
+    # or (1/2) log t, t = r^2/(1+r^2): the mean is (log 2 - 1)/2
+    val, err = fs_average(std_weight().arch)
+    assert abs(val - (math.log(2.0) - 1.0) / 2.0) <= err
+
+
+def test_circle_average_of_nonconstant_function():
+    val, err = circle_average(lambda z: complex(z).real ** 2)
+    assert abs(val - 0.5) <= err
+
+
 def test_import_leaves_scipy_unloaded():
-    # scipy backs only the quadrature cross-checks, imported on first use
+    # the quadrature cross-checks need numpy only: with scipy blocked,
+    # import adelic, build the weights and run every quadrature function
     code = (
-        "import sys, adelic\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import adelic\n"
+        "from adelic import weights as W\n"
         "ws = adelic.trivial_weight(), adelic.std_weight(), adelic.ex5_weight()\n"
         "ws[2].finite(7)\n"
-        "assert 'scipy' not in sys.modules\n"
-        "from adelic.weights import fs_kernel_energy\n"
-        "print(fs_kernel_energy()[0])\n"
+        "print(W.fs_kernel_energy()[0], W.fs_average(ws[0].arch)[0],\n"
+        "      W.circle_average(ws[1].arch)[0], W.circle_kernel_energy_quadrature()[0],\n"
+        "      W.equilibrium_energy_quadrature(ws[1])[0])\n"
     )
     src = os.path.dirname(os.path.dirname(adelic.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert abs(float(out.stdout) + 0.5) < 1e-6
+    want = [-0.5, -0.25, -0.5 * math.log(2.0), -math.log(2.0), 0.0]
+    got = [float(x) for x in out.stdout.split()]
+    assert len(got) == len(want)
+    assert all(abs(a - b) < 1e-6 for a, b in zip(got, want)), got
