@@ -16,10 +16,10 @@ from fractions import Fraction
 from .berkovich import BerkPoint
 from .certify import lemma43_certify, random_adversarial_instance, random_certifier_instance
 from .divisors import d_star, divisor_from_poly
-from .exact import DomainError, factorize, val_p
+from .exact import DomainError, val_p
 from .heights import global_fekete, height
 from .local import fekete_sum
-from .places import ARCH, Place, log_abs, product_formula_check
+from .places import ARCH, Place, _product_formula, log_abs, product_formula_check
 from .sequences import SequenceSpec, experiment_run
 from .weights import (
     Weight,
@@ -87,14 +87,14 @@ def _emit(obj: dict) -> None:
 def _cmd_dstar(args) -> int:
     Z = divisor_from_poly(_parse_poly(args.poly), args.inf_mult)
     ds = d_star(Z)
-    primes = set(factorize(ds.numerator)) | set(factorize(ds.denominator))
-    places = [ARCH] + [Place(p) for p in sorted(primes)]
+    # the divisor's primes also divide lc; only those of d* go in the table
+    places = [ARCH] + [Place(p) for p in sorted(Z.primes) if val_p(ds, p)]
     table = [{"place": str(v), "log_abs": log_abs(ds, v).to_json()} for v in places]
     _emit({
         "degree": Z.degree,
         "dstar": str(ds),
         "log_table": table,
-        "product_formula_ok": product_formula_check(ds),
+        "product_formula_ok": _product_formula(ds, Z.primes),
     })
     return 0
 

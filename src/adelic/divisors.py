@@ -4,8 +4,8 @@ A divisor is a primitive integer polynomial (its root divisor, with
 multiplicities from the squarefree decomposition) plus an explicit
 multiplicity at the point at infinity.  The module also computes the
 quantities that drive all local identities: the diagonal mass, the
-small-diagonal ratio, and the pairwise difference product over distinct
-finite support points, kept as an exact rational.
+small-diagonal ratio, the pairwise difference product over distinct
+finite support points (an exact rational), and the divisor's primes.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .exact import (
     IntPoly,
     content_primitive,
     discriminant,
+    factorize,
     resultant,
     squarefree_decomposition,
 )
@@ -103,6 +104,15 @@ class EffectiveDivisor:
         if out == 0:
             raise AssertionError("pairwise difference product vanished")
         return out
+
+    @cached_property
+    def primes(self) -> frozenset[int]:
+        """The primes of the finite part's leading coefficient and of d_star,
+        where the divisor's own local data can be nonzero; the package's
+        one factorization of divisor data."""
+        ds = self.d_star
+        return frozenset().union(
+            factorize(self.finite_part.lc), factorize(ds.numerator), factorize(ds.denominator))
 
 
 def divisor_from_poly(coeffs: Iterable[int], inf_mult: int = 0) -> EffectiveDivisor:

@@ -119,21 +119,6 @@ class IntPoly:
     def is_constant(self) -> bool:
         return len(self.coeffs) == 1
 
-    def __call__(self, x):
-        # sparse Horner: cheap on polynomials like z^n - a
-        terms = [(j, c) for j, c in enumerate(self.coeffs) if c != 0]
-        acc = None
-        prev = 0
-        for j, c in reversed(terms):
-            if acc is None:
-                acc, prev = c, j
-            else:
-                acc = acc * x ** (prev - j) + c
-                prev = j
-        if acc is None:
-            return 0 * x
-        return acc * x ** prev if prev else acc + 0 * x
-
     def derivative(self) -> "IntPoly":
         if self.is_constant:
             raise DomainError("derivative of a constant is zero")

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .divisors import EffectiveDivisor
 from .exact import _EPS, LogValue, float_sum
 from .local import LocalData, fekete_sum_arch, mahler_g
-from .places import Place, log_abs, product_formula_check, relevant_places
+from .places import Place, _product_formula, relevant_places
 from .weights import Weight
 
 __all__ = [
@@ -208,7 +208,7 @@ def global_fekete(
     R(w) the adelic sum of its round-metric terms (the log of its
     projective norm at each place); it must vanish within identity_slack.
     The product formula for the pairwise difference product is checked
-    exactly and reported as a flag.
+    exactly over the divisor's own factorization and reported as a flag.
     """
     rel = relevant_places(Z, g, tail_eps / 2.0)
     d = Z.degree
@@ -222,8 +222,7 @@ def global_fekete(
             fek = direct = fekete_sum_arch(Z, g)
         else:
             fek = data.pairing()
-        rows.append(PlaceRow(v, data.round, data.round + data.weight, fek,
-                             log_abs(Z.d_star, v)))
+        rows.append(PlaceRow(v, data.round, data.round + data.weight, fek, data.log_dstar))
         diag_vals += [data.diag_weight, data.diag_round]
 
     lhs, lhs_err = float_sum(r.fekete for r in rows)
@@ -251,7 +250,7 @@ def global_fekete(
         prime_cutoff=rel.prime_cutoff,
         identity_residual=residual,
         identity_slack=slack,
-        dstar_product_formula=product_formula_check(Z.d_star),
+        dstar_product_formula=_product_formula(Z.d_star, Z.primes),
     )
 
 

@@ -32,8 +32,8 @@ class LocalData:
     round and weight sum the round-metric term (the log of the projective
     norm, zero at infinity) and the weight over the support, each point
     counted with its multiplicity m; diag_round and diag_weight put m^2 in
-    place of m.  Each is computed on first use: an exact LogValue at a
-    finite place, an error-bounded float at the archimedean place.
+    place of m; log_dstar is log|d*|_v.  Each is computed on first use: an
+    exact LogValue at a finite place, an error-bounded float at ARCH.
     """
 
     Z: EffectiveDivisor
@@ -81,6 +81,7 @@ class LocalData:
             err += Z.inf_mult ** k * 4.0 * _EPS * (1.0 + abs(t))
         return LogValue.real(total, err)
 
+    log_dstar = cached_property(lambda self: log_abs(self.Z.d_star, self.v))
     round = cached_property(lambda self: self._moment(1, False))
     weight = cached_property(lambda self: self._moment(1, True))
     diag_round = cached_property(lambda self: self._moment(2, False))
@@ -98,7 +99,7 @@ class LocalData:
         Z = self.Z
         if sum(f.degree for f, _ in Z.squarefree_factors) + (Z.inf_mult > 0) <= 1:
             return LogValue.zero()
-        return (log_abs(Z.d_star, self.v) - (self.round + self.weight).scaled(2 * Z.degree)
+        return (self.log_dstar - (self.round + self.weight).scaled(2 * Z.degree)
                 + (self.diag_round + self.diag_weight).scaled(2))
 
 

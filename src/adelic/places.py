@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Union
 
 from sympy import primerange
 
-from .exact import _EPS, DomainError, LogValue, _val, factorize, require_prime, val_p
+from .exact import _EPS, DomainError, LogValue, _val, factorize, require_prime
 
 if TYPE_CHECKING:
     from .divisors import EffectiveDivisor
@@ -91,16 +91,23 @@ def product_formula_check(q: Rational) -> bool:
     q = Fraction(q)
     if q == 0:
         raise DomainError("product formula needs a nonzero rational")
-    primes = set(factorize(q.numerator)) | set(factorize(q.denominator))
-    num = 1
-    den = 1
+    return _product_formula(q, set(factorize(q.numerator)) | set(factorize(q.denominator)))
+
+
+def _product_formula(q: Fraction, primes) -> bool:
+    # |q| == prod of p^val_p(q) over primes (known prime), as integers
+    num = den = 1
     for p in primes:
-        e = val_p(q, p)
+        e = _val(q, p)
         if e > 0:
             num *= p ** e
         elif e < 0:
             den *= p ** (-e)
     return num == abs(q.numerator) and den == q.denominator
+
+
+#: Largest prime cutoff relevant_places will enumerate primes up to.
+PRIME_LIMIT = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -117,35 +124,29 @@ def relevant_places(
     Z: "EffectiveDivisor",
     g: "Weight",
     tail_eps: float = 1e-9,
-    prime_limit: int = 10 ** 7,
 ) -> RelevantPlaces:
     """Places where the divisor or the weight can contribute.
 
-    Always includes the archimedean place, every prime dividing the leading
-    coefficient of the finite part, and every prime dividing the numerator or
-    denominator of the pairwise difference product.  For weights supported at
-    infinitely many primes, also includes all p <= P with P minimal such that
-    the weight's certified tail bound sum_{p>P} sup|g_p| drops below
-    tail_eps / deg(Z).  The returned tail_bound certifies that sum.
+    Always includes the archimedean place, the divisor's primes (those
+    dividing the leading coefficient of the finite part or the numerator
+    or denominator of the pairwise difference product), and the prime of
+    every nonzero override of the weight.  For weights supported at
+    infinitely many primes, also includes all p <= P with P minimal such
+    that the weight's certified tail bound sum_{p>P} sup|g_p| drops below
+    tail_eps / deg(Z); a P above PRIME_LIMIT is refused.  The returned
+    tail_bound certifies that sum.
     """
     if tail_eps <= 0:
         raise DomainError("tail_eps must be positive")
-    ps: set[int] = set()
-    f = Z.finite_part
-    if not f.is_constant:
-        ps |= set(factorize(f.lc))
-    ds = Z.d_star
-    if ds != 1:
-        ps |= set(factorize(ds.numerator))
-        ps |= set(factorize(ds.denominator))
+    ps = set(Z.primes) | {c.prime for c in g.overrides if c.half or c.shift}
     cutoff: int | None = None
     tail = 0.0
     if not g.finitely_supported:
         cutoff = g.prime_cutoff(tail_eps / Z.degree)
-        if cutoff > prime_limit:
+        if cutoff > PRIME_LIMIT:
             raise DomainError(
-                f"tail_eps={tail_eps} needs primes up to {cutoff}; raise"
-                " tail_eps or prime_limit"
+                f"tail_eps={tail_eps} needs primes up to {cutoff}, above the"
+                f" limit {PRIME_LIMIT}; raise tail_eps"
             )
         ps |= set(primerange(2, cutoff + 1))
         tail = g.tail_sum_bound(cutoff)

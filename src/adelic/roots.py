@@ -213,14 +213,14 @@ def _refine(pts, ratio):
     return pts, rads
 
 
-def arch_support(divisor, tol: float = 1e-13) -> list[tuple[complex, float, int]]:
+def arch_support(divisor) -> list[tuple[complex, float, int]]:
     """Certified complex support of the finite part, with multiplicities.
 
     Returns (root, radius, multiplicity) triples across all squarefree
-    factors; the point at infinity is not included.
+    factors, radii below 1e-13; the point at infinity is not included.
     """
     support = []
     for factor, mult in divisor.squarefree_factors:
-        for z, rad in certified_roots(factor, tol):
+        for z, rad in certified_roots(factor):
             support.append((z, rad, mult))
     return support

@@ -127,11 +127,11 @@ class FiniteWeight:
 class Weight:
     """A global weight: one archimedean component plus one per prime.
 
-    With branch_count None every finite component is zero, so sums over
-    primes truncate exactly (finitely_supported).  Otherwise the
-    component at p is the ramp of half-width 1/(2 m_p), m_p =
-    branch_count(p), which must be at least p^2 log p.  overrides holds
-    components shifted by normalize, at most one per prime.
+    overrides holds the components at single primes (set by hand or by
+    normalize), at most one per prime.  Elsewhere, with branch_count None
+    every finite component is zero, so sums over primes truncate exactly
+    (finitely_supported).  Otherwise the component at p is the ramp of
+    half-width 1/(2 m_p), m_p = branch_count(p), at least p^2 log p.
     """
 
     name: str

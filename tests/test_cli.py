@@ -1,7 +1,7 @@
 import json
 import math
 
-from adelic.cli import main
+from adelic.cli import _SUITES, main
 
 
 def run_cli(capsys, *argv):
@@ -91,7 +91,7 @@ def test_bad_inputs_exit_2(capsys):
 
 
 def test_verify_suites_pass(capsys):
-    for suite in ("productformula", "lemma43"):
+    for suite in sorted(_SUITES):
         code, out, _ = run_cli(capsys, "verify", "--suite", suite)
         assert code == 0
         assert "PASS" in out

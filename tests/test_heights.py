@@ -6,7 +6,8 @@ from fractions import Fraction
 from adelic.divisors import divisor_from_poly
 from adelic.exact import factorize
 from adelic.heights import HeightInterval, global_fekete, height, uniform_sup
-from adelic.weights import ex5_weight, std_weight, trivial_weight
+from adelic.places import Place, relevant_places
+from adelic.weights import ArchWeight, FiniteWeight, Weight, ex5_weight, std_weight, trivial_weight
 
 from helpers import LOG2, random_divisor, rational_root_divisor
 
@@ -32,6 +33,23 @@ def test_classical_weil_heights():
         assert abs(height(Z, g).value) < 1e-12
     # the point at infinity alone
     assert abs(height(divisor_from_poly([1], inf_mult=1), g).value) < 1e-15
+
+
+def test_weight_override_is_a_relevant_place():
+    # a finitely supported weight whose only nonzero finite component is an
+    # override at 5 (coefficient 1 everywhere): mahler_g at 5 is 2 log 5, so
+    # h(sqrt 2) = (log 2)/2 + log 5, and place 5 must not be dropped
+    g = Weight("w", ArchWeight("unit_circle"), None,
+               (FiniteWeight(5, Fraction(0), Fraction(1)),))
+    Z = divisor_from_poly([-2, 0, 1])
+    want = LOG2 / 2 + math.log(5)
+    assert Place(5) in relevant_places(Z, g).places
+    h = height(Z, g)
+    assert abs(h.value - want) < 1e-12 and want in h
+    report = global_fekete(Z, g)
+    assert Place(5) in [r.place for r in report.rows]
+    assert abs(report.height_interval.value - want) < 1e-12
+    assert report.identity_residual <= report.identity_slack
 
 
 def test_height_scalar_invariance():
