@@ -106,6 +106,32 @@ class EffectiveDivisor:
         return out
 
     @cached_property
+    def end_coeffs(self) -> int:
+        """|product of the leading and lowest nonzero coefficients| of the
+        squarefree factors.  A prime p not dividing it is a unit prime of
+        the divisor: every Newton polygon at p is flat, so every finite
+        support point is a p-adic unit or zero."""
+        out = 1
+        for f, _ in self.squarefree_factors:
+            out *= f.lc * next(c for c in f.coeffs if c)
+        return abs(out)
+
+    @cached_property
+    def root_counts(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """((units, zeros), (units2, zeros2)): the nonzero and the zero
+        finite support points counted with multiplicity m, then with m^2.
+        At a unit prime the nonzero points are exactly the units."""
+        out = []
+        for k in (1, 2):
+            units = zeros = 0
+            for f, m in self.squarefree_factors:
+                z = next(j for j, c in enumerate(f.coeffs) if c)
+                units += m ** k * (f.degree - z)
+                zeros += m ** k * z
+            out.append((units, zeros))
+        return tuple(out)
+
+    @cached_property
     def primes(self) -> frozenset[int]:
         """The primes of the finite part's leading coefficient and of d_star,
         where the divisor's own local data can be nonzero; the package's

@@ -320,9 +320,9 @@ class LogValue:
     # -- constructors --------------------------------------------------
     @staticmethod
     def exact_log(coeff: Rational, base: int) -> "LogValue":
-        c = Fraction(coeff)
-        if c == 0:
-            return LogValue.zero()
+        if not coeff:
+            return _ZERO
+        c = coeff if type(coeff) is Fraction else Fraction(coeff)
         v = float(c) * math.log(base)
         return LogValue(c, base, v, 0.0)
 
@@ -332,7 +332,7 @@ class LogValue:
 
     @staticmethod
     def zero() -> "LogValue":
-        return LogValue(Fraction(0), None, 0.0, 0.0)
+        return _ZERO
 
     @staticmethod
     def minus_infinity() -> "LogValue":
@@ -403,6 +403,10 @@ class LogValue:
                 return "LogValue(0)"
             return f"LogValue({self.coeff}*log{self.base})"
         return f"LogValue({self.value}+/-{self.err:.2g})"
+
+
+# the exact zero; LogValue is frozen, so one instance serves every caller
+_ZERO = LogValue(Fraction(0), None, 0.0, 0.0)
 
 
 def float_sum(values: Iterable[LogValue]) -> tuple[float, float]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .berkovich import INF_POINT, chordal_arch
@@ -19,7 +18,7 @@ from .divisors import EffectiveDivisor
 from .exact import _EPS, DomainError, LogValue, _val, newton_polygon
 from .places import ARCH, Place, log_abs
 from .roots import arch_support
-from .weights import Weight
+from .weights import FiniteWeight, Weight
 
 _TINY = 1e-300
 
@@ -41,6 +40,14 @@ class LocalData:
     v: Place
 
     @cached_property
+    def unit_prime(self) -> bool:
+        """Whether v is a unit prime of the divisor: one dividing no squarefree
+        factor's leading or lowest nonzero coefficient, a test by divisibility
+        alone.  Every finite support point is then a p-adic unit or zero, and
+        the moments have a closed form with no Newton polygon."""
+        return not self.v.is_archimedean and self.Z.end_coeffs % self.v.prime != 0
+
+    @cached_property
     def points(self) -> list:
         """Finite support: (root, radius, multiplicity) at the archimedean
         place, (multiplicity, Newton polygon valuations) per factor at p."""
@@ -49,22 +56,33 @@ class LocalData:
         return [(m, newton_polygon(f, self.v.prime)) for f, m in self.Z.squarefree_factors]
 
     @cached_property
-    def _factor_weights(self) -> list[tuple[int, Fraction]]:
-        # (multiplicity, weight coefficient summed over the factor's roots)
-        comp = self.g.finite(self.v.prime)
-        return [(m, sum(comp.coeff_fn(-val) for val in vals)) for m, vals in self.points]
+    def _comp(self) -> FiniteWeight:
+        return self.g.finite(self.v.prime)
+
+    def _unit_sum(self, flat: int, zeros: int) -> LogValue:
+        # at a unit prime the ramp is flat on the units and at infinity,
+        # c(0) = c(inf), and the zero roots sit at its foot c(-inf)
+        comp = self._comp
+        acc = flat * comp.at_infinity
+        return LogValue.exact_log(acc + zeros * comp.inf_coeff if zeros else acc, self.v.prime)
 
     def _moment(self, k: int, weighted: bool) -> LogValue:
         # sum over the support of m^k times the weight or the round term
         Z = self.Z
         if not self.v.is_archimedean:
             p = self.v.prime
+            if self.unit_prime:
+                if not weighted:
+                    return LogValue.zero()
+                units, zeros = Z.root_counts[k - 1]
+                return self._unit_sum(units + Z.inf_mult ** k, zeros)
             if not weighted:
                 # a factor is primitive: its roots' max(0, -v_p) sum to v_p(lc)
                 return LogValue.exact_log(
                     sum(m ** k * _val(f.lc, p) for f, m in Z.squarefree_factors), p)
-            acc = sum(m ** k * c for m, c in self._factor_weights)
-            return LogValue.exact_log(acc + Z.inf_mult ** k * self.g.finite(p).at_infinity, p)
+            coeff = self._comp.coeff_fn
+            acc = sum(m ** k * sum(coeff(-val) for val in vals) for m, vals in self.points)
+            return LogValue.exact_log(acc + Z.inf_mult ** k * self._comp.at_infinity, p)
         if weighted:
             term, slope = self.g.arch, self.g.arch.lip
         else:
@@ -92,15 +110,27 @@ class LocalData:
 
             log|d*|_v - 2d (round + weight) + 2 (diag_round + diag_weight).
 
-        Exact at a finite place; at the archimedean place this is the
-        cross-check route to fekete_sum_arch.  Zero for a single support
-        point.
+        Exact at a finite place, summed there as one coefficient of log p
+        (at a unit prime not dividing d* that is 2 (diag_weight - d weight));
+        at the archimedean place this is the cross-check route to
+        fekete_sum_arch.  Zero for a single support point.
         """
         Z = self.Z
         if sum(f.degree for f, _ in Z.squarefree_factors) + (Z.inf_mult > 0) <= 1:
             return LogValue.zero()
-        return (self.log_dstar - (self.round + self.weight).scaled(2 * Z.degree)
-                + (self.diag_round + self.diag_weight).scaled(2))
+        d = Z.degree
+        if self.v.is_archimedean:
+            return (self.log_dstar - (self.round + self.weight).scaled(2 * d)
+                    + (self.diag_round + self.diag_weight).scaled(2))
+        ld = self.log_dstar
+        if self.unit_prime and not ld.coeff:
+            # 2 (diag_weight - d weight), as one multiple of each end of the ramp
+            (u1, z1), (u2, z2) = Z.root_counts
+            i = Z.inf_mult
+            return self._unit_sum(2 * (u2 + i * i - d * (u1 + i)), 2 * (z2 - d * z1))
+        return LogValue.exact_log(
+            ld.coeff + 2 * (self.diag_round.coeff + self.diag_weight.coeff
+                            - d * (self.round.coeff + self.weight.coeff)), self.v.prime)
 
 
 def mahler_sharp(Z: EffectiveDivisor, v: Place) -> LogValue:

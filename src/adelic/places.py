@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
-from sympy import primerange
+from sympy import sieve
 
 from .exact import _EPS, DomainError, LogValue, _val, factorize, require_prime
 
@@ -148,7 +148,7 @@ def relevant_places(
                 f"tail_eps={tail_eps} needs primes up to {cutoff}, above the"
                 f" limit {PRIME_LIMIT}; raise tail_eps"
             )
-        ps |= set(primerange(2, cutoff + 1))
+        ps |= set(sieve.primerange(2, cutoff + 1))
         tail = g.tail_sum_bound(cutoff)
-    places = tuple(sorted(Place(p) for p in ps)) + (ARCH,)
+    places = tuple(map(Place, sorted(ps))) + (ARCH,)
     return RelevantPlaces(places, tail, cutoff)

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import math
 import random
 from fractions import Fraction
 
 from adelic.divisors import divisor_from_poly
-from adelic.exact import factorize
+from adelic.exact import IntPoly, factorize
 from adelic.heights import HeightInterval, global_fekete, height, uniform_sup
 from adelic.places import Place, relevant_places
 from adelic.weights import ArchWeight, FiniteWeight, Weight, ex5_weight, std_weight, trivial_weight
@@ -137,8 +138,9 @@ def test_height_tail_is_reported():
 
 
 def test_report_builds_each_newton_polygon_once(monkeypatch):
-    # one support pass per place: every (squarefree factor, prime) pair
-    # of an ex5 report gets exactly one Newton polygon
+    # Newton polygons only where one can be bent: exactly one per
+    # (squarefree factor, special prime), none at a unit prime (one dividing
+    # no factor's leading or lowest nonzero coefficient), none built twice
     import adelic.local
 
     calls = {}
@@ -152,10 +154,28 @@ def test_report_builds_each_newton_polygon_once(monkeypatch):
     Z, _ = rational_root_divisor(random.Random(5))
     report = global_fekete(Z, ex5_weight(), tail_eps=1e-2)
     primes = [r.place.prime for r in report.rows if not r.place.is_archimedean]
-    want = {(f, p) for f, _ in Z.squarefree_factors for p in primes}
-    assert len(Z.squarefree_factors) >= 2 and len(primes) > 100
-    assert set(calls) == want
+    factors = [f for f, _ in Z.squarefree_factors]
+    ends = [c for f in factors for c in (f.lc, next(c for c in f.coeffs if c))]
+    special = [p for p in primes if any(c % p == 0 for c in ends)]
+    assert len(factors) >= 2 and len(special) >= 2 and len(primes) - len(special) > 100
+    assert set(calls) == {(f, p) for f in factors for p in special}
     assert set(calls.values()) == {1}
+
+
+def test_fixed_ex5_report_is_byte_identical():
+    # the 7838-place ex5 report of the benchmark's fixed divisor, pinned to
+    # the digest of its JSON from the Newton-polygon route at every prime
+    # (x86-64, CPython 3.11): the closed form at unit primes must not move
+    # a single Fraction or float
+    f = IntPoly.make([1])
+    for a, b in ((1, 5), (-7, 3), (4, 5), (9, 5), (-11, 7), (-2, 1)):
+        f = f * IntPoly.make([-a, b])
+    Z = divisor_from_poly(list(f.coeffs), 2)
+    report = global_fekete(Z, ex5_weight(), 1e-4)
+    blob = json.dumps(report.to_json(), sort_keys=True).encode()
+    assert len(report.rows) == 7838
+    assert hashlib.sha256(blob).hexdigest() == (
+        "5928bca030963b9e176138c7b1574cecd956e46611860318e5497565e6589055")
 
 
 def test_report_checks_each_prime_once_per_call(monkeypatch):

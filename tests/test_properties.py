@@ -5,6 +5,7 @@ Examples come from the derandomized profile in conftest.py, so every
 run checks the same divisors.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 
@@ -22,9 +23,10 @@ from adelic.exact import (
     squarefree_decomposition,
 )
 from adelic.heights import global_fekete
-from adelic.local import mahler_g
+from adelic.local import LocalData, mahler_g
+from adelic.places import relevant_places
 from adelic.roots import certified_roots
-from adelic.weights import ex5_weight, std_weight, trivial_weight
+from adelic.weights import FiniteWeight, ex5_weight, std_weight, trivial_weight
 
 from helpers import assert_disks_hold_roots, pairwise_fekete_nonarch
 
@@ -63,6 +65,52 @@ def _check_report(Z, g, tail_eps, points=None):
 def test_ex5_rational_roots_match_pairwise_oracle(roots, inf_mult):
     Z = _rational_root_divisor(roots, inf_mult)
     _check_report(Z, ex5_weight(), 1e-2, sorted(roots.items()))
+
+
+nonzero_roots = st.dictionaries(
+    st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 8)),
+    st.sampled_from([1, 2, 3]),
+    min_size=1,
+    max_size=3,
+)
+overrides = st.none() | st.tuples(
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+    st.builds(Fraction, st.integers(1, 6), st.integers(1, 9)),
+    st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 9)))
+
+
+class _PolygonRoute(LocalData):
+    """LocalData with the unit-prime closed form switched off: every
+    moment goes through the Newton polygons."""
+
+    unit_prime = False
+
+
+@given(nonzero_roots, st.sampled_from([0, 1, 2]), st.sampled_from([0, 1, 2]), overrides)
+@example({Fraction(1, 2): 2, Fraction(-3): 1}, 2, 2, None)
+@example({Fraction(5, 3): 3}, 1, 1, (3, Fraction(1, 4), Fraction(-2, 7)))
+def test_unit_prime_closed_form_matches_polygons_and_pairs(roots, zero_mult, inf_mult, over):
+    # at every listed prime the closed form equals the Newton-polygon route
+    # moment by moment, and its pairing equals the direct pairwise sum
+    g = ex5_weight()
+    if over is not None:
+        g = replace(g, name="ex5+override", overrides=(FiniteWeight(*over),))
+    points = {**roots, Fraction(0): zero_mult} if zero_mult else roots
+    Z = _rational_root_divisor(points, inf_mult)
+    units = 0
+    for v in relevant_places(Z, g, 5e-2).places[:-1]:
+        fast, slow = LocalData(Z, g, v), _PolygonRoute(Z, g, v)
+        for name in ("round", "weight", "diag_round", "diag_weight", "log_dstar"):
+            assert getattr(fast, name) == getattr(slow, name), (v, name)
+        assert "points" in vars(slow)
+        pairing = fast.pairing()
+        assert pairing == slow.pairing()
+        want = pairwise_fekete_nonarch(sorted(points.items()), inf_mult, g.finite(v.prime), v.prime)
+        assert pairing.coeff == want, v
+        if fast.unit_prime:
+            units += 1
+            assert "points" not in vars(fast)
+    assert units > 0
 
 
 @given(rational_roots, inf_mults, st.sampled_from([std_weight, trivial_weight]))

@@ -4,13 +4,16 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
+from sympy import sieve
 
 import adelic
 from adelic.berkovich import BerkPoint, INF_POINT
 from adelic.exact import DomainError
 from adelic.places import ARCH, Place
 from adelic.weights import (
+    _default_branch_count,
     circle_average,
     equilibrium_energy,
     equilibrium_energy_quadrature,
@@ -71,6 +74,37 @@ def test_ex5_weight_components():
 def test_ex5_branch_count_floor_enforced():
     with pytest.raises(DomainError):
         ex5_weight(branch_count=lambda p: p).finite(5)
+
+
+def _mp_branch_count(p):
+    with mpmath.workdps(50):
+        return int(mpmath.ceil(mpmath.mpf(p) ** 2 * mpmath.ln(p)))
+
+
+def test_default_branch_count_float_matches_mpmath():
+    # ceil(p^2 log p) in float, against 50 digits, at every prime below 2e5
+    for p in sieve.primerange(2, 2 * 10 ** 5):
+        assert _default_branch_count(p) == _mp_branch_count(p), p
+
+
+def test_default_branch_count_falls_back_near_an_integer(monkeypatch):
+    # 100183^2 log 100183 lies 3 ulp from an integer, where the float
+    # ceiling is not certain: only there does mpmath decide
+    x = 100183 * 100183 * math.log(100183)
+    assert abs(x - round(x)) <= 8 * math.ulp(x)
+    want = {p: _mp_branch_count(p) for p in (100183, 100189)}
+    calls = []
+    real = mpmath.ln
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(mpmath, "ln", counting)
+    assert _default_branch_count(100189) == want[100189]
+    assert calls == []
+    assert _default_branch_count(100183) == want[100183]
+    assert calls == [100183]
 
 
 def test_ex5_tail_bound_and_cutoff():
