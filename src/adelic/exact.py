@@ -322,7 +322,7 @@ class LogValue:
     def exact_log(coeff: Rational, base: int) -> "LogValue":
         if not coeff:
             return _ZERO
-        c = coeff if type(coeff) is Fraction else Fraction(coeff)
+        c = Fraction(coeff)
         v = float(c) * math.log(base)
         return LogValue(c, base, v, 0.0)
 

@@ -59,13 +59,6 @@ class LocalData:
     def _comp(self) -> FiniteWeight:
         return self.g.finite(self.v.prime)
 
-    def _unit_sum(self, flat: int, zeros: int) -> LogValue:
-        # at a unit prime the ramp is flat on the units and at infinity,
-        # c(0) = c(inf), and the zero roots sit at its foot c(-inf)
-        comp = self._comp
-        acc = flat * comp.at_infinity
-        return LogValue.exact_log(acc + zeros * comp.inf_coeff if zeros else acc, self.v.prime)
-
     def _moment(self, k: int, weighted: bool) -> LogValue:
         # sum over the support of m^k times the weight or the round term
         Z = self.Z
@@ -74,8 +67,13 @@ class LocalData:
             if self.unit_prime:
                 if not weighted:
                     return LogValue.zero()
+                # the ramp is flat on the units and at infinity, c(0) =
+                # c(inf), and the zero roots sit at its foot c(-inf)
                 units, zeros = Z.root_counts[k - 1]
-                return self._unit_sum(units + Z.inf_mult ** k, zeros)
+                acc = (units + Z.inf_mult ** k) * self._comp.at_infinity
+                if zeros:
+                    acc += zeros * self._comp.inf_coeff
+                return LogValue.exact_log(acc, p)
             if not weighted:
                 # a factor is primitive: its roots' max(0, -v_p) sum to v_p(lc)
                 return LogValue.exact_log(
@@ -110,8 +108,7 @@ class LocalData:
 
             log|d*|_v - 2d (round + weight) + 2 (diag_round + diag_weight).
 
-        Exact at a finite place, summed there as one coefficient of log p
-        (at a unit prime not dividing d* that is 2 (diag_weight - d weight));
+        Exact at a finite place, summed there as one coefficient of log p;
         at the archimedean place this is the cross-check route to
         fekete_sum_arch.  Zero for a single support point.
         """
@@ -122,15 +119,10 @@ class LocalData:
         if self.v.is_archimedean:
             return (self.log_dstar - (self.round + self.weight).scaled(2 * d)
                     + (self.diag_round + self.diag_weight).scaled(2))
-        ld = self.log_dstar
-        if self.unit_prime and not ld.coeff:
-            # 2 (diag_weight - d weight), as one multiple of each end of the ramp
-            (u1, z1), (u2, z2) = Z.root_counts
-            i = Z.inf_mult
-            return self._unit_sum(2 * (u2 + i * i - d * (u1 + i)), 2 * (z2 - d * z1))
         return LogValue.exact_log(
-            ld.coeff + 2 * (self.diag_round.coeff + self.diag_weight.coeff
-                            - d * (self.round.coeff + self.weight.coeff)), self.v.prime)
+            self.log_dstar.coeff
+            + 2 * (self.diag_round.coeff + self.diag_weight.coeff
+                   - d * (self.round.coeff + self.weight.coeff)), self.v.prime)
 
 
 def mahler_sharp(Z: EffectiveDivisor, v: Place) -> LogValue:

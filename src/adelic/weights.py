@@ -105,7 +105,7 @@ class FiniteWeight:
 
     @property
     def at_infinity(self) -> Fraction:
-        return self.half + self.shift if self.shift else self.half
+        return self.half + self.shift
 
     sup_coeff = at_infinity  # the ramp is highest at infinity
 
@@ -276,12 +276,14 @@ def std_weight() -> Weight:
 
 
 def _default_branch_count(p: int) -> int:
-    # ceil(p^2 log p): the float product is within 3 ulp of the true value
-    # (one rounding of log, one of the product, and of p^2 past 2^53), so
-    # its ceiling is right unless it lies within 8 ulp of an integer
-    x = p * p * math.log(p)
-    if abs(x - round(x)) > 8.0 * math.ulp(x):
-        return math.ceil(x)
+    # ceil(p^2 log p): below 2^26, p^2 is exact in float and the product is
+    # within 2 ulp of the true value (one rounding of log, one of the
+    # product), so its ceiling is right unless it lies within 8 ulp of an
+    # integer; larger primes, and those near an integer, go to mpmath
+    if p < 2 ** 26:
+        x = p * p * math.log(p)
+        if abs(x - round(x)) > 8.0 * math.ulp(x):
+            return math.ceil(x)
     with mpmath.workdps(40):
         return int(mpmath.ceil(mpmath.mpf(p) ** 2 * mpmath.ln(p)))
 

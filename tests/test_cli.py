@@ -49,6 +49,17 @@ def test_fekete_all_places(capsys):
     assert data["dstar_product_formula"] is True
 
 
+def test_fekete_ex5_at_a_large_prime(capsys):
+    # 2^521 - 1 is prime; p^2 overflows a float there
+    p = 2 ** 521 - 1
+    code, out, _ = run_cli(capsys, "fekete", "--poly=-2,0,1",
+                           "--weight", "ex5", "--place", str(p))
+    assert code == 0
+    data = json.loads(out)
+    assert data["fekete"]["log_base"] == p
+    assert data["exact"] is True
+
+
 def test_equidist_preimages_start_at_n_min(capsys, tmp_path):
     # depth 6 of z^2 - 2 is degree 64 even when the run starts there
     out_path = tmp_path / "pre.csv"

@@ -107,6 +107,18 @@ def test_default_branch_count_falls_back_near_an_integer(monkeypatch):
     assert calls == [100183]
 
 
+def test_default_branch_count_large_primes():
+    # from 2^26 on p^2 is not exact in float, and past about 1.3e154 it
+    # overflows: mpmath decides there, as it did for every prime before
+    p = 2 ** 26 + 15
+    assert _default_branch_count(p) == _mp_branch_count(p)
+    big = 2 ** 521 - 1
+    with mpmath.workdps(40):
+        want = int(mpmath.ceil(mpmath.mpf(big) ** 2 * mpmath.ln(big)))
+    assert _default_branch_count(big) == want
+    assert ex5_weight().finite(big).half == Fraction(1, 2 * want)
+
+
 def test_ex5_tail_bound_and_cutoff():
     g = ex5_weight()
     assert g.tail_sum_bound(100) <= 1 / 200 + 1e-15
