@@ -319,11 +319,11 @@ class LogValue:
 
     # -- constructors --------------------------------------------------
     @staticmethod
-    def exact_log(coeff: Rational, base: int) -> "LogValue":
+    def exact_log(coeff: Rational, base: int, log_base: float | None = None) -> "LogValue":
         if not coeff:
             return _ZERO
         c = Fraction(coeff)
-        v = float(c) * math.log(base)
+        v = float(c) * (math.log(base) if log_base is None else log_base)
         return LogValue(c, base, v, 0.0)
 
     @staticmethod
@@ -410,17 +410,14 @@ _ZERO = LogValue(Fraction(0), None, 0.0, 0.0)
 
 
 def float_sum(values: Iterable[LogValue]) -> tuple[float, float]:
-    """Sum LogValues across places as floats, returning (value, error bound).
+    """Sum LogValues across places as floats, returning (value, error bound)."""
+    return _fsum_pairs([v._as_float() for v in values])
 
-    The sum is rounded once (math.fsum), so its error is the terms' own
-    errors plus one rounding of the total.
-    """
-    xs, errs = [], []
-    for v in values:
-        if v.is_minus_infinity:
-            return -math.inf, 0.0
-        x, e = v._as_float()
-        xs.append(x)
-        errs.append(e)
-    tot = math.fsum(xs)
-    return tot, math.fsum(errs) + _EPS * abs(tot)
+
+def _fsum_pairs(pairs: list[tuple[float, float]]) -> tuple[float, float]:
+    """Sum (value, error bound) pairs, (-inf, 0) if a value is -inf: math.fsum
+    rounds once in any order, so the error is the terms' plus one rounding."""
+    tot = math.fsum(x for x, _ in pairs)
+    if tot == -math.inf:
+        return tot, 0.0
+    return tot, math.fsum(e for _, e in pairs) + _EPS * abs(tot)

@@ -8,11 +8,12 @@ only sources of interval width.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .divisors import EffectiveDivisor
-from .exact import _EPS, LogValue, float_sum
+from .exact import _EPS, LogValue, _fsum_pairs, float_sum
 from .local import LocalData, fekete_sum_arch, mahler_g
 from .places import Place, _product_formula, relevant_places
 from .weights import Weight
@@ -212,22 +213,27 @@ def global_fekete(
     """
     rel = relevant_places(Z, g, tail_eps / 2.0)
     d = Z.degree
-    rows = []
-    diag_vals = []
+    rows, terms = [], ([], [], [])  # (value, error): pairings, weighted Mahler, diagonals
     for v in rel.places:
         data = LocalData(Z, g, v)
         if v.is_archimedean:
             # kept for the cross-check below; finite places keep only rows
-            arch = data
-            fek = direct = fekete_sum_arch(Z, g)
+            arch, direct = data, fekete_sum_arch(Z, g)
+            row = PlaceRow(v, data.round, data.round + data.weight, direct, data.log_dstar)
+            diag = (data.diag_weight, data.diag_round)
         else:
-            fek = data.pairing()
-        rows.append(PlaceRow(v, data.round, data.round + data.weight, fek, data.log_dstar))
-        diag_vals += [data.diag_weight, data.diag_round]
+            # every finite entry from the one exact pass, with one log p
+            p, lp = v.prime, math.log(v.prime)
+            r1, w1, r2, w2, ds = data.coeffs
+            logs = [LogValue.exact_log(c, p, lp)
+                    for c in (r1, r1 + w1, data.pairing_coeff(), ds, w2, r2)]
+            row, diag = PlaceRow(v, *logs[:4]), logs[4:]
+        rows.append(row)
+        terms[0].append(row.fekete._as_float())
+        terms[1].append(row.mahler_weighted._as_float())
+        terms[2].extend(x._as_float() for x in diag)
 
-    lhs, lhs_err = float_sum(r.fekete for r in rows)
-    h_tot, h_err = float_sum(r.mahler_weighted for r in rows)
-    dg, dg_err = float_sum(diag_vals)
+    (lhs, lhs_err), (h_tot, h_err), (dg, dg_err) = map(_fsum_pairs, terms)
     rhs = -2.0 * d * h_tot + 2.0 * dg
     slack = lhs_err + 2.0 * d * h_err + 2.0 * dg_err
     slack += 16.0 * _EPS * (abs(lhs) + abs(rhs) + 1.0)

@@ -11,16 +11,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .berkovich import INF_POINT, chordal_arch
 from .divisors import EffectiveDivisor
 from .exact import _EPS, DomainError, LogValue, _val, newton_polygon
-from .places import ARCH, Place, log_abs
+from .places import ARCH, Place, log_abs_float
 from .roots import arch_support
 from .weights import FiniteWeight, Weight
 
 _TINY = 1e-300
+
+
+def _lin(a: int, x, b: int, y, c: int = 0) -> Fraction:
+    # a x + b y + c for integers a, b, c and rationals x, y, as one Fraction
+    xd, yd = x.denominator, y.denominator
+    return Fraction(a * x.numerator * yd + b * y.numerator * xd + c * xd * yd, xd * yd)
 
 
 @dataclass
@@ -32,19 +39,17 @@ class LocalData:
     norm, zero at infinity) and the weight over the support, each point
     counted with its multiplicity m; diag_round and diag_weight put m^2 in
     place of m; log_dstar is log|d*|_v.  Each is computed on first use: an
-    exact LogValue at a finite place, an error-bounded float at ARCH.
+    exact LogValue from coeffs at a finite place, a bounded float at ARCH.
     """
 
     Z: EffectiveDivisor
     g: Weight | None
     v: Place
 
-    @cached_property
+    @property
     def unit_prime(self) -> bool:
-        """Whether v is a unit prime of the divisor: one dividing no squarefree
-        factor's leading or lowest nonzero coefficient, a test by divisibility
-        alone.  Every finite support point is then a p-adic unit or zero, and
-        the moments have a closed form with no Newton polygon."""
+        """Whether v is a prime dividing no squarefree factor's leading or lowest
+        nonzero coefficient, so that every support point is a p-adic unit or zero."""
         return not self.v.is_archimedean and self.Z.end_coeffs % self.v.prime != 0
 
     @cached_property
@@ -56,37 +61,43 @@ class LocalData:
         return [(m, newton_polygon(f, self.v.prime)) for f, m in self.Z.squarefree_factors]
 
     @cached_property
-    def _comp(self) -> FiniteWeight:
-        return self.g.finite(self.v.prime)
+    def coeffs(self) -> tuple:
+        """(round, weight, diag_round, diag_weight, dstar) at a finite place,
+        as exact coefficients of log p.  At a unit prime the ramp is half +
+        shift at the units and infinity, shift - half at the zero roots; else
+        round sums v_p(lc) (a factor is primitive) and weight its polygon."""
+        Z, p = self.Z, self.v.prime
+        comp = self.g.finite(p) if self.g is not None else FiniteWeight(p)
+        I, r1, r2 = Z.inf_mult, 0, 0
+        if self.unit_prime:
+            (u1, z1), (u2, z2) = Z.root_counts
+            w1 = _lin(u1 + I - z1, comp.half, u1 + I + z1, comp.shift)
+            w2 = _lin(u2 + I * I - z2, comp.half, u2 + I * I + z2, comp.shift)
+        else:
+            w1, w2 = I * comp.at_infinity, I * I * comp.at_infinity
+            for (f, m), (_, vals) in zip(Z.squarefree_factors, self.points):
+                e, c = _val(f.lc, p), sum(comp.coeff_fn(-val) for val in vals)
+                r1, r2, w1, w2 = r1 + m * e, r2 + m * m * e, w1 + m * c, w2 + m * m * c
+        return r1, w1, r2, w2, -_val(Z.d_star, p)
 
-    def _moment(self, k: int, weighted: bool) -> LogValue:
-        # sum over the support of m^k times the weight or the round term
+    def pairing_coeff(self) -> Fraction:
+        """The finite pairing's coefficient of log p (see pairing)."""
+        (r1, w1, r2, w2, ds), d = self.coeffs, self.Z.degree
+        return _lin(2, w2, -2 * d, w1, ds + 2 * (r2 - d * r1))
+
+    def _value(self, i: int) -> LogValue:
+        # coeffs[i] at p; at ARCH log|d*| or the sum of m^k times the weight or round term
         Z = self.Z
         if not self.v.is_archimedean:
-            p = self.v.prime
-            if self.unit_prime:
-                if not weighted:
-                    return LogValue.zero()
-                # the ramp is flat on the units and at infinity, c(0) =
-                # c(inf), and the zero roots sit at its foot c(-inf)
-                units, zeros = Z.root_counts[k - 1]
-                acc = (units + Z.inf_mult ** k) * self._comp.at_infinity
-                if zeros:
-                    acc += zeros * self._comp.inf_coeff
-                return LogValue.exact_log(acc, p)
-            if not weighted:
-                # a factor is primitive: its roots' max(0, -v_p) sum to v_p(lc)
-                return LogValue.exact_log(
-                    sum(m ** k * _val(f.lc, p) for f, m in Z.squarefree_factors), p)
-            coeff = self._comp.coeff_fn
-            acc = sum(m ** k * sum(coeff(-val) for val in vals) for m, vals in self.points)
-            return LogValue.exact_log(acc + Z.inf_mult ** k * self._comp.at_infinity, p)
+            return LogValue.exact_log(self.coeffs[i], self.v.prime)
+        if i == 4:
+            return LogValue.real(*log_abs_float(Z.d_star))
+        k, weighted = i // 2 + 1, i % 2
         if weighted:
             term, slope = self.g.arch, self.g.arch.lip
         else:
             term, slope = (lambda w: 0.5 * math.log1p(abs(w) ** 2)), 0.5
-        total = 0.0
-        err = 0.0
+        total = err = 0.0
         for w, rad, m in self.points:
             t = term(w)
             total += m ** k * t
@@ -97,32 +108,28 @@ class LocalData:
             err += Z.inf_mult ** k * 4.0 * _EPS * (1.0 + abs(t))
         return LogValue.real(total, err)
 
-    log_dstar = cached_property(lambda self: log_abs(self.Z.d_star, self.v))
-    round = cached_property(lambda self: self._moment(1, False))
-    weight = cached_property(lambda self: self._moment(1, True))
-    diag_round = cached_property(lambda self: self._moment(2, False))
-    diag_weight = cached_property(lambda self: self._moment(2, True))
+    round = cached_property(lambda self: self._value(0))
+    weight = cached_property(lambda self: self._value(1))
+    diag_round = cached_property(lambda self: self._value(2))
+    diag_weight = cached_property(lambda self: self._value(3))
+    log_dstar = cached_property(lambda self: self._value(4))
 
     def pairing(self) -> LogValue:
         """Off-diagonal weighted pairing sum, assembled as
 
             log|d*|_v - 2d (round + weight) + 2 (diag_round + diag_weight).
 
-        Exact at a finite place, summed there as one coefficient of log p;
+        Exact at a finite place, one coefficient of log p (pairing_coeff);
         at the archimedean place this is the cross-check route to
         fekete_sum_arch.  Zero for a single support point.
         """
+        if not self.v.is_archimedean:
+            return LogValue.exact_log(self.pairing_coeff(), self.v.prime)
         Z = self.Z
         if sum(f.degree for f, _ in Z.squarefree_factors) + (Z.inf_mult > 0) <= 1:
             return LogValue.zero()
-        d = Z.degree
-        if self.v.is_archimedean:
-            return (self.log_dstar - (self.round + self.weight).scaled(2 * d)
-                    + (self.diag_round + self.diag_weight).scaled(2))
-        return LogValue.exact_log(
-            self.log_dstar.coeff
-            + 2 * (self.diag_round.coeff + self.diag_weight.coeff
-                   - d * (self.round.coeff + self.weight.coeff)), self.v.prime)
+        return (self.log_dstar - (self.round + self.weight).scaled(2 * Z.degree)
+                + (self.diag_round + self.diag_weight).scaled(2))
 
 
 def mahler_sharp(Z: EffectiveDivisor, v: Place) -> LogValue:
@@ -146,7 +153,9 @@ def mahler_g(Z: EffectiveDivisor, g: Weight, v: Place) -> LogValue:
     """Weighted local Mahler measure: round-metric term plus the integral
     of the weight against the divisor."""
     data = LocalData(Z, g, v)
-    return data.round + data.weight
+    if v.is_archimedean:
+        return data.round + data.weight
+    return LogValue.exact_log(sum(data.coeffs[:2]), v.prime)
 
 
 def fekete_sum_arch(Z: EffectiveDivisor, g: Weight) -> LogValue:

@@ -44,6 +44,13 @@ class Place:
         if self.prime is not None:
             require_prime(self.prime)
 
+    @classmethod
+    def _of_prime(cls, p: int) -> "Place":
+        # the place of a p known to be prime: __post_init__'s check skipped
+        place = object.__new__(cls)
+        object.__setattr__(place, "prime", p)
+        return place
+
     @property
     def is_archimedean(self) -> bool:
         return self.prime is None
@@ -138,7 +145,7 @@ def relevant_places(
     """
     if tail_eps <= 0:
         raise DomainError("tail_eps must be positive")
-    ps = set(Z.primes) | {c.prime for c in g.overrides if c.half or c.shift}
+    ps = set(Z.primes) | {require_prime(c.prime) for c in g.overrides if c.half or c.shift}
     cutoff: int | None = None
     tail = 0.0
     if not g.finitely_supported:
@@ -150,5 +157,6 @@ def relevant_places(
             )
         ps |= set(sieve.primerange(2, cutoff + 1))
         tail = g.tail_sum_bound(cutoff)
-    places = tuple(map(Place, sorted(ps))) + (ARCH,)
+    # every prime here is sieved, factored or checked above: no second isprime
+    places = tuple(map(Place._of_prime, sorted(ps))) + (ARCH,)
     return RelevantPlaces(places, tail, cutoff)

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 from adelic.divisors import divisor_from_poly
-from adelic.exact import IntPoly, factorize
+from adelic.exact import IntPoly
 from adelic.heights import HeightInterval, global_fekete, height, uniform_sup
 from adelic.places import Place, relevant_places
 from adelic.weights import ArchWeight, FiniteWeight, Weight, ex5_weight, std_weight, trivial_weight
@@ -162,26 +162,39 @@ def test_report_builds_each_newton_polygon_once(monkeypatch):
     assert set(calls.values()) == {1}
 
 
+def _fixed_ex5_divisor():
+    # the benchmark's fixed ex5 divisor: six rational roots, infinity twice
+    f = IntPoly.make([1])
+    for a, b in ((1, 5), (-7, 3), (4, 5), (9, 5), (-11, 7), (-2, 1)):
+        f = f * IntPoly.make([-a, b])
+    return divisor_from_poly(list(f.coeffs), 2)
+
+
 def test_fixed_ex5_report_is_byte_identical():
     # the 7838-place ex5 report of the benchmark's fixed divisor, pinned to
     # the digest of its JSON from the Newton-polygon route at every prime
     # (x86-64, CPython 3.11): the closed form at unit primes must not move
     # a single Fraction or float
-    f = IntPoly.make([1])
-    for a, b in ((1, 5), (-7, 3), (4, 5), (9, 5), (-11, 7), (-2, 1)):
-        f = f * IntPoly.make([-a, b])
-    Z = divisor_from_poly(list(f.coeffs), 2)
-    report = global_fekete(Z, ex5_weight(), 1e-4)
+    report = global_fekete(_fixed_ex5_divisor(), ex5_weight(), 1e-4)
     blob = json.dumps(report.to_json(), sort_keys=True).encode()
     assert len(report.rows) == 7838
     assert hashlib.sha256(blob).hexdigest() == (
         "5928bca030963b9e176138c7b1574cecd956e46611860318e5497565e6589055")
 
 
+def test_fixed_ex5_height_matches_report():
+    # height and the report's height_interval assemble the same finite rows
+    # apart; on 7838 places they must agree bit for bit, field for field
+    Z = _fixed_ex5_divisor()
+    h = height(Z, ex5_weight(), 1e-4)
+    assert h == global_fekete(Z, ex5_weight(), 1e-4).height_interval
+    assert (h.value, h.err, h.tail) != (0.0, 0.0, 0.0)
+
+
 def test_report_checks_each_prime_once_per_call(monkeypatch):
-    # a finite place's prime is checked when the Place is made and once per
-    # Newton polygon, not once per valuation; product_formula_check adds
-    # one public val_p per prime of d*
+    # the report's places are sieved or factored primes and are not checked
+    # again; the only isprime calls are one per Newton polygon, so the count
+    # does not grow with the number of unit places
     import adelic.exact
 
     calls = [0]
@@ -194,7 +207,9 @@ def test_report_checks_each_prime_once_per_call(monkeypatch):
     monkeypatch.setattr(adelic.exact, "isprime", counting)
     Z, _ = rational_root_divisor(random.Random(5))
     report = global_fekete(Z, ex5_weight(), tail_eps=1e-2)
-    places = sum(1 for r in report.rows if not r.place.is_archimedean)
-    ds = Z.d_star
-    dstar_primes = set(factorize(ds.numerator)) | set(factorize(ds.denominator))
-    assert calls[0] <= places * (1 + len(Z.squarefree_factors)) + len(dstar_primes)
+    primes = [r.place.prime for r in report.rows if not r.place.is_archimedean]
+    factors = [f for f, _ in Z.squarefree_factors]
+    ends = [c for f in factors for c in (f.lc, next(c for c in f.coeffs if c))]
+    special = [p for p in primes if any(c % p == 0 for c in ends)]
+    assert len(primes) - len(special) > 100
+    assert calls[0] == len(special) * len(factors)

@@ -91,7 +91,8 @@ class _PolygonRoute(LocalData):
 @example({Fraction(5, 3): 3}, 1, 1, (3, Fraction(1, 4), Fraction(-2, 7)))
 def test_unit_prime_closed_form_matches_polygons_and_pairs(roots, zero_mult, inf_mult, over):
     # at every listed prime the closed form equals the Newton-polygon route
-    # moment by moment, and its pairing equals the direct pairwise sum
+    # moment by moment and in every report row, and its pairing equals the
+    # direct pairwise sum
     g = ex5_weight()
     if over is not None:
         g = replace(g, name="ex5+override", overrides=(FiniteWeight(*over),))
@@ -111,6 +112,14 @@ def test_unit_prime_closed_form_matches_polygons_and_pairs(roots, zero_mult, inf
             units += 1
             assert "points" not in vars(fast)
     assert units > 0
+    report = global_fekete(Z, g, 5e-2)
+    for row in report.rows[:-1]:
+        slow = _PolygonRoute(Z, g, row.place)
+        assert row.mahler_round == slow.round, row.place
+        assert row.mahler_weighted == slow.round + slow.weight, row.place
+        assert row.fekete == slow.pairing(), row.place
+        assert row.log_dstar == slow.log_dstar, row.place
+    assert report.identity_residual <= report.identity_slack
 
 
 @given(rational_roots, inf_mults, st.sampled_from([std_weight, trivial_weight]))
