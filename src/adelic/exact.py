@@ -319,11 +319,11 @@ class LogValue:
 
     # -- constructors --------------------------------------------------
     @staticmethod
-    def exact_log(coeff: Rational, base: int, log_base: float | None = None) -> "LogValue":
+    def exact_log(coeff: Rational, base: int) -> "LogValue":
         if not coeff:
             return _ZERO
         c = Fraction(coeff)
-        v = float(c) * (math.log(base) if log_base is None else log_base)
+        v = float(c) * math.log(base)
         return LogValue(c, base, v, 0.0)
 
     @staticmethod

@@ -8,7 +8,6 @@ only sources of interval width.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -222,12 +221,8 @@ def global_fekete(
             row = PlaceRow(v, data.round, data.round + data.weight, direct, data.log_dstar)
             diag = (data.diag_weight, data.diag_round)
         else:
-            # every finite entry from the one exact pass, with one log p
-            p, lp = v.prime, math.log(v.prime)
-            r1, w1, r2, w2, ds = data.coeffs
-            logs = [LogValue.exact_log(c, p, lp)
-                    for c in (r1, r1 + w1, data.pairing_coeff(), ds, w2, r2)]
-            row, diag = PlaceRow(v, *logs[:4]), logs[4:]
+            entries = data.finite_row()
+            row, diag = PlaceRow(v, *entries[:4]), entries[4:]
         rows.append(row)
         terms[0].append(row.fekete._as_float())
         terms[1].append(row.mahler_weighted._as_float())

@@ -19,7 +19,7 @@ from .divisors import EffectiveDivisor
 from .exact import _EPS, DomainError, LogValue, _val, newton_polygon
 from .places import ARCH, Place, log_abs_float
 from .roots import arch_support
-from .weights import FiniteWeight, Weight
+from .weights import Weight
 
 _TINY = 1e-300
 
@@ -39,7 +39,7 @@ class LocalData:
     norm, zero at infinity) and the weight over the support, each point
     counted with its multiplicity m; diag_round and diag_weight put m^2 in
     place of m; log_dstar is log|d*|_v.  Each is computed on first use: an
-    exact LogValue from coeffs at a finite place, a bounded float at ARCH.
+    exact LogValue at a finite place, a bounded float at ARCH.
     """
 
     Z: EffectiveDivisor
@@ -48,8 +48,7 @@ class LocalData:
 
     @property
     def unit_prime(self) -> bool:
-        """Whether v is a prime dividing no squarefree factor's leading or lowest
-        nonzero coefficient, so that every support point is a p-adic unit or zero."""
+        """Whether v is a prime not dividing Z.end_coeffs: every support point a unit or 0."""
         return not self.v.is_archimedean and self.Z.end_coeffs % self.v.prime != 0
 
     @cached_property
@@ -60,39 +59,47 @@ class LocalData:
             return arch_support(self.Z)
         return [(m, newton_polygon(f, self.v.prime)) for f, m in self.Z.squarefree_factors]
 
+    @property
+    def _rounds(self) -> tuple[int, int]:
+        # (round, diag_round) over log p: 0 at a unit prime, else v_p(lc) per primitive factor
+        if self.unit_prime:
+            return 0, 0
+        es = [(m, _val(f.lc, self.v.prime)) for f, m in self.Z.squarefree_factors]
+        return sum(m * e for m, e in es), sum(m * m * e for m, e in es)
+
     @cached_property
-    def coeffs(self) -> tuple:
-        """(round, weight, diag_round, diag_weight, dstar) at a finite place,
-        as exact coefficients of log p.  At a unit prime the ramp is half +
-        shift at the units and infinity, shift - half at the zero roots; else
-        round sums v_p(lc) (a factor is primitive) and weight its polygon."""
-        Z, p = self.Z, self.v.prime
-        comp = self.g.finite(p) if self.g is not None else FiniteWeight(p)
-        I, r1, r2 = Z.inf_mult, 0, 0
+    def _weights(self) -> tuple[Fraction, Fraction]:
+        # (weight, diag_weight) over log p: at a unit prime the ramp is half +
+        # shift at the units and infinity, shift - half at the zero roots, one
+        # Fraction from the root counts; else each factor's Newton polygon
+        Z, comp, I = self.Z, self.g.finite(self.v.prime), self.Z.inf_mult
         if self.unit_prime:
             (u1, z1), (u2, z2) = Z.root_counts
-            w1 = _lin(u1 + I - z1, comp.half, u1 + I + z1, comp.shift)
-            w2 = _lin(u2 + I * I - z2, comp.half, u2 + I * I + z2, comp.shift)
-        else:
-            w1, w2 = I * comp.at_infinity, I * I * comp.at_infinity
-            for (f, m), (_, vals) in zip(Z.squarefree_factors, self.points):
-                e, c = _val(f.lc, p), sum(comp.coeff_fn(-val) for val in vals)
-                r1, r2, w1, w2 = r1 + m * e, r2 + m * m * e, w1 + m * c, w2 + m * m * c
-        return r1, w1, r2, w2, -_val(Z.d_star, p)
+            return (_lin(u1 + I - z1, comp.half, u1 + I + z1, comp.shift),
+                    _lin(u2 + I * I - z2, comp.half, u2 + I * I + z2, comp.shift))
+        cs = [(m, sum(comp.coeff_fn(-val) for val in vals)) for m, vals in self.points]
+        return (sum(m * c for m, c in cs) + I * comp.at_infinity,
+                sum(m * m * c for m, c in cs) + I * I * comp.at_infinity)
 
-    def pairing_coeff(self) -> Fraction:
-        """The finite pairing's coefficient of log p (see pairing)."""
-        (r1, w1, r2, w2, ds), d = self.coeffs, self.Z.degree
-        return _lin(2, w2, -2 * d, w1, ds + 2 * (r2 - d * r1))
+    def finite_row(self) -> tuple[LogValue, ...]:
+        """At a finite place, from one exact pass: round, round + weight, the
+        pairing and log_dstar (a report row), then diag_weight, diag_round."""
+        (r1, r2), (w1, w2), d = self._rounds, self._weights, self.Z.degree
+        ds = -_val(self.Z.d_star, self.v.prime)
+        pair = _lin(2, w2, -2 * d, w1, ds + 2 * (r2 - d * r1))
+        return tuple(LogValue.exact_log(c, self.v.prime) for c in (r1, r1 + w1, pair, ds, w2, r2))
 
     def _value(self, i: int) -> LogValue:
-        # coeffs[i] at p; at ARCH log|d*| or the sum of m^k times the weight or round term
-        Z = self.Z
+        # round, weight, diag_round, diag_weight, log|d*| for i = 0..4: exact
+        # at p; at ARCH the sum of m^k times the round or weight term
+        Z, k, weighted = self.Z, i // 2 + 1, i % 2
         if not self.v.is_archimedean:
-            return LogValue.exact_log(self.coeffs[i], self.v.prime)
+            p = self.v.prime
+            if i == 4:
+                return LogValue.exact_log(-_val(Z.d_star, p), p)
+            return LogValue.exact_log((self._weights if weighted else self._rounds)[k - 1], p)
         if i == 4:
             return LogValue.real(*log_abs_float(Z.d_star))
-        k, weighted = i // 2 + 1, i % 2
         if weighted:
             term, slope = self.g.arch, self.g.arch.lip
         else:
@@ -119,12 +126,12 @@ class LocalData:
 
             log|d*|_v - 2d (round + weight) + 2 (diag_round + diag_weight).
 
-        Exact at a finite place, one coefficient of log p (pairing_coeff);
+        Exact at a finite place, one coefficient of log p (finite_row);
         at the archimedean place this is the cross-check route to
         fekete_sum_arch.  Zero for a single support point.
         """
         if not self.v.is_archimedean:
-            return LogValue.exact_log(self.pairing_coeff(), self.v.prime)
+            return self.finite_row()[2]
         Z = self.Z
         if sum(f.degree for f, _ in Z.squarefree_factors) + (Z.inf_mult > 0) <= 1:
             return LogValue.zero()
@@ -153,9 +160,7 @@ def mahler_g(Z: EffectiveDivisor, g: Weight, v: Place) -> LogValue:
     """Weighted local Mahler measure: round-metric term plus the integral
     of the weight against the divisor."""
     data = LocalData(Z, g, v)
-    if v.is_archimedean:
-        return data.round + data.weight
-    return LogValue.exact_log(sum(data.coeffs[:2]), v.prime)
+    return data.round + data.weight
 
 
 def fekete_sum_arch(Z: EffectiveDivisor, g: Weight) -> LogValue:

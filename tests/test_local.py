@@ -32,6 +32,24 @@ def test_mahler_sharp_finite_is_lc_valuation():
     assert mahler_sharp(Z, Place(2)).coeff == 0
 
 
+def test_single_place_mahler_terms_read_only_their_moments(monkeypatch):
+    # at a special prime the round term is a v_p(lc) sum with no Newton
+    # polygon, and none of the one-place Mahler terms computes d*
+    import adelic.local
+
+    calls = []
+    real = adelic.local.newton_polygon
+    monkeypatch.setattr(adelic.local, "newton_polygon", lambda f, p: calls.append(p) or real(f, p))
+    Z = divisor_from_poly([3, 0, 4], inf_mult=1)
+    for p, lc_val in ((2, 2), (3, 0)):
+        assert mahler_sharp(Z, Place(p)).coeff == lc_val
+    assert calls == [] and "d_star" not in vars(Z)
+    for p in (2, 3):
+        assert mahler_g(Z, ex5_weight(), Place(p)) == (
+            mahler_sharp(Z, Place(p)) + integral_against(Z, ex5_weight(), Place(p)))
+    assert sorted(set(calls)) == [2, 3] and "d_star" not in vars(Z)
+
+
 def test_mahler_sharp_arch_known_values():
     # z - 2: sqrt(1 + 4)
     Z = divisor_from_poly([-2, 1])
