@@ -28,8 +28,6 @@ from .exact import (
 __all__ = [
     "EffectiveDivisor",
     "divisor_from_poly",
-    "diagonal_mass",
-    "small_diagonal_ratio",
     "d_star",
 ]
 
@@ -150,14 +148,6 @@ def divisor_from_poly(coeffs: Iterable[int], inf_mult: int = 0) -> EffectiveDivi
     if f.lc < 0:
         f = f.scale(-1)
     return EffectiveDivisor(f, inf_mult)
-
-
-def diagonal_mass(Z: EffectiveDivisor) -> int:
-    return Z.diagonal_mass
-
-
-def small_diagonal_ratio(Z: EffectiveDivisor) -> Fraction:
-    return Z.small_diagonal_ratio
 
 
 def d_star(Z: EffectiveDivisor) -> Fraction:

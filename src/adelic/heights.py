@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .divisors import EffectiveDivisor
-from .exact import _EPS, LogValue, _fsum_pairs, float_sum
-from .local import LocalData, fekete_sum_arch, mahler_g
-from .places import Place, _product_formula, relevant_places
+from .exact import _EPS, _fsum_pairs, float_sum
+from .local import LocalData, PlaceRow, mahler_g
+from .places import _product_formula, relevant_places
 from .weights import Weight
 
 __all__ = [
@@ -82,31 +82,6 @@ def height(
     tot, err = float_sum(mahler_g(Z, g, v) for v in rel.places)
     d = Z.degree
     return HeightInterval(tot / d, err / d + _EPS * abs(tot / d), rel.tail_bound)
-
-
-@dataclass(frozen=True)
-class PlaceRow:
-    """Per-place line of a global report.
-
-    All four entries are LogValues: exact at finite places, error
-    bounded floats at the archimedean place.
-    """
-
-    place: Place
-    mahler_round: LogValue
-    mahler_weighted: LogValue
-    fekete: LogValue
-    log_dstar: LogValue
-
-    def to_json(self) -> dict:
-        return {
-            "place": str(self.place),
-            "mahler_round": self.mahler_round.to_json(),
-            "mahler_weighted": self.mahler_weighted.to_json(),
-            "fekete": self.fekete.to_json(),
-            "log_dstar": self.log_dstar.to_json(),
-            "exact": self.fekete.is_exact,
-        }
 
 
 @dataclass(frozen=True)
@@ -215,14 +190,9 @@ def global_fekete(
     rows, terms = [], ([], [], [])  # (value, error): pairings, weighted Mahler, diagonals
     for v in rel.places:
         data = LocalData(Z, g, v)
-        if v.is_archimedean:
-            # kept for the cross-check below; finite places keep only rows
-            arch, direct = data, fekete_sum_arch(Z, g)
-            row = PlaceRow(v, data.round, data.round + data.weight, direct, data.log_dstar)
-            diag = (data.diag_weight, data.diag_round)
-        else:
-            entries = data.finite_row()
-            row, diag = PlaceRow(v, *entries[:4]), entries[4:]
+        row, diag = data.row()
+        if v.is_archimedean:  # kept for the cross-check below
+            arch, direct = data, row.fekete
         rows.append(row)
         terms[0].append(row.fekete._as_float())
         terms[1].append(row.mahler_weighted._as_float())

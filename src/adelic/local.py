@@ -30,6 +30,31 @@ def _lin(a: int, x, b: int, y, c: int = 0) -> Fraction:
     return Fraction(a * x.numerator * yd + b * y.numerator * xd + c * xd * yd, xd * yd)
 
 
+@dataclass(frozen=True)
+class PlaceRow:
+    """Per-place line of a global report.
+
+    All four entries are LogValues: exact at finite places, error
+    bounded floats at the archimedean place.
+    """
+
+    place: Place
+    mahler_round: LogValue
+    mahler_weighted: LogValue
+    fekete: LogValue
+    log_dstar: LogValue
+
+    def to_json(self) -> dict:
+        return {
+            "place": str(self.place),
+            "mahler_round": self.mahler_round.to_json(),
+            "mahler_weighted": self.mahler_weighted.to_json(),
+            "fekete": self.fekete.to_json(),
+            "log_dstar": self.log_dstar.to_json(),
+            "exact": self.fekete.is_exact,
+        }
+
+
 @dataclass
 class LocalData:
     """A divisor's support at one place, found once, and its moments
@@ -81,13 +106,25 @@ class LocalData:
         return (sum(m * c for m, c in cs) + I * comp.at_infinity,
                 sum(m * m * c for m, c in cs) + I * I * comp.at_infinity)
 
-    def finite_row(self) -> tuple[LogValue, ...]:
-        """At a finite place, from one exact pass: round, round + weight, the
-        pairing and log_dstar (a report row), then diag_weight, diag_round."""
-        (r1, r2), (w1, w2), d = self._rounds, self._weights, self.Z.degree
-        ds = -_val(self.Z.d_star, self.v.prime)
+    @cached_property
+    def _dstar(self) -> int:
+        # log|d*|_p over log p
+        return -_val(self.Z.d_star, self.v.prime)
+
+    def row(self) -> tuple[PlaceRow, tuple[LogValue, LogValue]]:
+        """The report row at v and the identity's diagonal terms
+        (diag_weight, diag_round).  At a finite place all six come from one
+        exact pass; at ARCH the row's pairing is fekete_sum_arch."""
+        v = self.v
+        if v.is_archimedean:
+            row = PlaceRow(v, self.round, self.round + self.weight,
+                           fekete_sum_arch(self.Z, self.g), self.log_dstar)
+            return row, (self.diag_weight, self.diag_round)
+        (r1, r2), (w1, w2), d, ds = self._rounds, self._weights, self.Z.degree, self._dstar
         pair = _lin(2, w2, -2 * d, w1, ds + 2 * (r2 - d * r1))
-        return tuple(LogValue.exact_log(c, self.v.prime) for c in (r1, r1 + w1, pair, ds, w2, r2))
+        rnd, mw, pr, ld, dw, dr = (LogValue.exact_log(c, v.prime)
+                                   for c in (r1, r1 + w1, pair, ds, w2, r2))
+        return PlaceRow(v, rnd, mw, pr, ld), (dw, dr)
 
     def _value(self, i: int) -> LogValue:
         # round, weight, diag_round, diag_weight, log|d*| for i = 0..4: exact
@@ -96,7 +133,7 @@ class LocalData:
         if not self.v.is_archimedean:
             p = self.v.prime
             if i == 4:
-                return LogValue.exact_log(-_val(Z.d_star, p), p)
+                return LogValue.exact_log(self._dstar, p)
             return LogValue.exact_log((self._weights if weighted else self._rounds)[k - 1], p)
         if i == 4:
             return LogValue.real(*log_abs_float(Z.d_star))
@@ -126,12 +163,12 @@ class LocalData:
 
             log|d*|_v - 2d (round + weight) + 2 (diag_round + diag_weight).
 
-        Exact at a finite place, one coefficient of log p (finite_row);
+        Exact at a finite place, one coefficient of log p (row);
         at the archimedean place this is the cross-check route to
         fekete_sum_arch.  Zero for a single support point.
         """
         if not self.v.is_archimedean:
-            return self.finite_row()[2]
+            return self.row()[0].fekete
         Z = self.Z
         if sum(f.degree for f, _ in Z.squarefree_factors) + (Z.inf_mult > 0) <= 1:
             return LogValue.zero()
@@ -173,17 +210,18 @@ def fekete_sum_arch(Z: EffectiveDivisor, g: Weight) -> LogValue:
     if len(pts) <= 1:
         return LogValue.zero()
     lip = g.arch.lip
+    gs = [g.arch(w) for w, _, _ in pts]
     rows = []
     err = 0.0
     for i, (wi, ri, mi) in enumerate(pts):
-        gi = g.arch(wi)
+        gi = gs[i]
         row = []
         for j in range(i + 1, len(pts)):
             wj, rj, mj = pts[j]
             dist = chordal_arch(wi, wj)
             if dist <= 0.0:
                 raise DomainError("support points not separable at float precision")
-            phi = math.log(dist) - gi - g.arch(wj)
+            phi = math.log(dist) - gi - gs[j]
             row.append(2.0 * mi * mj * phi)
             if wi is INF_POINT or wj is INF_POINT:
                 slope = 0.5 + lip

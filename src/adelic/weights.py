@@ -20,9 +20,8 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, ClassVar, Optional
+from typing import Callable, ClassVar
 
-import mpmath
 import numpy as np
 
 from .berkovich import INF_POINT, BerkPoint, chordal_arch, hsia_kernel
@@ -128,15 +127,15 @@ class Weight:
     """A global weight: one archimedean component plus one per prime.
 
     overrides holds the components at single primes (set by hand or by
-    normalize), at most one per prime.  Elsewhere, with branch_count None
+    normalize), at most one per prime.  Elsewhere, without branching
     every finite component is zero, so sums over primes truncate exactly
-    (finitely_supported).  Otherwise the component at p is the ramp of
-    half-width 1/(2 m_p), m_p = branch_count(p), at least p^2 log p.
+    (finitely_supported).  With branching the component at p is the ex5
+    ramp of half-width 1/(2 m_p), m_p the least integer >= p^2 log p.
     """
 
     name: str
     arch: ArchWeight
-    branch_count: Optional[Callable[[int], int]] = None
+    branching: bool = False
     overrides: tuple[FiniteWeight, ...] = ()
 
     # bench/tracer.py times finite() on primes missing from this; a
@@ -145,15 +144,13 @@ class Weight:
 
     @property
     def finitely_supported(self) -> bool:
-        return self.branch_count is None
+        return not self.branching
 
     def finite(self, p: int) -> FiniteWeight:
         for comp in self.overrides:
             if comp.prime == p:
                 return comp
-        if self.branch_count is None:
-            return FiniteWeight(p)
-        return _ramp(self.branch_count, p)
+        return _ramp(p) if self.branching else FiniteWeight(p)
 
     def tail_sum_bound(self, prime_floor: int) -> float:
         """Certified bound on sum over primes p > prime_floor of sup |g_p|."""
@@ -284,34 +281,28 @@ def _default_branch_count(p: int) -> int:
         x = p * p * math.log(p)
         if abs(x - round(x)) > 8.0 * math.ulp(x):
             return math.ceil(x)
+    import mpmath
+
     with mpmath.workdps(40):
         return int(mpmath.ceil(mpmath.mpf(p) ** 2 * mpmath.ln(p)))
 
 
 @functools.lru_cache(maxsize=None)
-def _ramp(branch_count: Callable[[int], int], p: int) -> FiniteWeight:
-    # the ex5 component at p; a user-supplied count is checked against
-    # its floor p^2 log p, the default meets it by construction
-    m = int(branch_count(p))
-    if branch_count is not _default_branch_count:
-        with mpmath.workdps(40):
-            if mpmath.mpf(m) < mpmath.mpf(p) ** 2 * mpmath.ln(p):
-                raise DomainError("branch count %d at p=%d is below p^2 log p" % (m, p))
-    return FiniteWeight(p, Fraction(1, 2 * m))
+def _ramp(p: int) -> FiniteWeight:
+    # the ex5 component at p, of half-width 1/(2 m_p)
+    return FiniteWeight(p, Fraction(1, 2 * _default_branch_count(p)))
 
 
-def ex5_weight(branch_count: Optional[Callable[[int], int]] = None) -> Weight:
+def ex5_weight() -> Weight:
     """Ramp-at-every-prime family with constant archimedean part.
 
     At each prime p the component is t/2 + log_p of the radius, clamped
-    to [-t/2, t/2] with t = 1/m_p, where m_p is at least p^2 log p
-    (default: the least such integer).  The p-component equilibrium
-    measure is the Dirac mass at the disk of radius p^(-1/m_p) about 0,
-    and the tail sum over primes beyond P is at most 1/(2P).
+    to [-t/2, t/2] with t = 1/m_p, where m_p is the least integer
+    >= p^2 log p.  The p-component equilibrium measure is the Dirac mass
+    at the disk of radius p^(-1/m_p) about 0, and the tail sum over
+    primes beyond P is at most 1/(2P).
     """
-    if branch_count is None:
-        branch_count = _default_branch_count
-    return Weight("ex5", ArchWeight("fubini_study", -0.25), branch_count)
+    return Weight("ex5", ArchWeight("fubini_study", -0.25), True)
 
 
 def zero_weight() -> Weight:

@@ -40,7 +40,7 @@ def test_weight_override_is_a_relevant_place():
     # a finitely supported weight whose only nonzero finite component is an
     # override at 5 (coefficient 1 everywhere): mahler_g at 5 is 2 log 5, so
     # h(sqrt 2) = (log 2)/2 + log 5, and place 5 must not be dropped
-    g = Weight("w", ArchWeight("unit_circle"), None,
+    g = Weight("w", ArchWeight("unit_circle"), False,
                (FiniteWeight(5, Fraction(0), Fraction(1)),))
     Z = divisor_from_poly([-2, 0, 1])
     want = LOG2 / 2 + math.log(5)

@@ -17,7 +17,7 @@ from adelic.local import (
     mahler_sharp,
 )
 from adelic.places import ARCH, Place
-from adelic.weights import ex5_weight, std_weight, trivial_weight
+from adelic.weights import ArchWeight, ex5_weight, std_weight, trivial_weight
 
 from helpers import LOG2, random_divisor, rational_root_divisor
 
@@ -114,6 +114,20 @@ def test_fekete_arch_unit_roots_closed_form():
         Z = divisor_from_poly([-1] + [0] * (n - 1) + [1])
         got = fekete_sum_arch(Z, std_weight())
         assert abs(got.value - n * math.log(n)) < 1e-9
+
+
+def test_fekete_arch_evaluates_the_weight_once_per_point(monkeypatch):
+    # z^5 - 2 and a point at infinity: six support points, fifteen pairs
+    calls = []
+    real = ArchWeight.__call__
+
+    def counting(self, z):
+        calls.append(z)
+        return real(self, z)
+
+    monkeypatch.setattr(ArchWeight, "__call__", counting)
+    fekete_sum_arch(divisor_from_poly([-2, 0, 0, 0, 0, 1], inf_mult=1), std_weight())
+    assert len(calls) == 6
 
 
 def test_fekete_arch_encloses_closed_form_at_high_degree():

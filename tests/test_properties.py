@@ -10,9 +10,11 @@ from fractions import Fraction
 from functools import reduce
 
 import mpmath
+import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import adelic
 from adelic.divisors import divisor_from_poly
 from adelic.exact import (
     DomainError,
@@ -23,7 +25,7 @@ from adelic.exact import (
     squarefree_decomposition,
 )
 from adelic.heights import global_fekete
-from adelic.local import LocalData, mahler_g
+from adelic.local import LocalData, fekete_sum_arch, mahler_g
 from adelic.places import relevant_places
 from adelic.roots import certified_roots
 from adelic.weights import FiniteWeight, ex5_weight, std_weight, trivial_weight
@@ -120,6 +122,33 @@ def test_unit_prime_closed_form_matches_polygons_and_pairs(roots, zero_mult, inf
         assert row.fekete == slow.pairing(), row.place
         assert row.log_dstar == slow.log_dstar, row.place
     assert report.identity_residual <= report.identity_slack
+
+
+_ex5_override = replace(ex5_weight(), name="ex5+override",
+                        overrides=(FiniteWeight(3, Fraction(1, 4), Fraction(-2, 7)),))
+
+
+@pytest.mark.parametrize("Z, g, tail_eps", [
+    (_rational_root_divisor({Fraction(1, 2): 2, Fraction(-3): 1, Fraction(0): 1}, 1),
+     _ex5_override, 5e-2),
+    (divisor_from_poly([3, -1, 0, 2], inf_mult=2), std_weight(), 1e-9),
+    (divisor_from_poly([3, 2]), ex5_weight(), 5e-2),
+    (divisor_from_poly([3, 2]), std_weight(), 1e-9),
+], ids=["ex5_override", "std_inf2", "degree1_ex5", "degree1_std"])
+def test_row_matches_the_named_moments(Z, g, tail_eps):
+    # at every place of the report, LocalData.row() against the moments
+    # read one at a time from a fresh LocalData
+    for v in relevant_places(Z, g, tail_eps).places:
+        row, diag = LocalData(Z, g, v).row()
+        data = LocalData(Z, g, v)
+        assert row.place == v
+        assert row.mahler_round == data.round, v
+        assert row.mahler_weighted == data.round + data.weight, v
+        assert row.log_dstar == data.log_dstar, v
+        assert diag == (data.diag_weight, data.diag_round), v
+        want = fekete_sum_arch(Z, g) if v.is_archimedean else data.pairing()
+        assert row.fekete == want, v
+    assert adelic.PlaceRow is adelic.heights.PlaceRow is adelic.local.PlaceRow
 
 
 @given(rational_roots, inf_mults, st.sampled_from([std_weight, trivial_weight]))

@@ -5,12 +5,10 @@ import sys
 from fractions import Fraction
 
 import mpmath
-import pytest
 from sympy import sieve
 
 import adelic
 from adelic.berkovich import BerkPoint, INF_POINT
-from adelic.exact import DomainError
 from adelic.places import ARCH, Place
 from adelic.weights import (
     _default_branch_count,
@@ -69,11 +67,6 @@ def test_ex5_weight_components():
     assert comp.coeff_fn(Fraction(-1, 3)) == -Fraction(1, 6)
     assert comp.coeff_fn(Fraction(-1, 4)) == Fraction(1, 6) - Fraction(1, 4)
     assert comp.measure_point.rad_exp == Fraction(-1, 3)
-
-
-def test_ex5_branch_count_floor_enforced():
-    with pytest.raises(DomainError):
-        ex5_weight(branch_count=lambda p: p).finite(5)
 
 
 def _mp_branch_count(p):
