@@ -16,7 +16,7 @@ from fractions import Fraction
 from .berkovich import BerkPoint
 from .certify import lemma43_certify, random_adversarial_instance, random_certifier_instance
 from .divisors import d_star, divisor_from_poly
-from .exact import DomainError, val_p
+from .exact import DomainError, _primes_below, val_p
 from .heights import global_fekete, height
 from .local import fekete_sum
 from .places import ARCH, Place, _product_formula, log_abs, product_formula_check
@@ -200,11 +200,10 @@ def _suite_identity(rng: random.Random) -> tuple[bool, list[str]]:
 
 def _suite_ex5(rng: random.Random) -> tuple[bool, list[str]]:
     import mpmath
-    import sympy
 
     lines = []
     g = ex5_weight()
-    primes = list(sympy.primerange(2, 101))
+    primes = _primes_below(101)
     # (i) grid bound on the radial profile, in natural log units
     for p in primes:
         comp = g.finite(p)

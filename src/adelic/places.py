@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
-from sympy import sieve
-
-from .exact import _EPS, DomainError, LogValue, _val, factorize, require_prime
+from .exact import _EPS, DomainError, LogValue, _primes_below, _val, factorize, require_prime
 
 if TYPE_CHECKING:
     from .divisors import EffectiveDivisor
@@ -155,7 +153,7 @@ def relevant_places(
                 f"tail_eps={tail_eps} needs primes up to {cutoff}, above the"
                 f" limit {PRIME_LIMIT}; raise tail_eps"
             )
-        ps |= set(sieve.primerange(2, cutoff + 1))
+        ps |= set(_primes_below(cutoff + 1))
         tail = g.tail_sum_bound(cutoff)
     # every prime here is sieved, factored or checked above: no second isprime
     places = tuple(map(Place._of_prime, sorted(ps))) + (ARCH,)

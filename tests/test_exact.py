@@ -3,7 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from sympy import factorint, nextprime, primerange
+from sympy.polys.domains import ZZ
+from sympy.polys.sqfreetools import dup_sqf_list
 
+import adelic.exact
 from adelic.exact import (
     DomainError,
     IntPoly,
@@ -17,6 +23,7 @@ from adelic.exact import (
     squarefree_decomposition,
     val_p,
 )
+from adelic.exact import _dup, _fermat, _primes_below
 
 
 def test_val_p_integers_and_fractions():
@@ -38,10 +45,93 @@ def test_val_p_is_additive():
         assert val_p(a * b, p) == val_p(a, p) + val_p(b, p)
 
 
+def _check_factorize(n):
+    got = factorize(n)
+    assert got == {int(p): int(e) for p, e in factorint(abs(n)).items()}
+    assert list(got) == sorted(got)
+    return got
+
+
 def test_factorize_known_values():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert factorize(1) == {}
     assert factorize(-7) == {7: 1}
+    assert factorize(-2 ** 5 * 32771 ** 2) == {2: 5, 32771: 2}
+    with pytest.raises(DomainError):
+        factorize(0)
+
+
+_SMALL_PRIME = st.integers(1, 2 ** 15 - 20).map(nextprime)
+_MID_PRIME = st.integers(2 ** 15, 10 ** 10).map(nextprime)
+_BIG_PRIME = st.integers(10 ** 11, 10 ** 12).map(nextprime)
+
+
+@given(st.lists(st.tuples(_SMALL_PRIME, st.integers(1, 3)), max_size=4),
+       st.lists(_MID_PRIME, max_size=2), st.one_of(st.just(1), _BIG_PRIME))
+def test_factorize_matches_factorint_on_products(small, mid, big):
+    n = big
+    for p, e in small:
+        n *= p ** e
+    for p in mid:
+        n *= p
+    _check_factorize(n)
+
+
+def test_factorize_powers_and_edges():
+    p, q = nextprime(2 ** 15), nextprime(10 ** 6)
+    for n in (p ** 2, p ** 7, q ** 3, nextprime(10 ** 12) ** 3, (p * q) ** 2,
+              # around 2^30: primes below and above, and p * q just above
+              2 ** 30 - 35, 2 ** 30 - 1, 2 ** 30 + 1, 2 ** 30 + 3, 32771 * 32779,
+              2 ** 61 - 1):
+        _check_factorize(n)
+
+
+def test_factorize_carmichael_fermat_and_corpus():
+    # Carmichael numbers, the last 6000307 * 12000613 * 18000919
+    for n in (561, 41041, 825265, 321197185, 5394826801, 1296198694153288947529):
+        _check_factorize(n)
+    # two primes close together split by the Fermat step
+    p = nextprime(10 ** 15)
+    q = nextprime(p)
+    assert _fermat(p * q) in (p, q)
+    assert _check_factorize(-p * q) == {p: 1, q: 1}
+    # the p11 * p12 cofactor of a degree-8..12 d* numerator
+    _check_factorize(4 * 23 * 463 * 34556353459 * 359469240971)
+
+
+def test_factorize_calls_isprime_only_above_the_trial_bound(monkeypatch):
+    seen = []
+    real = adelic.exact.isprime
+
+    def recording(m):
+        seen.append(m)
+        return real(m)
+
+    monkeypatch.setattr(adelic.exact, "isprime", recording)
+    for n in (2 ** 30 - 35, 3 * 32749 * 32719, 2 ** 30 + 3, 32771 * 32779 * 7):
+        _check_factorize(n)
+    assert seen and min(seen) >= 2 ** 30
+
+
+def test_factorize_falls_back_to_ecm(monkeypatch):
+    calls = []
+    real = adelic.exact.ecm
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(adelic.exact, "ecm", recording)
+    monkeypatch.setattr(adelic.exact, "_RHO_STEPS", 4)
+    n = nextprime(10 ** 9) * nextprime(3 * 10 ** 10)
+    assert len(str(n)) == 20
+    _check_factorize(n)
+    assert calls
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 2 ** 15, 10 ** 6])
+def test_sieve_matches_primerange(n):
+    assert _primes_below(n) == list(primerange(0, n))
 
 
 def test_intpoly_basic_ops():
@@ -69,6 +159,30 @@ def test_squarefree_decomposition():
     # squarefree input comes back whole
     parts = squarefree_decomposition(IntPoly.make([-2, 0, 1]))
     assert [(g.coeffs, m) for g, m in parts] == [((-2, 0, 1), 1)]
+
+
+def test_squarefree_binomials_skip_sympy(monkeypatch):
+    def sympy_path(f):
+        _, factors = dup_sqf_list(_dup(f), ZZ)
+        return [(IntPoly.make(reversed(g)), m) for g, m in factors]
+
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return dup_sqf_list(*args)
+
+    monkeypatch.setattr(adelic.exact, "dup_sqf_list", counting)
+    for n in list(range(1, 65)) + [127, 128, 256]:
+        for c, a in ((1, -1), (6, -4), (-3, 12), (-5, -7)):
+            f = IntPoly.make([a] + [0] * (n - 1) + [c])
+            assert squarefree_decomposition(f) == sympy_path(f)
+    assert calls[0] == 0
+    # a zero root, z^k (z^n - a), still goes through sympy
+    for k, n in ((1, 4), (2, 3), (3, 64)):
+        f = IntPoly.make([0] * k + [-2] + [0] * (n - 1) + [-6])
+        assert squarefree_decomposition(f) == sympy_path(f)
+    assert calls[0] == 3
 
 
 def test_resultant_known_values():
