@@ -180,8 +180,6 @@ def hsia_kernel(p: int, x: BerkPoint, y: BerkPoint) -> LogValue:
         return LogValue.minus_infinity()
     if x.is_infinity or y.is_infinity:
         fin = y if x.is_infinity else x
-        if fin.is_type_i and fin.is_infinity:
-            raise AssertionError("unreachable")
         # log [x, inf] = -log max(1, |a|, r)
         coeff = -max(Fraction(0), fin.log_sup_norm())
         return LogValue.exact_log(coeff, p)

@@ -59,13 +59,10 @@ class EffectiveDivisor:
         """Pairwise coprime squarefree factors with multiplicities."""
         return tuple(squarefree_decomposition(self.finite_part))
 
-    @cached_property
+    @property
     def diagonal_mass(self) -> int:
         """sum over support points of (multiplicity)^2."""
-        m = sum(m * m * g.degree for g, m in self.squarefree_factors)
-        if self.inf_mult:
-            m += self.inf_mult ** 2
-        return m
+        return sum(self.root_counts[1]) + self.inf_mult ** 2
 
     @property
     def small_diagonal_ratio(self) -> Fraction:

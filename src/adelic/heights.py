@@ -79,17 +79,24 @@ def height(
     evaluation error.
     """
     rel = relevant_places(Z, g, tail_eps / 2.0)
-    tot, err = float_sum(mahler_g(Z, g, v) for v in rel.places)
-    d = Z.degree
-    return HeightInterval(tot / d, err / d + _EPS * abs(tot / d), rel.tail_bound)
+    total = float_sum(mahler_g(Z, g, v) for v in rel.places)
+    return _interval(total, Z.degree, rel.tail_bound)
+
+
+def _interval(total: tuple[float, float], d: int, tail: float) -> HeightInterval:
+    # the height from the summed weighted Mahler measure (value, error) and degree d
+    tot, err = total
+    return HeightInterval(tot / d, err / d + _EPS * abs(tot / d), tail)
 
 
 @dataclass(frozen=True)
 class GlobalReport:
     """Adelic summary of one divisor against one weight.
 
-    Aggregates are properties recomputed from the stored rows on every
-    access, so they cannot drift from the per-place data.
+    The aggregates are fields filled by global_fekete's one fold over the
+    rows.  uniform_sup is the largest pairing magnitude plus error over d^2
+    (exact zeros skipped), and at least 4 times the tail of the weight's
+    sup norms, which bounds every omitted place.
     """
 
     degree: int
@@ -102,48 +109,11 @@ class GlobalReport:
     identity_residual: float
     identity_slack: float
     dstar_product_formula: bool
-
-    @property
-    def height_interval(self) -> HeightInterval:
-        tot, err = float_sum(r.mahler_weighted for r in self.rows)
-        d = self.degree
-        return HeightInterval(tot / d, err / d + _EPS * abs(tot / d), self.tail_bound)
-
-    @property
-    def fekete_total_ratio(self) -> float:
-        tot, _ = float_sum(r.fekete for r in self.rows)
-        return tot / self.degree ** 2
-
-    @property
-    def fekete_arch(self) -> float:
-        for r in self.rows:
-            if r.place.is_archimedean:
-                return r.fekete._as_float()[0] / self.degree ** 2
-        return 0.0
-
-    @property
-    def fekete_max_finite(self) -> float:
-        best = 0.0
-        for r in self.rows:
-            if not r.place.is_archimedean:
-                best = max(best, abs(r.fekete._as_float()[0]) / self.degree ** 2)
-        return best
-
-    @property
-    def uniform_sup(self) -> float:
-        """Largest normalized pairing magnitude over all places.
-
-        Relevant places contribute their computed value; for every
-        omitted place the pairing is bounded by 4 times the tail of the
-        weight's sup norms, since only the weight terms survive there.
-        """
-        best = 4.0 * self.tail_bound
-        for r in self.rows:
-            if r.fekete.is_exact and r.fekete.coeff == 0:
-                continue
-            v, e = r.fekete._as_float()
-            best = max(best, (abs(v) + e) / self.degree ** 2)
-        return best
+    height_interval: HeightInterval
+    fekete_total_ratio: float
+    fekete_arch: float
+    fekete_max_finite: float
+    uniform_sup: float
 
     def to_json(self) -> dict:
         return {
@@ -188,13 +158,15 @@ def global_fekete(
     rel = relevant_places(Z, g, tail_eps / 2.0)
     d = Z.degree
     rows, terms = [], ([], [], [])  # (value, error): pairings, weighted Mahler, diagonals
+    sup = 0.0  # largest |pairing| + error over the rows that are not exact zeros
     for v in rel.places:
         data = LocalData(Z, g, v)
         row, diag = data.row()
-        if v.is_archimedean:  # kept for the cross-check below
-            arch, direct = data, row.fekete
         rows.append(row)
-        terms[0].append(row.fekete._as_float())
+        pair = row.fekete._as_float()
+        if pair[0] or row.fekete.coeff != 0:  # an exact zero has value 0.0
+            sup = max(sup, abs(pair[0]) + pair[1])
+        terms[0].append(pair)
         terms[1].append(row.mahler_weighted._as_float())
         terms[2].extend(x._as_float() for x in diag)
 
@@ -204,13 +176,14 @@ def global_fekete(
     slack += 16.0 * _EPS * (abs(lhs) + abs(rhs) + 1.0)
     residual = abs(lhs - rhs)
 
-    # the archimedean row also has to match its difference-product route
+    # the archimedean row (the last) also has to match its difference-product route
+    dv, de = terms[0][-1]
     if d >= 2:
-        dv, de = direct._as_float()
-        iv, ie = arch.pairing()._as_float()
+        iv, ie = data.pairing()._as_float()
         residual = max(residual, abs(dv - iv))
         slack = max(slack, de + ie + 4.0 * _EPS * (1.0 + abs(dv)))
 
+    d2 = d ** 2
     return GlobalReport(
         degree=d,
         inf_mult=Z.inf_mult,
@@ -222,6 +195,11 @@ def global_fekete(
         identity_residual=residual,
         identity_slack=slack,
         dstar_product_formula=_product_formula(Z.d_star, Z.primes),
+        height_interval=_interval((h_tot, h_err), d, rel.tail_bound),
+        fekete_total_ratio=lhs / d2,
+        fekete_arch=dv / d2,
+        fekete_max_finite=max((abs(x) for x, _ in terms[0][:-1]), default=0.0) / d2,
+        uniform_sup=max(4.0 * rel.tail_bound, sup / d2),
     )
 
 

@@ -19,7 +19,7 @@ from .divisors import EffectiveDivisor
 from .exact import _EPS, DomainError, LogValue, _val, newton_polygon
 from .places import ARCH, Place, log_abs_float
 from .roots import arch_support
-from .weights import Weight
+from .weights import Weight, zero_weight
 
 _TINY = 1e-300
 
@@ -58,17 +58,18 @@ class PlaceRow:
 @dataclass
 class LocalData:
     """A divisor's support at one place, found once, and its moments
-    against one weight (g may be None if only round moments are read).
+    against one weight.
 
     round and weight sum the round-metric term (the log of the projective
     norm, zero at infinity) and the weight over the support, each point
     counted with its multiplicity m; diag_round and diag_weight put m^2 in
     place of m; log_dstar is log|d*|_v.  Each is computed on first use: an
-    exact LogValue at a finite place, a bounded float at ARCH.
+    exact LogValue at a finite place, a bounded float at ARCH, where the
+    four moments come from one pass over the support.
     """
 
     Z: EffectiveDivisor
-    g: Weight | None
+    g: Weight
     v: Place
 
     @property
@@ -126,37 +127,39 @@ class LocalData:
                                    for c in (r1, r1 + w1, pair, ds, w2, r2))
         return PlaceRow(v, rnd, mw, pr, ld), (dw, dr)
 
-    def _value(self, i: int) -> LogValue:
-        # round, weight, diag_round, diag_weight, log|d*| for i = 0..4: exact
-        # at p; at ARCH the sum of m^k times the round or weight term
-        Z, k, weighted = self.Z, i // 2 + 1, i % 2
-        if not self.v.is_archimedean:
-            p = self.v.prime
-            if i == 4:
-                return LogValue.exact_log(self._dstar, p)
-            return LogValue.exact_log((self._weights if weighted else self._rounds)[k - 1], p)
-        if i == 4:
-            return LogValue.real(*log_abs_float(Z.d_star))
-        if weighted:
-            term, slope = self.g.arch, self.g.arch.lip
-        else:
-            term, slope = (lambda w: 0.5 * math.log1p(abs(w) ** 2)), 0.5
-        total = err = 0.0
+    @cached_property
+    def _arch(self) -> tuple[tuple[float, float], ...]:
+        # (value, error) of round, weight, diag_round, diag_weight at ARCH in
+        # one pass: each point's round term r and weight t are read once and
+        # summed times m and m^2; then t at infinity (r = 0), whose error keeps
+        # the grouping I^k * 4.0 * _EPS * (...): another moves last bits
+        g, I, lip = self.g.arch, self.Z.inf_mult, self.g.arch.lip
+        r1 = e1 = w1 = f1 = r2 = e2 = w2 = f2 = 0.0
         for w, rad, m in self.points:
-            t = term(w)
-            total += m ** k * t
-            err += m ** k * (slope * rad + 4.0 * _EPS * (1.0 + abs(t)))
-        if weighted and Z.inf_mult:
-            t = term(INF_POINT)
-            total += Z.inf_mult ** k * t
-            err += Z.inf_mult ** k * 4.0 * _EPS * (1.0 + abs(t))
-        return LogValue.real(total, err)
+            r, t = 0.5 * math.log1p(abs(w) ** 2), g(w)
+            er = 0.5 * rad + 4.0 * _EPS * (1.0 + abs(r))
+            et = lip * rad + 4.0 * _EPS * (1.0 + abs(t))
+            r1, e1, w1, f1 = r1 + m * r, e1 + m * er, w1 + m * t, f1 + m * et
+            r2, e2, w2, f2 = r2 + m * m * r, e2 + m * m * er, w2 + m * m * t, f2 + m * m * et
+        if I:
+            t = g(INF_POINT)
+            w1, f1 = w1 + I * t, f1 + I * 4.0 * _EPS * (1.0 + abs(t))
+            w2, f2 = w2 + I * I * t, f2 + I * I * 4.0 * _EPS * (1.0 + abs(t))
+        return (r1, e1), (w1, f1), (r2, e2), (w2, f2)
 
-    round = cached_property(lambda self: self._value(0))
-    weight = cached_property(lambda self: self._value(1))
-    diag_round = cached_property(lambda self: self._value(2))
-    diag_weight = cached_property(lambda self: self._value(3))
-    log_dstar = cached_property(lambda self: self._value(4))
+    def _log(self, coeff) -> LogValue:
+        return LogValue.exact_log(coeff, self.v.prime)
+
+    round = cached_property(
+        lambda s: LogValue.real(*s._arch[0]) if s.v.is_archimedean else s._log(s._rounds[0]))
+    weight = cached_property(
+        lambda s: LogValue.real(*s._arch[1]) if s.v.is_archimedean else s._log(s._weights[0]))
+    diag_round = cached_property(
+        lambda s: LogValue.real(*s._arch[2]) if s.v.is_archimedean else s._log(s._rounds[1]))
+    diag_weight = cached_property(
+        lambda s: LogValue.real(*s._arch[3]) if s.v.is_archimedean else s._log(s._weights[1]))
+    log_dstar = cached_property(lambda s: LogValue.real(*log_abs_float(s.Z.d_star))
+                                if s.v.is_archimedean else s._log(s._dstar))
 
     def pairing(self) -> LogValue:
         """Off-diagonal weighted pairing sum, assembled as
@@ -185,7 +188,7 @@ def mahler_sharp(Z: EffectiveDivisor, v: Place) -> LogValue:
     archimedean place each point contributes half the log of 1 + |w|^2.
     The point at infinity contributes zero at every place.
     """
-    return LocalData(Z, None, v).round
+    return LocalData(Z, zero_weight(), v).round
 
 
 def integral_against(Z: EffectiveDivisor, g: Weight, v: Place) -> LogValue:

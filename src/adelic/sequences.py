@@ -39,8 +39,8 @@ class SequenceSpec:
     unit_roots: index n gives z^n - 1.
     pow_minus:  index n gives z^n - a for the integer parameter a, |a| >= 2.
     preimages:  index n gives the n-fold composition of z^2 + c, evaluated
-                as a divisor of degree 2^n; n is capped so the degree stays
-                within the certified-root limit.
+                as a divisor of degree 2^n.
+    n_max is capped so that every degree stays within the certified-root limit.
     """
 
     family: str
@@ -56,14 +56,14 @@ class SequenceSpec:
         if self.family == "pow_minus":
             if self.param is None or abs(self.param) < 2:
                 raise DomainError("pow_minus needs an integer parameter with |a| >= 2")
-        if self.family == "preimages":
-            if self.param is None:
-                raise DomainError("preimages needs the integer parameter c")
-            if 2 ** self.n_max > DEGREE_CAP:
-                raise DomainError(
-                    "depth %d gives degree %d beyond the certified-root cap %d"
-                    % (self.n_max, 2 ** self.n_max, DEGREE_CAP)
-                )
+        pre = self.family == "preimages"
+        if pre and self.param is None:
+            raise DomainError("preimages needs the integer parameter c")
+        # the final degree, n_max or 2^n_max (exponent clipped, so a huge n_max
+        # builds no huge integer), checked before any divisor is built
+        if (2 ** min(self.n_max, DEGREE_CAP) if pre else self.n_max) > DEGREE_CAP:
+            raise DomainError("index %d gives degree %s%d beyond the certified-root cap %d"
+                              % (self.n_max, "2^" if pre else "", self.n_max, DEGREE_CAP))
 
     def indices(self) -> range:
         return range(self.n_min, self.n_max + 1)
@@ -148,23 +148,25 @@ class ExperimentResult:
 
     def write(self, path: str) -> None:
         """Emit the table; the format follows the file suffix."""
-        if path.endswith(".csv"):
-            try:
-                with open(path, "w", newline="") as fh:
+        fmt = _out_format(path)
+        try:
+            with open(path, "w", newline="" if fmt == "csv" else None) as fh:
+                if fmt == "csv":
                     w = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
                     w.writeheader()
-                    for r in self.rows:
-                        w.writerow(r.csv_record())
-            except OSError as e:
-                raise DomainError("cannot write CSV %s: %s" % (path, e))
-        elif path.endswith(".json"):
-            try:
-                with open(path, "w") as fh:
+                    w.writerows(r.csv_record() for r in self.rows)
+                else:
                     json.dump(self.to_json_dict(), fh, indent=1)
-            except OSError as e:
-                raise DomainError("cannot write JSON %s: %s" % (path, e))
-        else:
-            raise DomainError("output path must end in .csv or .json: %s" % path)
+        except OSError as e:
+            raise DomainError("cannot write %s %s: %s" % (fmt.upper(), path, e))
+
+
+def _out_format(path: str) -> str:
+    # "csv" or "json" from the output path's suffix
+    for fmt in ("csv", "json"):
+        if path.endswith("." + fmt):
+            return fmt
+    raise DomainError("output path must end in .csv or .json: %s" % path)
 
 
 def experiment_run(
@@ -178,6 +180,8 @@ def experiment_run(
     Rows are independent and evaluate in index order; the result is a
     deterministic fold of the per-row reports.
     """
+    if out is not None:
+        _out_format(out)  # a bad suffix is refused before the first report
     rows = []
     for n, Z in zip(spec.indices(), generate(spec)):
         rows.append(ExperimentRow(n, global_fekete(Z, g, tail_eps)))

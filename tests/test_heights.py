@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -5,7 +6,7 @@ import random
 from fractions import Fraction
 
 from adelic.divisors import divisor_from_poly
-from adelic.exact import IntPoly
+from adelic.exact import _EPS, IntPoly, float_sum
 from adelic.heights import HeightInterval, global_fekete, height, uniform_sup
 from adelic.places import Place, relevant_places
 from adelic.weights import ArchWeight, FiniteWeight, Weight, ex5_weight, std_weight, trivial_weight
@@ -108,6 +109,52 @@ def test_uniform_sup_oracles():
     assert abs(u - max(0.75 * LOG2, arch)) < 1e-10
     # degree-1 divisors pair trivially
     assert uniform_sup(divisor_from_poly([-1, 2]), std_weight()) == 0.0
+
+
+def _aggregates_by_refolding(report):
+    # height_interval, fekete_total_ratio, fekete_arch, fekete_max_finite and
+    # uniform_sup recomputed from report.rows alone, one walk each
+    d, rows = report.degree, report.rows
+    tot, err = float_sum(r.mahler_weighted for r in rows)
+    h = HeightInterval(tot / d, err / d + _EPS * abs(tot / d), report.tail_bound)
+    total = float_sum(r.fekete for r in rows)[0] / d ** 2
+    arch = [r.fekete._as_float()[0] / d ** 2 for r in rows if r.place.is_archimedean]
+    finite = 0.0
+    for r in rows:
+        if not r.place.is_archimedean:
+            finite = max(finite, abs(r.fekete._as_float()[0]) / d ** 2)
+    sup = 4.0 * report.tail_bound
+    for r in rows:
+        if r.fekete.is_exact and r.fekete.coeff == 0:
+            continue
+        v, e = r.fekete._as_float()
+        sup = max(sup, (abs(v) + e) / d ** 2)
+    return h, total, arch[0] if arch else 0.0, finite, sup
+
+
+def _is_exact_zero(x):
+    return x.is_exact and x.coeff == 0
+
+
+def test_report_aggregates_match_a_refold_of_the_rows():
+    ex5_override = dataclasses.replace(
+        ex5_weight(), overrides=(FiniteWeight(3, Fraction(1, 4), Fraction(-1, 8)),))
+    # (3z + 2)(z - 2) under std: tail 0, an exact-zero row at p = 3
+    Z = divisor_from_poly([-4, -4, 3])
+    report = global_fekete(Z, std_weight())
+    assert report.tail_bound == 0.0
+    assert any(_is_exact_zero(r.fekete) for r in report.rows if not r.place.is_archimedean)
+    cases = [report]
+    # degree one: the archimedean pairing is an exact zero
+    report = global_fekete(divisor_from_poly([-2, 1]), std_weight())
+    assert _is_exact_zero(report.rows[-1].fekete)
+    cases.append(report)
+    cases.append(global_fekete(divisor_from_poly([-2, 0, 0, 1], inf_mult=2), trivial_weight()))
+    cases.append(global_fekete(divisor_from_poly([-3, 1, 0, 2], inf_mult=1), ex5_override, 1e-2))
+    for report in cases:
+        fields = (report.height_interval, report.fekete_total_ratio, report.fekete_arch,
+                  report.fekete_max_finite, report.uniform_sup)
+        assert fields == _aggregates_by_refolding(report)
 
 
 def test_uniform_sup_unit_roots_closed_form():

@@ -8,6 +8,7 @@ import pytest
 from adelic.divisors import EffectiveDivisor, d_star, divisor_from_poly
 from adelic.exact import DomainError, IntPoly, val_p
 from adelic.local import (
+    LocalData,
     fekete_sum,
     fekete_sum_arch,
     fekete_sum_arch_identity,
@@ -127,6 +128,23 @@ def test_fekete_arch_evaluates_the_weight_once_per_point(monkeypatch):
 
     monkeypatch.setattr(ArchWeight, "__call__", counting)
     fekete_sum_arch(divisor_from_poly([-2, 0, 0, 0, 0, 1], inf_mult=1), std_weight())
+    assert len(calls) == 6
+
+
+def test_arch_moments_evaluate_the_weight_once_per_point(monkeypatch):
+    # z^5 - 2 and a point at infinity: the four archimedean moments come
+    # from one pass, so six support points cost six weight evaluations
+    calls = []
+    real = ArchWeight.__call__
+
+    def counting(self, z):
+        calls.append(z)
+        return real(self, z)
+
+    monkeypatch.setattr(ArchWeight, "__call__", counting)
+    data = LocalData(divisor_from_poly([-2, 0, 0, 0, 0, 1], inf_mult=1), std_weight(), ARCH)
+    moments = (data.round, data.weight, data.diag_round, data.diag_weight)
+    assert not any(m.is_exact for m in moments)
     assert len(calls) == 6
 
 

@@ -56,6 +56,13 @@ def test_spec_validation():
         SequenceSpec("unit_roots", n_max=2, n_min=3)
     with pytest.raises(DomainError):
         SequenceSpec("mystery", n_max=2)
+    # every family's final degree is held to the certified-root cap of 512
+    with pytest.raises(DomainError):
+        SequenceSpec("unit_roots", n_max=513, n_min=511)
+    with pytest.raises(DomainError):
+        SequenceSpec("pow_minus", n_max=513, param=2)
+    SequenceSpec("unit_roots", n_max=512, n_min=511)
+    SequenceSpec("pow_minus", n_max=512, param=2)
 
 
 def test_experiment_rows_and_flags():
@@ -110,3 +117,23 @@ def test_write_failures_carry_path(tmp_path):
     assert "missing_dir" in str(err.value)
     with pytest.raises(DomainError):
         res.write(str(tmp_path / "t.txt"))
+
+
+def test_bad_suffix_is_refused_before_any_report(tmp_path, monkeypatch):
+    import adelic.sequences
+
+    calls = [0]
+    real = adelic.sequences.global_fekete
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(adelic.sequences, "global_fekete", counting)
+    out = tmp_path / "x.txt"
+    with pytest.raises(DomainError):
+        experiment_run(SequenceSpec("unit_roots", n_max=4, n_min=2), std_weight(), out=str(out))
+    assert calls[0] == 0 and not out.exists()
+    experiment_run(SequenceSpec("unit_roots", n_max=3, n_min=2), std_weight(),
+                   out=str(tmp_path / "x.csv"))
+    assert calls[0] == 2
