@@ -94,10 +94,10 @@ def lemma43_certify(
     shape) raise DomainError; hypothesis failures return a Refusal with
     the first violated check in row order.
     """
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    if tail_bound < 0:
-        raise DomainError("tail bound must be nonnegative")
+    if not eps > 0:  # NaN included
+        raise DomainError(f"eps must be positive, got {eps!r}")
+    if not tail_bound >= 0:
+        raise DomainError(f"tail bound must be nonnegative, got {tail_bound!r}")
     m_cols = len(tails)
     if m_cols == 0:
         raise DomainError("at least one column is required")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -22,7 +23,6 @@ from .local import fekete_sum
 from .places import ARCH, Place, _product_formula, log_abs, product_formula_check
 from .sequences import SequenceSpec, experiment_run
 from .weights import (
-    Weight,
     ex5_weight,
     potential_kernel,
     radii,
@@ -43,12 +43,6 @@ def _parse_poly(text: str) -> list[int]:
     if not coeffs:
         raise DomainError("--poly is empty")
     return coeffs
-
-
-def _weight(name: str) -> Weight:
-    if name not in _WEIGHTS:
-        raise DomainError("unknown weight %r (choose trivial, std, ex5)" % name)
-    return _WEIGHTS[name]()
 
 
 def _parse_place(text: str) -> Place:
@@ -101,7 +95,7 @@ def _cmd_dstar(args) -> int:
 
 def _cmd_height(args) -> int:
     Z = divisor_from_poly(_parse_poly(args.poly), args.inf_mult)
-    g = _weight(args.weight)
+    g = _WEIGHTS[args.weight]()
     h = height(Z, g, tail_eps=args.tail_eps)
     out = {"degree": Z.degree, "weight": g.name}
     out.update(h.to_json())
@@ -111,7 +105,7 @@ def _cmd_height(args) -> int:
 
 def _cmd_fekete(args) -> int:
     Z = divisor_from_poly(_parse_poly(args.poly), args.inf_mult)
-    g = _weight(args.weight)
+    g = _WEIGHTS[args.weight]()
     if args.place == "all":
         report = global_fekete(Z, g, tail_eps=args.tail_eps)
         _emit(report.to_json())
@@ -131,7 +125,7 @@ def _cmd_fekete(args) -> int:
 def _cmd_equidist(args) -> int:
     family, param = _parse_family(args.family)
     spec = SequenceSpec(family, n_max=args.n_max, n_min=args.n_min, param=param)
-    g = _weight(args.weight)
+    g = _WEIGHTS[args.weight]()
     result = experiment_run(spec, g, out=args.out, tail_eps=args.tail_eps)
     last = result.rows[-1].report
     print("wrote %s: %d rows, final degree %d, final diag ratio %s"
@@ -146,15 +140,13 @@ def _cmd_equidist(args) -> int:
 # verify suites
 
 
-def _suite_productformula(rng: random.Random) -> tuple[bool, list[str]]:
-    lines = []
+def _suite_productformula(rng: random.Random) -> tuple[bool, str]:
     for i in range(100):
         q = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
         if q == 0:
             q = Fraction(1, 3)
         if not product_formula_check(q):
-            lines.append("counterexample: rational %s" % q)
-            return False, lines
+            return False, "counterexample: rational %s" % q
     checked = 0
     while checked < 20:
         d = rng.randint(2, 8)
@@ -165,15 +157,12 @@ def _suite_productformula(rng: random.Random) -> tuple[bool, list[str]]:
             continue
         ds = d_star(Z)
         if not product_formula_check(ds):
-            lines.append("counterexample: coeffs %s, dstar %s" % (coeffs, ds))
-            return False, lines
+            return False, "counterexample: coeffs %s, dstar %s" % (coeffs, ds)
         checked += 1
-    lines.append("product formula exact on 100 rationals and 20 divisor products")
-    return True, lines
+    return True, "product formula exact on 100 rationals and 20 divisor products"
 
 
-def _suite_identity(rng: random.Random) -> tuple[bool, list[str]]:
-    lines = []
+def _suite_identity(rng: random.Random) -> tuple[bool, str]:
     weights = [(trivial_weight(), 1e-9), (std_weight(), 1e-9), (ex5_weight(), 5e-3)]
     for i in range(8):
         d = rng.randint(2, 8)
@@ -186,42 +175,37 @@ def _suite_identity(rng: random.Random) -> tuple[bool, list[str]]:
         for g, tail in weights:
             report = global_fekete(Z, g, tail_eps=tail)
             if not report.identity_residual <= report.identity_slack:
-                lines.append(
+                return False, (
                     "counterexample: coeffs %s inf %d weight %s residual %.3e slack %.3e"
                     % (coeffs, inf_mult, g.name, report.identity_residual,
                        report.identity_slack))
-                return False, lines
             if not report.dstar_product_formula:
-                lines.append("counterexample: coeffs %s product formula" % coeffs)
-                return False, lines
-    lines.append("global identity within float slack on random divisors x 3 weights")
-    return True, lines
+                return False, "counterexample: coeffs %s product formula" % coeffs
+    return True, "global identity within float slack on random divisors x 3 weights"
 
 
-def _suite_ex5(rng: random.Random) -> tuple[bool, list[str]]:
+def _suite_ex5(rng: random.Random) -> tuple[bool, str]:
     import mpmath
 
-    lines = []
     g = ex5_weight()
     primes = _primes_below(101)
-    # (i) grid bound on the radial profile, in natural log units
+    # (i) grid bound |g_p| <= t_p / 2 <= 1 / (2 p^2), in natural log units
     for p in primes:
         comp = g.finite(p)
         m = int(1 / (2 * comp.sup_coeff))
         with mpmath.workdps(40):
             if not mpmath.mpf(m) >= mpmath.mpf(p) ** 2 * mpmath.ln(p):
-                lines.append("counterexample: branch count %d at p=%d" % (m, p))
-                return False, lines
+                return False, "counterexample: branch count %d at p=%d" % (m, p)
         for k in range(200):
             s = Fraction(k - 100, 25)
             c = comp.coeff_fn(s)
             if abs(c) > comp.sup_coeff:
-                lines.append("counterexample: grid p=%d s=%s coeff %s" % (p, s, c))
-                return False, lines
+                return False, "counterexample: grid p=%d s=%s coeff %s" % (p, s, c)
+        if not float(comp.sup_coeff) * math.log(p) <= (1 + 1e-12) / (2 * p * p):
+            return False, "counterexample: sup |g_p| above 1/(2p^2) at p=%d" % p
         r = radii(g, Place(p))
         if r.log_outer.coeff + r.log_inner.coeff != 0:
-            lines.append("counterexample: radii p=%d" % p)
-            return False, lines
+            return False, "counterexample: radii p=%d" % p
     # (ii) kernel equals the chordal log distance of scaled points, where
     # the scale has exact valuation -1/m at p
     for i in range(100):
@@ -242,43 +226,34 @@ def _suite_ex5(rng: random.Random) -> tuple[bool, list[str]]:
         got = potential_kernel(g, Place(p), BerkPoint.type_i(p, z),
                                BerkPoint.type_i(p, w))
         if got.coeff != want:
-            lines.append("counterexample: kernel p=%d z=%s w=%s got %s want %s"
-                         % (p, z, w, got.coeff, want))
-            return False, lines
+            return False, ("counterexample: kernel p=%d z=%s w=%s got %s want %s"
+                           % (p, z, w, got.coeff, want))
     # (iii) self-pairing of the unit-mass disk vanishes
-    for p in primes[:10]:
+    for p in primes:
         x = g.finite(p).measure_point
         got = potential_kernel(g, Place(p), x, x)
         if got.coeff != 0:
-            lines.append("counterexample: self pair p=%d coeff %s" % (p, got.coeff))
-            return False, lines
-    lines.append("branching family: grid bound, kernel match, zero self-energy, "
-                 "reciprocal radii all hold")
-    return True, lines
+            return False, "counterexample: self pair p=%d coeff %s" % (p, got.coeff)
+    return True, ("branching family: grid bound, kernel match, zero self-energy, "
+                  "reciprocal radii all hold")
 
 
-def _suite_lemma43(rng: random.Random) -> tuple[bool, list[str]]:
-    lines = []
+def _suite_lemma43(rng: random.Random) -> tuple[bool, str]:
     for i in range(300):
         rows, tails, tail_bound, eps = random_certifier_instance(rng)
         out = lemma43_certify(rows, tails, tail_bound, eps)
         if not out.ok:
-            lines.append("counterexample: valid instance %d refused: %s"
-                         % (i, out.to_json()))
-            return False, lines
+            return False, "counterexample: valid instance %d refused: %s" % (i, out.to_json())
         brute = max(abs(a) for row in rows for a in row)
         if not brute < out.sup_bound:
-            lines.append("counterexample: certificate %d not confirmed, sup %g" % (i, brute))
-            return False, lines
+            return False, "counterexample: certificate %d not confirmed, sup %g" % (i, brute)
     for i in range(300):
         rows, tails, tail_bound, eps, reason = random_adversarial_instance(rng)
         out = lemma43_certify(rows, tails, tail_bound, eps)
         if out.ok or out.reason != reason:
-            lines.append("counterexample: adversarial %d expected %s got %s"
-                         % (i, reason, out.to_json()))
-            return False, lines
-    lines.append("certifier: 300 valid certified and confirmed, 300 broken refused")
-    return True, lines
+            return False, ("counterexample: adversarial %d expected %s got %s"
+                           % (i, reason, out.to_json()))
+    return True, "certifier: 300 valid certified and confirmed, 300 broken refused"
 
 
 _SUITES = {
@@ -291,9 +266,8 @@ _SUITES = {
 
 def _cmd_verify(args) -> int:
     rng = random.Random(20260821)
-    ok, lines = _SUITES[args.suite](rng)
-    for line in lines:
-        print(line)
+    ok, line = _SUITES[args.suite](rng)
+    print(line)
     print("%s: %s" % (args.suite, "PASS" if ok else "FAIL"))
     return 0 if ok else 1
 

@@ -472,7 +472,8 @@ class LogValue:
     def exact_log(coeff: Rational, base: int) -> "LogValue":
         if not coeff:
             return _ZERO
-        c = Fraction(coeff)
+        # Fraction(c) of a Fraction costs a microsecond and returns an equal copy
+        c = coeff if type(coeff) is Fraction else Fraction(coeff)
         v = float(c) * math.log(base)
         return LogValue(c, base, v, 0.0)
 

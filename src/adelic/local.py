@@ -57,15 +57,17 @@ class PlaceRow:
 
 @dataclass
 class LocalData:
-    """A divisor's support at one place, found once, and its moments
-    against one weight.
+    """A divisor's support at one place, found once, and every local
+    quantity against one weight.
 
     round and weight sum the round-metric term (the log of the projective
     norm, zero at infinity) and the weight over the support, each point
     counted with its multiplicity m; diag_round and diag_weight put m^2 in
-    place of m; log_dstar is log|d*|_v.  Each is computed on first use: an
-    exact LogValue at a finite place, a bounded float at ARCH, where the
-    four moments come from one pass over the support.
+    place of m; log_dstar is log|d*|_v; mahler_weighted is round + weight
+    and fekete the off-diagonal pairing.  Each is an exact LogValue at a
+    finite place and a bounded float at ARCH, read from sums computed on
+    first use: at ARCH the four moments come from one pass over the
+    support, which carries each point's weight.
     """
 
     Z: EffectiveDivisor
@@ -79,13 +81,18 @@ class LocalData:
 
     @cached_property
     def points(self) -> list:
-        """Finite support: (root, radius, multiplicity) at the archimedean
-        place, (multiplicity, Newton polygon valuations) per factor at p."""
+        """The support, found once.  At the archimedean place (root, radius,
+        multiplicity, weight) per certified root, then (INF_POINT, 0.0,
+        inf_mult, weight) if inf_mult > 0; at p, (multiplicity, Newton
+        polygon valuations) per factor."""
         if self.v.is_archimedean:
-            return arch_support(self.Z)
+            pts, g = arch_support(self.Z), self.g.arch
+            if self.Z.inf_mult:
+                pts.append((INF_POINT, 0.0, self.Z.inf_mult))
+            return [(w, rad, m, g(w)) for w, rad, m in pts]
         return [(m, newton_polygon(f, self.v.prime)) for f, m in self.Z.squarefree_factors]
 
-    @property
+    @cached_property
     def _rounds(self) -> tuple[int, int]:
         # (round, diag_round) over log p: 0 at a unit prime, else v_p(lc) per primitive factor
         if self.unit_prime:
@@ -114,68 +121,92 @@ class LocalData:
 
     def row(self) -> tuple[PlaceRow, tuple[LogValue, LogValue]]:
         """The report row at v and the identity's diagonal terms
-        (diag_weight, diag_round).  At a finite place all six come from one
-        exact pass; at ARCH the row's pairing is fekete_sum_arch."""
-        v = self.v
-        if v.is_archimedean:
-            row = PlaceRow(v, self.round, self.round + self.weight,
-                           fekete_sum_arch(self.Z, self.g), self.log_dstar)
-            return row, (self.diag_weight, self.diag_round)
-        (r1, r2), (w1, w2), d, ds = self._rounds, self._weights, self.Z.degree, self._dstar
-        pair = _lin(2, w2, -2 * d, w1, ds + 2 * (r2 - d * r1))
-        rnd, mw, pr, ld, dw, dr = (LogValue.exact_log(c, v.prime)
-                                   for c in (r1, r1 + w1, pair, ds, w2, r2))
-        return PlaceRow(v, rnd, mw, pr, ld), (dw, dr)
+        (diag_weight, diag_round), each a read of this place's data."""
+        row = PlaceRow(self.v, self.round, self.mahler_weighted, self.fekete, self.log_dstar)
+        return row, (self.diag_weight, self.diag_round)
 
     @cached_property
     def _arch(self) -> tuple[tuple[float, float], ...]:
         # (value, error) of round, weight, diag_round, diag_weight at ARCH in
-        # one pass: each point's round term r and weight t are read once and
-        # summed times m and m^2; then t at infinity (r = 0), whose error keeps
-        # the grouping I^k * 4.0 * _EPS * (...): another moves last bits
-        g, I, lip = self.g.arch, self.Z.inf_mult, self.g.arch.lip
+        # one pass: each point's round term r and weight t are summed times m
+        # and m^2, with r = er = 0 at infinity
+        lip = self.g.arch.lip
         r1 = e1 = w1 = f1 = r2 = e2 = w2 = f2 = 0.0
-        for w, rad, m in self.points:
-            r, t = 0.5 * math.log1p(abs(w) ** 2), g(w)
-            er = 0.5 * rad + 4.0 * _EPS * (1.0 + abs(r))
+        for w, rad, m, t in self.points:
+            r = er = 0.0
+            if w is not INF_POINT:
+                r = 0.5 * math.log1p(abs(w) ** 2)
+                er = 0.5 * rad + 4.0 * _EPS * (1.0 + abs(r))
             et = lip * rad + 4.0 * _EPS * (1.0 + abs(t))
             r1, e1, w1, f1 = r1 + m * r, e1 + m * er, w1 + m * t, f1 + m * et
             r2, e2, w2, f2 = r2 + m * m * r, e2 + m * m * er, w2 + m * m * t, f2 + m * m * et
-        if I:
-            t = g(INF_POINT)
-            w1, f1 = w1 + I * t, f1 + I * 4.0 * _EPS * (1.0 + abs(t))
-            w2, f2 = w2 + I * I * t, f2 + I * I * 4.0 * _EPS * (1.0 + abs(t))
         return (r1, e1), (w1, f1), (r2, e2), (w2, f2)
 
     def _log(self, coeff) -> LogValue:
         return LogValue.exact_log(coeff, self.v.prime)
 
-    round = cached_property(
+    round = property(
         lambda s: LogValue.real(*s._arch[0]) if s.v.is_archimedean else s._log(s._rounds[0]))
-    weight = cached_property(
+    weight = property(
         lambda s: LogValue.real(*s._arch[1]) if s.v.is_archimedean else s._log(s._weights[0]))
-    diag_round = cached_property(
+    diag_round = property(
         lambda s: LogValue.real(*s._arch[2]) if s.v.is_archimedean else s._log(s._rounds[1]))
-    diag_weight = cached_property(
+    diag_weight = property(
         lambda s: LogValue.real(*s._arch[3]) if s.v.is_archimedean else s._log(s._weights[1]))
-    log_dstar = cached_property(lambda s: LogValue.real(*log_abs_float(s.Z.d_star))
-                                if s.v.is_archimedean else s._log(s._dstar))
+    log_dstar = property(lambda s: LogValue.real(*log_abs_float(s.Z.d_star))
+                         if s.v.is_archimedean else s._log(s._dstar))
+    # round + weight: one exact coefficient of log p at a finite place
+    mahler_weighted = property(lambda s: s.round + s.weight if s.v.is_archimedean
+                               else s._log(s._rounds[0] + s._weights[0]))
+
+    @cached_property
+    def fekete(self) -> LogValue:
+        """Off-diagonal weighted pairing sum: at p one exact coefficient of
+        log p from the moments (see pairing), at ARCH the direct double sum
+        over distinct support points.  Zero for a single support point."""
+        if not self.v.is_archimedean:
+            (r1, r2), (w1, w2), d = self._rounds, self._weights, self.Z.degree
+            return self._log(_lin(2, w2, -2 * d, w1, self._dstar + 2 * (r2 - d * r1)))
+        pts = self.points
+        if len(pts) <= 1:
+            return LogValue.zero()
+        lip = self.g.arch.lip
+        rows = []
+        err = 0.0
+        for i, (wi, ri, mi, gi) in enumerate(pts):
+            row = []
+            for wj, rj, mj, gj in pts[i + 1:]:
+                dist = chordal_arch(wi, wj)
+                if dist <= 0.0:
+                    raise DomainError("support points not separable at float precision")
+                phi = math.log(dist) - gi - gj
+                row.append(2.0 * mi * mj * phi)
+                if wi is INF_POINT or wj is INF_POINT:
+                    slope = 0.5 + lip
+                else:
+                    sep = max(abs(wi - wj) - ri - rj, _TINY)
+                    slope = 1.0 / sep + 0.5 + lip
+                err += 2.0 * mi * mj * (slope * (ri + rj) + 4.0 * _EPS * (1.0 + abs(phi)))
+            # fsum rounds each row sum, and then the total, once
+            rows.append(math.fsum(row))
+            err += _EPS * abs(rows[-1])
+        total = math.fsum(rows)
+        return LogValue.real(total, err + _EPS * abs(total))
 
     def pairing(self) -> LogValue:
         """Off-diagonal weighted pairing sum, assembled as
 
             log|d*|_v - 2d (round + weight) + 2 (diag_round + diag_weight).
 
-        Exact at a finite place, one coefficient of log p (row);
-        at the archimedean place this is the cross-check route to
-        fekete_sum_arch.  Zero for a single support point.
+        Exact at a finite place, where it is fekete; at the archimedean
+        place this is the cross-check route to fekete.  Zero for a single
+        support point.
         """
         if not self.v.is_archimedean:
-            return self.row()[0].fekete
-        Z = self.Z
-        if sum(f.degree for f, _ in Z.squarefree_factors) + (Z.inf_mult > 0) <= 1:
+            return self.fekete
+        if len(self.points) <= 1:
             return LogValue.zero()
-        return (self.log_dstar - (self.round + self.weight).scaled(2 * Z.degree)
+        return (self.log_dstar - self.mahler_weighted.scaled(2 * self.Z.degree)
                 + (self.diag_round + self.diag_weight).scaled(2))
 
 
@@ -199,44 +230,14 @@ def integral_against(Z: EffectiveDivisor, g: Weight, v: Place) -> LogValue:
 def mahler_g(Z: EffectiveDivisor, g: Weight, v: Place) -> LogValue:
     """Weighted local Mahler measure: round-metric term plus the integral
     of the weight against the divisor."""
-    data = LocalData(Z, g, v)
-    return data.round + data.weight
+    return LocalData(Z, g, v).mahler_weighted
 
 
 def fekete_sum_arch(Z: EffectiveDivisor, g: Weight) -> LogValue:
     """Off-diagonal weighted pairing sum at the archimedean place, computed
     directly from certified roots as a double sum over distinct support
     points."""
-    pts = arch_support(Z)
-    if Z.inf_mult:
-        pts.append((INF_POINT, 0.0, Z.inf_mult))
-    if len(pts) <= 1:
-        return LogValue.zero()
-    lip = g.arch.lip
-    gs = [g.arch(w) for w, _, _ in pts]
-    rows = []
-    err = 0.0
-    for i, (wi, ri, mi) in enumerate(pts):
-        gi = gs[i]
-        row = []
-        for j in range(i + 1, len(pts)):
-            wj, rj, mj = pts[j]
-            dist = chordal_arch(wi, wj)
-            if dist <= 0.0:
-                raise DomainError("support points not separable at float precision")
-            phi = math.log(dist) - gi - gs[j]
-            row.append(2.0 * mi * mj * phi)
-            if wi is INF_POINT or wj is INF_POINT:
-                slope = 0.5 + lip
-            else:
-                sep = max(abs(wi - wj) - ri - rj, _TINY)
-                slope = 1.0 / sep + 0.5 + lip
-            err += 2.0 * mi * mj * (slope * (ri + rj) + 4.0 * _EPS * (1.0 + abs(phi)))
-        # fsum rounds each row sum, and then the total, once
-        rows.append(math.fsum(row))
-        err += _EPS * abs(rows[-1])
-    total = math.fsum(rows)
-    return LogValue.real(total, err + _EPS * abs(total))
+    return LocalData(Z, g, ARCH).fekete
 
 
 def fekete_sum_arch_identity(Z: EffectiveDivisor, g: Weight) -> LogValue:
@@ -256,7 +257,7 @@ def fekete_sum_nonarch(Z: EffectiveDivisor, g: Weight, p: int) -> LogValue:
     weighted Mahler measure, and diagonal corrections; every ingredient
     is an exact rational multiple of log p.
     """
-    return LocalData(Z, g, Place(p)).pairing()
+    return LocalData(Z, g, Place(p)).fekete
 
 
 def fekete_sum(Z: EffectiveDivisor, g: Weight, v: Place) -> LogValue:
@@ -265,6 +266,4 @@ def fekete_sum(Z: EffectiveDivisor, g: Weight, v: Place) -> LogValue:
     Exact at finite places; certified floats at the archimedean place.
     Degree-one divisors give exactly zero.
     """
-    if v.is_archimedean:
-        return fekete_sum_arch(Z, g)
-    return fekete_sum_nonarch(Z, g, v.prime)
+    return LocalData(Z, g, v).fekete

@@ -141,8 +141,8 @@ def relevant_places(
     tail_eps / deg(Z); a P above PRIME_LIMIT is refused.  The returned
     tail_bound certifies that sum.
     """
-    if tail_eps <= 0:
-        raise DomainError("tail_eps must be positive")
+    if not tail_eps > 0:  # NaN included
+        raise DomainError(f"tail_eps must be positive, got {tail_eps!r}")
     ps = set(Z.primes) | {require_prime(c.prime) for c in g.overrides if c.half or c.shift}
     cutoff: int | None = None
     tail = 0.0

@@ -165,8 +165,8 @@ class Weight:
         """Smallest P with tail_sum_bound(P) < bound."""
         if self.finitely_supported:
             return 1
-        if bound <= 0.0:
-            raise DomainError("tail bound must be positive")
+        if not bound > 0.0:  # NaN included
+            raise DomainError(f"tail bound must be positive, got {bound!r}")
         cut = math.floor(1.0 / (2.0 * bound)) + 1
         return max(cut, 2)
 

@@ -10,9 +10,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from adelic.berkovich import BerkPoint
 from adelic.certify import lemma43_certify
 from adelic.certify import random_adversarial_instance, random_certifier_instance
+from adelic.cli import _SUITES
 from adelic.divisors import d_star, divisor_from_poly
 from adelic.exact import DomainError, IntPoly, squarefree_decomposition, val_p
 from adelic.heights import global_fekete, height, uniform_sup
@@ -25,8 +25,6 @@ from adelic.weights import (
     ex5_weight,
     fs_kernel_energy,
     normalize,
-    potential_kernel,
-    radii,
     std_weight,
     trivial_weight,
     zero_weight,
@@ -251,53 +249,11 @@ def test_A8_trivial_weight_negative_control():
 
 
 def test_A9_branching_family_certificates():
-    import mpmath
-
-    g = ex5_weight()
-    rng = random.Random(99)
-    primes = list(sympy.primerange(2, 101))
-    # (i) grid bound |g_p| <= t_p/2 <= 1/(2 p^2), exact two-step check
-    for p in primes:
-        comp = g.finite(p)
-        m = int(1 / (2 * comp.sup_coeff))
-        with mpmath.workdps(50):
-            assert mpmath.mpf(m) >= mpmath.mpf(p) ** 2 * mpmath.ln(p)
-        for k in range(200):
-            s = Fraction(k - 100, 25)
-            assert abs(comp.coeff_fn(s)) <= comp.sup_coeff
-        assert float(comp.sup_coeff) * math.log(p) <= 1 / (2 * p * p) * (1 + 1e-12)
-    # (ii) kernel equals the scaled chordal log distance, exactly
-    kernel_checked = 0
-    while kernel_checked < 100:
-        p = rng.choice([2, 3, 5, 7])
-        comp = g.finite(p)
-        shift = -comp.measure_point.rad_exp
-        z = Fraction(rng.randint(-60, 60), rng.randint(1, 60))
-        w = Fraction(rng.randint(-60, 60), rng.randint(1, 60))
-        if z == w:
-            continue
-
-        def lp(x):
-            return Fraction(0) if x == 0 else max(Fraction(0), shift - val_p(x, p))
-
-        want = (shift - val_p(z - w, p)) - lp(z) - lp(w)
-        got = potential_kernel(g, Place(p), BerkPoint.type_i(p, z),
-                               BerkPoint.type_i(p, w))
-        assert got.coeff == want, (p, z, w)
-        kernel_checked += 1
-    # (iii) self-pairing of the unit-mass disk is exactly zero
-    for p in primes:
-        comp = g.finite(p)
-        m = int(1 / (2 * comp.sup_coeff))
-        disk = BerkPoint.disk(p, 0, Fraction(-1, m))
-        assert potential_kernel(g, Place(p), disk, disk).coeff == 0
-    # (iv) outer and inner radii are exact reciprocals
-    for p in primes:
-        r = radii(g, Place(p))
-        assert r.log_outer.coeff + r.log_inner.coeff == 0
-    _verdict("A9", True,
-             "grid bound, 100 exact kernel matches, zero self-energy and "
-             "reciprocal radii for all p <= 100")
+    # `adelic verify --suite ex5`: for every p < 101 the grid bound
+    # |g_p| <= t_p/2 <= 1/(2 p^2), zero self-energy of the unit-mass disk and
+    # reciprocal radii, and 100 draws of the exact kernel match
+    ok, line = _SUITES["ex5"](random.Random(99))
+    _verdict("A9", ok, line)
 
 
 def test_A10_signed_uniform_upper_bound():

@@ -79,6 +79,11 @@ def test_input_contract_violations_raise():
     # entry above its cap is an input error, not a refusal
     with pytest.raises(DomainError):
         lemma43_certify([[0.3]], [0.2], 0.01, 1.0)
+    # a NaN eps or tail bound is an input error too, not a tail refusal
+    with pytest.raises(DomainError, match="eps must be positive"):
+        lemma43_certify([[0.1]], [0.2], 0.01, float("nan"))
+    with pytest.raises(DomainError, match="tail bound must be nonnegative"):
+        lemma43_certify([[0.1]], [0.2], float("nan"), 1.0)
 
 
 def test_certified_bound_is_three_quarters():

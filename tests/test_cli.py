@@ -99,6 +99,10 @@ def test_bad_inputs_exit_2(capsys):
     code, _, err = run_cli(capsys, "equidist", "--family", "pow:1",
                            "--n-max", "3", "--weight", "std", "--out", "/tmp/x.csv")
     assert code == 2 and "pow_minus" in err
+    for weight in ("std", "trivial", "ex5"):
+        code, _, err = run_cli(capsys, "height", "--poly=-2,0,1", "--weight", weight,
+                               "--tail-eps", "nan")
+        assert code == 2 and "tail_eps must be positive" in err
 
 
 def test_verify_suites_pass(capsys):

@@ -5,8 +5,10 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from adelic.divisors import divisor_from_poly
-from adelic.exact import _EPS, IntPoly, float_sum
+from adelic.exact import _EPS, DomainError, IntPoly, float_sum
 from adelic.heights import HeightInterval, global_fekete, height, uniform_sup
 from adelic.places import Place, relevant_places
 from adelic.weights import ArchWeight, FiniteWeight, Weight, ex5_weight, std_weight, trivial_weight
@@ -175,6 +177,14 @@ def test_report_json_roundtrips():
     assert back["height"]["lo"] <= back["height"]["value"] <= back["height"]["hi"]
     finite_rows = [r for r in back["rows"] if r["place"] != "inf"]
     assert all("coeff" in r["fekete"] for r in finite_rows)
+
+
+@pytest.mark.parametrize("weight", [std_weight, trivial_weight, ex5_weight])
+@pytest.mark.parametrize("call", [height, global_fekete])
+def test_nan_tail_eps_is_refused(call, weight):
+    # NaN fails every comparison, so it must not pass for a positive bound
+    with pytest.raises(DomainError, match="tail_eps must be positive"):
+        call(divisor_from_poly([-2, 0, 1]), weight(), tail_eps=math.nan)
 
 
 def test_height_tail_is_reported():

@@ -7,6 +7,7 @@ import pytest
 
 from adelic.divisors import EffectiveDivisor, d_star, divisor_from_poly
 from adelic.exact import DomainError, IntPoly, val_p
+from adelic.heights import global_fekete
 from adelic.local import (
     LocalData,
     fekete_sum,
@@ -146,6 +147,30 @@ def test_arch_moments_evaluate_the_weight_once_per_point(monkeypatch):
     moments = (data.round, data.weight, data.diag_round, data.diag_weight)
     assert not any(m.is_exact for m in moments)
     assert len(calls) == 6
+
+
+def test_report_reads_the_archimedean_support_once(monkeypatch):
+    # a std report on z^5 - 2 and a point at infinity: the pair loop, the
+    # moments and the cross-check read one support list, so the weight is
+    # evaluated once per point and the roots are collected once
+    import adelic.local
+
+    calls, supports = [], []
+    real, real_support = ArchWeight.__call__, adelic.local.arch_support
+
+    def counting(self, z):
+        calls.append(z)
+        return real(self, z)
+
+    def counting_support(Z):
+        supports.append(Z)
+        return real_support(Z)
+
+    monkeypatch.setattr(ArchWeight, "__call__", counting)
+    monkeypatch.setattr(adelic.local, "arch_support", counting_support)
+    report = global_fekete(divisor_from_poly([-2, 0, 0, 0, 0, 1], inf_mult=1), std_weight())
+    assert report.identity_residual <= report.identity_slack
+    assert len(calls) == 6 and len(supports) == 1
 
 
 def test_fekete_arch_encloses_closed_form_at_high_degree():
