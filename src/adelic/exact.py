@@ -1,11 +1,12 @@
 """Exact integer and rational building blocks.
 
 This module is the arithmetic bedrock of the package: p-adic valuations,
-integer factorization (sieved trial division, Brent's rho, then sympy's
-ECM), primitive integer polynomials, squarefree decomposition (sympy's dense
-routine over ZZ: a heuristic gcd inside Yun's algorithm),
-resultants via the subresultant remainder sequence, discriminants, and
-Newton polygons, all in exact integer or rational arithmetic.  The one
+primality (a numpy sieve, Miller-Rabin to the first 13 prime bases, then
+BPSW), integer factorization (sieved trial division, Brent's rho, then
+Lenstra's ECM), primitive integer polynomials, squarefree decomposition
+(Yun's algorithm over a heuristic gcd), resultants via the subresultant
+remainder sequence, discriminants, and Newton polygons, all in exact
+integer or rational arithmetic.  The one
 numeric type, LogValue, keeps finite-place values as exact rational
 multiples of log p and archimedean values as floats with an explicit error
 bound; float_sum adds LogValues across places as floats.
@@ -14,16 +15,14 @@ bound; float_sum adds LogValues across places as floats.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import zip_longest
 from typing import Iterable, Union
 
 import numpy as np
-from sympy import integer_nthroot, isprime
-from sympy.ntheory.ecm import ecm
-from sympy.polys.domains import ZZ
-from sympy.polys.sqfreetools import dup_sqf_list
 
 __all__ = [
     "DomainError",
@@ -85,8 +84,8 @@ def _val(q: Rational, p: int) -> int:
 _sieve = np.zeros(0, dtype=bool)
 
 
-def _primes_below(n: int) -> list[int]:
-    """The primes p < n, ascending."""
+def _sieve_to(n: int) -> np.ndarray:
+    """The sieve, grown to cover every k < n."""
     global _sieve
     if n > len(_sieve):
         size = max(n, 2 * len(_sieve), 1 << 16)
@@ -96,7 +95,116 @@ def _primes_below(n: int) -> list[int]:
             if s[p]:
                 s[p * p::p] = False
         _sieve = s
-    return np.flatnonzero(_sieve[:n]).tolist()
+    return _sieve
+
+
+def _primes_below(n: int) -> list[int]:
+    """The primes p < n, ascending."""
+    return np.flatnonzero(_sieve_to(n)[:n]).tolist()
+
+
+#: The first 13 primes: trial divisors and Miller-Rabin bases of isprime.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: Below this, the 13 bases above prove primality (Sorenson & Webster,
+#: Math. Comp. 86 (2017)); at and above it isprime runs BPSW.
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def isprime(n: int) -> bool:
+    """Whether n is prime: read from the sieve where it reaches, else trial
+    division by _MR_BASES, then strong probable-prime tests to every base
+    in _MR_BASES below _MR_LIMIT (deterministic there), and BPSW above it
+    (Baillie & Wagstaff, Math. Comp. 35 (1980)): a base-2 strong test and a
+    strong Lucas test with Selfridge's parameters."""
+    if n < 2:
+        return False
+    if n < len(_sieve):
+        return bool(_sieve[n])
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < _MR_LIMIT:
+        return all(_strong_prp(n, a) for a in _MR_BASES)
+    return _strong_prp(n, 2) and _strong_lucas_prp(n)
+
+
+def _strong_prp(n: int, a: int) -> bool:
+    # Miller-Rabin: n odd is a strong probable prime to base a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    # the Jacobi symbol (a/n) for odd n > 0
+    a %= n
+    t = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas_prp(n: int) -> bool:
+    # n odd, no prime below 43, is a strong Lucas probable prime for
+    # Selfridge's D: the first of 5, -7, 9, -11, ... with (D/n) = -1,
+    # P = 1, Q = (1 - D)/4
+    if math.isqrt(n) ** 2 == n:
+        return False  # no such D exists for a square
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # |D| < n shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    # U_k, V_k and Q^k mod n, k running over the leading bits of d
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V  # twice U_{k+1} and V_{k+1}
+            U = (U + n if U & 1 else U) >> 1
+            V = (V + n if V & 1 else V) >> 1
+            U, V, Qk = U % n, V % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def integer_nthroot(m: int, e: int) -> tuple[int, bool]:
+    """(floor(m^(1/e)), whether that root is exact) for m >= 0, e >= 1, by
+    integer Newton iteration from above."""
+    if m < 2:
+        return m, True
+    x = 1 << -(-m.bit_length() // e)  # 2^ceil(bits/e) > m^(1/e)
+    while True:
+        y = ((e - 1) * x + m // x ** (e - 1)) // e
+        if y >= x:
+            return x, x ** e == m
+        x = y
 
 
 #: Trial division runs over the primes below _SMALL, so a cofactor below
@@ -118,8 +226,8 @@ def factorize(n: int) -> dict[int, int]:
     Trial division by the primes below 2^15 leaves a cofactor with no small
     prime.  Each composite cofactor is split by the first of: a perfect
     power, factorint's three-step Fermat test, Brent's rho on x^2 + 1 with a
-    budget of _RHO_STEPS iterations, and sympy's ECM at factorint's
-    schedule, whose effort is unbounded."""
+    budget of _RHO_STEPS iterations, and ECM at factorint's schedule, whose
+    effort is unbounded."""
     if n == 0:
         raise DomainError("cannot factor zero")
     n = abs(n)
@@ -157,7 +265,7 @@ def _perfect_power(m: int) -> tuple[int, int]:
     for e in _primes_below(m.bit_length() // 15 + 1):
         r, exact = integer_nthroot(m, e)
         if exact:
-            return int(r), e
+            return r, e
     return m, 1
 
 
@@ -208,24 +316,119 @@ def _brent(m: int) -> int | None:
 
 
 def _ecm(m: int) -> list[int]:
-    # divisors of m whose product is m, from sympy's ECM at factorint's
+    # two divisors of m whose product is m, from ECM at factorint's
     # schedule: B2 = 100 B1, seed B1, then B1 x5 and the curves x4 until a
     # factor is found
     B1, curves = 10_000, 50
-    while True:
+    while (parts := ecm(m, B1, 100 * B1, curves, B1)) is None:
+        B1, curves = 5 * B1, 4 * curves
+    return parts
+
+
+def ecm(n: int, B1: int, B2: int, curves: int, seed: int) -> list[int] | None:
+    """[d, n // d] for a proper divisor d of the odd composite n, from
+    Lenstra's two-stage ECM on up to `curves` curves, or None if none
+    finds one; B1 and B2 must be even.
+
+    Each curve is a Montgomery curve with Suyama's parametrization, sigma
+    drawn from random.Random(seed).  Stage 1 multiplies the point by every
+    prime power up to B1 on an x/z-only Montgomery ladder; stage 2 is the
+    improved standard continuation to B2 (Crandall & Pomerance, Prime
+    Numbers, 2nd ed. (2005), Alg. 7.4.4)."""
+    if B1 % 2 or B2 % 2:
+        raise DomainError(f"ECM bounds must be even, got {B1}, {B2}")
+    k, D, blocks = _ecm_tables(B1, B2)
+    rng = random.Random(seed)
+    for _ in range(curves):
+        sigma = rng.randint(6, n - 1)
+        u = (sigma * sigma - 5) % n
+        v = 4 * sigma % n
+        u3 = pow(u, 3, n)
         try:
-            found = ecm(m, B1, 100 * B1, curves, B1)
-        except ValueError:
-            B1, curves = 5 * B1, 4 * curves
+            a24 = pow(v - u, 3, n) * (3 * u + v) * pow(16 * u3 * v, -1, n) % n
+        except ValueError:  # the inverse does not exist
+            g = math.gcd(16 * u3 * v, n)
+            if g < n:
+                return [g, n // g]
             continue
-        parts = []
-        for f in sorted(found):
-            while m % f == 0:
-                parts.append(f)
-                m //= f
-        if m > 1:
-            parts.append(m)
-        return parts
+        Q = _ladder((u3, pow(v, 3, n)), k, a24, n)
+        g = math.gcd(Q[1], n)
+        if g == 1:
+            g = _stage2(Q, B1, D, blocks, a24, n)
+        if 1 < g < n:
+            return [g, n // g]
+    return None
+
+
+@lru_cache(maxsize=None)
+def _ecm_tables(B1: int, B2: int) -> tuple[int, int, list[list[int]]]:
+    # stage 1's multiplier, the product of the largest power of each prime
+    # p <= B1 that is at most B1; stage 2's half-width D; and for each block
+    # centre r = B1 + 2D, B1 + 6D, ... below B2 + 2D, the d < D for which
+    # r + 2d + 1 or r - 2d - 1 is prime
+    D = min(math.isqrt(B2), B1 // 2 - 1)
+    k = 1
+    for p in _primes_below(B1 + 1):
+        q = p
+        while q * p <= B1:
+            q *= p
+        k *= q
+    n_blocks = len(range(B1 + 2 * D, B2 + 2 * D, 4 * D))
+    hi = B1 + 4 * D * n_blocks
+    off = np.flatnonzero(_sieve_to(hi)[B1:hi])
+    keys = np.unique(off // (4 * D) * D + (np.abs(off % (4 * D) - 2 * D) >> 1))
+    cuts = np.searchsorted(keys, D * np.arange(1, n_blocks))
+    return k, D, [b.tolist() for b in np.split(keys % D, cuts)]
+
+
+def _xdbl(P: tuple[int, int], a24: int, n: int) -> tuple[int, int]:
+    # 2P on a Montgomery curve, x and z only
+    x, z = P
+    u = (x + z) ** 2 % n
+    v = (x - z) ** 2 % n
+    t = u - v
+    return u * v % n, t * (v + a24 * t) % n
+
+
+def _xadd(P: tuple[int, int], Q: tuple[int, int], diff: tuple[int, int],
+          n: int) -> tuple[int, int]:
+    # P + Q from x and z only, given diff = P - Q
+    u = (P[0] - P[1]) * (Q[0] + Q[1])
+    v = (P[0] + P[1]) * (Q[0] - Q[1])
+    return diff[1] * (u + v) ** 2 % n, diff[0] * (u - v) ** 2 % n
+
+
+def _ladder(P: tuple[int, int], k: int, a24: int, n: int) -> tuple[int, int]:
+    # kP by Montgomery's ladder: R - Q = P throughout
+    Q, R = P, _xdbl(P, a24, n)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            Q, R = _xadd(R, Q, P, n), _xdbl(R, a24, n)
+        else:
+            Q, R = _xdbl(Q, a24, n), _xadd(R, Q, P, n)
+    return Q
+
+
+def _stage2(Q: tuple[int, int], B1: int, D: int, blocks: list[list[int]],
+            a24: int, n: int) -> int:
+    # gcd(n, prod over the blocks' centres r and their d of x(rQ) z(S_d) -
+    # x(S_d) z(rQ)), with S_d = (2d + 1)Q: it vanishes mod a prime q | n
+    # when some prime r +- (2d + 1) kills Q on the curve mod q
+    Q2 = _xdbl(Q, a24, n)
+    S = [Q, _xadd(Q2, Q, Q, n)]
+    for d in range(2, D):
+        S.append(_xadd(S[-1], Q2, S[-2], n))
+    beta = [x * z % n for x, z in S]
+    W = _ladder(Q, 4 * D, a24, n)
+    T = _ladder(Q, B1 - 2 * D, a24, n)
+    R = _ladder(Q, B1 + 2 * D, a24, n)
+    g = 1
+    for deltas in blocks:
+        alpha = R[0] * R[1] % n
+        for d in deltas:
+            g = g * ((R[0] - S[d][0]) * (R[1] + S[d][1]) - alpha + beta[d]) % n
+        T, R = R, _xadd(R, W, T, n)
+    return math.gcd(g, n)
 
 
 # ---------------------------------------------------------------------------
@@ -342,27 +545,125 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _dup(f: IntPoly) -> list:
-    # sympy's dense form: coefficients over ZZ, descending by degree
-    return [ZZ(c) for c in reversed(f.coeffs)]
-
-
 def squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
     """Yun decomposition of f: pairwise coprime primitive squarefree factors
     with ascending multiplicities, f = +/- content * prod f_i^(m_i), from
-    sympy's dense routine over ZZ (heuristic gcd inside Yun's loop).
+    Yun's algorithm over Z with a heuristic gcd (_gcd).
 
     Factors come out with positive leading coefficient; content and the
     overall sign are dropped (neither affects a divisor), and a constant
     gives no factors."""
-    cs = f.coeffs
-    if len(cs) > 1 and cs[0] and not any(cs[1:-1]):
-        # c z^n + a with a != 0: squarefree, as its derivative vanishes at 0
-        # alone; sympy's dense routine is slow on sparse n
-        _, g = content_primitive(f)
-        return [(g if g.lc > 0 else g.scale(-1), 1)]
-    _, factors = dup_sqf_list(_dup(f), ZZ)
-    return [(IntPoly.make(reversed(g)), m) for g, m in factors]
+    _, prim = content_primitive(f)
+    if prim.is_constant:
+        return []
+    p = list(prim.coeffs) if prim.lc > 0 else [-c for c in prim.coeffs]
+    _, p, q = _gcd(p, _diff(p))
+    out: list[tuple[IntPoly, int]] = []
+    for i in range(1, f.degree + 1):
+        h = _sub(q, _diff(p))
+        if not h:
+            out.append((IntPoly(tuple(p)), i))
+            return out
+        a, p, q = _gcd(p, h)
+        if len(a) > 1:
+            out.append((IntPoly(tuple(a)), i))
+    raise AssertionError("Yun's loop outran the degree: a gcd was wrong")
+
+
+# Dense helpers on coefficient lists, ascending by degree, with no trailing
+# zero; [] is the zero polynomial.
+
+def _diff(f: list[int]) -> list[int]:
+    return [j * c for j, c in enumerate(f)][1:]
+
+
+def _sub(f: list[int], g: list[int]) -> list[int]:
+    return list(_trim([a - b for a, b in zip_longest(f, g, fillvalue=0)]))
+
+
+def _primitive(f: list[int]) -> list[int]:
+    c = _content(f)
+    return [a // c for a in f]
+
+
+def _quo(f: list[int], h: list[int]) -> list[int] | None:
+    # f / h if h divides f in Z[z], else None; for primitive h, division in
+    # Q[z] is division in Z[z] (Gauss), so each step's quotient is integral
+    dh, lh = len(h) - 1, h[-1]
+    r = list(f)
+    q = [0] * (len(f) - dh)
+    for k in range(len(f) - 1 - dh, -1, -1):
+        c, rem = divmod(r[k + dh], lh)
+        if rem:
+            return None
+        q[k] = c
+        if c:
+            for i in range(dh):
+                r[k + i] -= c * h[i]
+    return None if not q or any(r[:dh]) else q
+
+
+def _gcd(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(h, f / h, g / h) for h = gcd(f, g) in Z[z] with lc(h) > 0, f and g
+    nonzero.
+
+    The heuristic gcd of Char, Geddes & Gonnet (J. Symb. Comp. 7 (1989)):
+    the symmetric xi-adic digits of gcd(f(xi), g(xi)) are the candidate, and
+    its primitive part is the gcd once it divides both.  xi starts at
+    max(min(B, 99 sqrt(B)), 2 min(|f|/|lc f|, |g|/|lc g|) + 4) with
+    B = 2 min(|f|, |g|) + 29 in the max norm: at least twice Cauchy's root
+    bound, so a common divisor found is the greatest.  xi grows after a
+    miss; after six misses the primitive remainder sequence decides."""
+    c = math.gcd(_content(f), _content(g))
+    f, g = [a // c for a in f], [a // c for a in g]
+    if len(f) == 1 or len(g) == 1:
+        return [c], f, g
+    nf, ng = max(map(abs, f)), max(map(abs, g))
+    B = 2 * min(nf, ng) + 29
+    x = max(min(B, 99 * math.isqrt(B)), 2 * min(nf // abs(f[-1]), ng // abs(g[-1])) + 4)
+    for _ in range(6):
+        ff, gg = _eval(f, x), _eval(g, x)
+        if ff and gg:
+            h = _primitive(_xi_digits(math.gcd(ff, gg), x))
+            if (cf := _quo(f, h)) is not None and (cg := _quo(g, h)) is not None:
+                break
+        x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
+    else:
+        h = _prs_gcd(f, g)
+        if h[-1] < 0:
+            h = [-a for a in h]
+        cf, cg = _quo(f, h), _quo(g, h)
+    return [c * a for a in h], cf, cg
+
+
+def _eval(f: list[int], x: int) -> int:
+    v = 0
+    for c in reversed(f):
+        v = v * x + c
+    return v
+
+
+def _xi_digits(v: int, x: int) -> list[int]:
+    # the polynomial with digits in (-x/2, x/2] whose value at x is v > 0
+    out = []
+    while v:
+        d = v % x
+        if d > x // 2:
+            d -= x
+        out.append(d)
+        v = (v - d) // x
+    return out
+
+
+def _prs_gcd(f: list[int], g: list[int]) -> list[int]:
+    # a primitive gcd of f and g, up to sign, by the primitive remainder
+    # sequence
+    a, b = (f, g) if len(f) >= len(g) else (g, f)
+    while b:
+        a, b = b, list(_trim(_prem(a, b)))
+        if b:
+            b = _primitive(b)
+    return _primitive(a)
 
 
 def resultant(f: IntPoly, g: IntPoly) -> int:

@@ -7,9 +7,17 @@ import random
 from fractions import Fraction
 
 import mpmath
+from sympy.polys.domains import ZZ
+from sympy.polys.sqfreetools import dup_sqf_list
 
 from adelic.divisors import EffectiveDivisor, divisor_from_poly
 from adelic.exact import DomainError, IntPoly, val_p
+
+
+def sympy_sqf(f: IntPoly) -> list[tuple[IntPoly, int]]:
+    """The squarefree oracle: sympy's dense decomposition over ZZ."""
+    _, factors = dup_sqf_list([ZZ(c) for c in reversed(f.coeffs)], ZZ)
+    return [(IntPoly.make(reversed(g)), m) for g, m in factors]
 
 
 def random_divisor(rng: random.Random, max_deg: int = 8,

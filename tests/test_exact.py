@@ -2,12 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from sympy import factorint, nextprime, primerange
-from sympy.polys.domains import ZZ
-from sympy.polys.sqfreetools import dup_sqf_list
+from sympy import factorint, integer_nthroot, isprime, nextprime, primerange
 
 import adelic.exact
 from adelic.exact import (
@@ -23,7 +22,9 @@ from adelic.exact import (
     squarefree_decomposition,
     val_p,
 )
-from adelic.exact import _dup, _fermat, _primes_below
+from adelic.exact import _fermat, _gcd, _primes_below, _prs_gcd
+
+from helpers import sympy_sqf
 
 
 def test_val_p_integers_and_fractions():
@@ -161,28 +162,72 @@ def test_squarefree_decomposition():
     assert [(g.coeffs, m) for g, m in parts] == [((-2, 0, 1), 1)]
 
 
-def test_squarefree_binomials_skip_sympy(monkeypatch):
-    def sympy_path(f):
-        _, factors = dup_sqf_list(_dup(f), ZZ)
-        return [(IntPoly.make(reversed(g)), m) for g, m in factors]
-
-    calls = [0]
-
-    def counting(*args):
-        calls[0] += 1
-        return dup_sqf_list(*args)
-
-    monkeypatch.setattr(adelic.exact, "dup_sqf_list", counting)
+def test_squarefree_binomials_match_sympy():
     for n in list(range(1, 65)) + [127, 128, 256]:
         for c, a in ((1, -1), (6, -4), (-3, 12), (-5, -7)):
             f = IntPoly.make([a] + [0] * (n - 1) + [c])
-            assert squarefree_decomposition(f) == sympy_path(f)
-    assert calls[0] == 0
-    # a zero root, z^k (z^n - a), still goes through sympy
+            assert squarefree_decomposition(f) == sympy_sqf(f)
+    # a zero root, z^k (z^n - a)
     for k, n in ((1, 4), (2, 3), (3, 64)):
         f = IntPoly.make([0] * k + [-2] + [0] * (n - 1) + [-6])
-        assert squarefree_decomposition(f) == sympy_path(f)
-    assert calls[0] == 3
+        assert squarefree_decomposition(f) == sympy_sqf(f)
+
+
+def test_gcd_is_the_greatest():
+    # xi must exceed twice a root bound: a start at min |f| = 4 reported
+    # gcd 1 here, after which Yun's loop on z^2 (z - 4) never ended
+    assert _gcd([0, -4, 1], [-4, 1]) == ([-4, 1], [0, 1], [1])
+    # the fallback after six misses: (z - 1)^2 (z + 2) and (z - 1)(3z + 1)
+    assert _prs_gcd([2, -3, 0, 1], [-1, -2, 3]) in ([-1, 1], [1, -1])
+    assert _prs_gcd([0, -4, 1], [-4, 1]) in ([-4, 1], [4, -1])
+    assert _prs_gcd([2, 0, 1], [-1, 1]) in ([1], [-1])
+
+
+def test_isprime_off_the_sieve_below_a_million(monkeypatch):
+    # trial division and the 13 Miller-Rabin bases, with the sieve hidden
+    primes = set(_primes_below(10 ** 6))
+    monkeypatch.setattr(adelic.exact, "_sieve", np.zeros(0, dtype=bool))
+    assert all(adelic.exact.isprime(n) == (n in primes) for n in range(10 ** 6))
+
+
+def test_isprime_pseudoprimes_and_mersenne():
+    # Carmichael numbers, then strong pseudoprimes to the first 9, 12 and
+    # 13 prime bases, the last at the bound where BPSW takes over
+    for n in (561, 41041, 825265, 321197185, 3825123056546413051,
+              318665857834031151167461, 3317044064679887385961981):
+        assert not adelic.exact.isprime(n)
+    assert adelic.exact.isprime(2 ** 521 - 1) and adelic.exact.isprime(2 ** 607 - 1)
+    assert not adelic.exact.isprime(2 ** 523 - 1)
+
+
+_digits = st.integers(19, 199).flatmap(lambda d: st.integers(10 ** d, 10 ** (d + 1)))
+
+
+@given(_digits, _digits, st.sampled_from(["prime", "semiprime", "any"]))
+def test_isprime_matches_sympy(a, b, kind):
+    n = {"prime": nextprime(a), "semiprime": nextprime(a) * nextprime(b),
+         "any": a | 1}[kind]
+    assert adelic.exact.isprime(n) == isprime(n)
+
+
+@given(st.integers(0, 2 ** 400), st.sampled_from([2, 3, 5, 7, 11]))
+def test_integer_nthroot_matches_sympy(m, e):
+    r, exact = integer_nthroot(m, e)
+    assert adelic.exact.integer_nthroot(m, e) == (int(r), exact)
+    assert adelic.exact.integer_nthroot(int(r) ** e, e) == (int(r), True)
+
+
+@given(st.integers(10 ** 9, 10 ** 15).map(nextprime),
+       st.integers(10 ** 9, 10 ** 15).map(nextprime), st.integers(0, 99))
+def test_ecm_splits_semiprimes(p, q, seed):
+    n = p * q
+    parts = None
+    B1 = 2000
+    while parts is None:  # factorint's escalation, from a smaller B1
+        parts = adelic.exact.ecm(n, B1, 100 * B1, 50, seed)
+        B1 *= 5
+    assert math.prod(parts) == n
+    assert all(1 < f < n and n % f == 0 for f in parts)
 
 
 def test_resultant_known_values():

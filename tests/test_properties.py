@@ -30,7 +30,7 @@ from adelic.places import relevant_places
 from adelic.roots import certified_roots
 from adelic.weights import FiniteWeight, ex5_weight, std_weight, trivial_weight
 
-from helpers import assert_disks_hold_roots, pairwise_fekete_nonarch
+from helpers import assert_disks_hold_roots, pairwise_fekete_nonarch, sympy_sqf
 
 rational_roots = st.dictionaries(
     st.builds(Fraction, st.integers(-12, 12), st.integers(1, 8)),
@@ -188,6 +188,24 @@ def test_squarefree_decomposition_of_products(factors, c):
     prod = reduce(IntPoly.__mul__, (g for g, m in parts for _ in range(m)))
     prim = content_primitive(f)[1]
     assert prod.coeffs in (prim.coeffs, prim.scale(-1).coeffs)
+
+
+sqf_factor = st.builds(lambda low, lead: IntPoly.make(low + [lead]),
+                       st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+                       st.integers(-9, 9).filter(bool))
+
+
+@given(st.lists(st.tuples(sqf_factor, st.integers(1, 4)), min_size=1, max_size=4),
+       st.integers(0, 3), st.sampled_from([1, -1, 2, -6, 12]))
+@example([(IntPoly.make([-4, 1]), 1)], 2, 1)  # z^2 (z - 4): gcd(z^2 - 4z, z - 4) = z - 4
+def test_squarefree_decomposition_matches_sympy(factors, zeros, c):
+    # c z^zeros prod g_i^m_i, with zero roots and content, against sympy's
+    # dense routine over ZZ
+    f = IntPoly.make([0] * zeros + [c])
+    for g, m in factors:
+        for _ in range(m):
+            f = f * g
+    assert squarefree_decomposition(f) == sympy_sqf(f)
 
 
 @given(st.lists(st.integers(-20, 20), min_size=2, max_size=10),

@@ -212,3 +212,30 @@ def test_import_leaves_scipy_unloaded():
     got = [float(x) for x in out.stdout.split()]
     assert len(got) == len(want)
     assert all(abs(a - b) < 1e-6 for a, b in zip(got, want)), got
+
+
+def test_runtime_leaves_sympy_unloaded(tmp_path):
+    # sympy is the tests' oracle only: with it blocked, build the weights,
+    # run reports and heights, an equidist run through the CLI, and a
+    # factorization that reaches ECM
+    code = (
+        "import sys\n"
+        "sys.modules['sympy'] = None\n"
+        "import adelic, adelic.cli, adelic.exact\n"
+        "ws = adelic.trivial_weight(), adelic.std_weight(), adelic.ex5_weight()\n"
+        "Z = adelic.divisor_from_poly([-2, 0, 3], 1)\n"
+        "for g in ws[1:]:\n"
+        "    adelic.global_fekete(Z, g, 1e-3), adelic.height(Z, g, 1e-3)\n"
+        "assert adelic.cli.main(['equidist', '--family', 'preimages:-2', '--n-min', '1',\n"
+        f"                        '--n-max', '4', '--out', {str(tmp_path / 'e.json')!r}]) == 0\n"
+        "adelic.exact._RHO_STEPS = 4\n"
+        "n = 4 * 23 * 463 * 34556353459 * 359469240971\n"
+        "assert adelic.exact.factorize(n) == {2: 2, 23: 1, 463: 1, 34556353459: 1,\n"
+        "                                     359469240971: 1}\n"
+        "print(sorted(m for m, v in sys.modules.items() if m.startswith('sympy') and v))\n"
+    )
+    src = os.path.dirname(os.path.dirname(adelic.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
