@@ -10,7 +10,6 @@ from adelic import (
     ARCH,
     IntPoly,
     Place,
-    d_star,
     divisor_from_poly,
     log_abs,
     newton_polygon,
@@ -41,7 +40,7 @@ def main():
     print("== pairwise difference product D* ==")
     for coeffs in ([-1, 0, 1], [-2, 0, 1], [-1, 0, 0, 0, 1]):
         Z = divisor_from_poly(coeffs)
-        ds = d_star(Z)
+        ds = Z.d_star
         print("  D*(%s) = %s" % (Z.finite_part, ds))
         # every nonzero rational satisfies sum_v log|.|_v = 0, exactly
         assert product_formula_check(ds)

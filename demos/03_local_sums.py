@@ -14,9 +14,7 @@ from adelic import (
     Place,
     divisor_from_poly,
     fekete_sum,
-    fekete_sum_arch,
     fekete_sum_arch_identity,
-    fekete_sum_nonarch,
     mahler_g,
     mahler_sharp,
     std_weight,
@@ -39,7 +37,7 @@ def main():
     print("== pairing sum, exact at finite places ==")
     for coeffs in ([-2, 0, 1], [-1, 0, 1], [1, 0, 2]):
         Z = divisor_from_poly(coeffs)
-        row = ["%s: %s" % (p, fekete_sum_nonarch(Z, g, p).to_json())
+        row = ["%s: %s" % (p, fekete_sum(Z, g, Place(p)).to_json())
                for p in (2, 3, 5)]
         print("  %-10s %s" % (Z.finite_part, "   ".join(row)))
 
@@ -47,7 +45,7 @@ def main():
     print("== two archimedean routes agree within certified error ==")
     Z = divisor_from_poly([3, -1, -4, 0, 2], inf_mult=1)
     for gg in (trivial_weight(), g):
-        a = fekete_sum_arch(Z, gg)
+        a = fekete_sum(Z, gg, ARCH)
         b = fekete_sum_arch_identity(Z, gg)
         print("  %-8s direct %+.12f (err %.1e)   assembled %+.12f (err %.1e)"
               % (gg.name, a.value, a.err, b.value, b.err))

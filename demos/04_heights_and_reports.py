@@ -11,14 +11,7 @@ Run with  python3 demos/04_heights_and_reports.py
 import json
 import math
 
-from adelic import (
-    divisor_from_poly,
-    ex5_weight,
-    global_fekete,
-    height,
-    std_weight,
-    uniform_sup,
-)
+from adelic import divisor_from_poly, ex5_weight, global_fekete, height, std_weight
 
 
 def main():
@@ -54,7 +47,7 @@ def main():
     print("== equidistribution in action: uniform sup decays ==")
     for n in (8, 16, 32, 64):
         Z = divisor_from_poly([-1] + [0] * (n - 1) + [1])
-        print("  n=%-3d uniform_sup = %.6f" % (n, uniform_sup(Z, g)))
+        print("  n=%-3d uniform_sup = %.6f" % (n, global_fekete(Z, g).uniform_sup))
 
 
 if __name__ == "__main__":

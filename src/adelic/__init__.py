@@ -8,8 +8,8 @@ float with a tracked error bound.
 """
 
 from .berkovich import INF_POINT, BerkPoint, chordal_arch, gauss_point, hsia_kernel
-from .certify import Certificate, Refusal, certify_uniform_sup, lemma43_certify
-from .divisors import EffectiveDivisor, d_star, divisor_from_poly
+from .certify import Certificate, Refusal, lemma43_certify
+from .divisors import EffectiveDivisor, divisor_from_poly
 from .exact import (
     INF,
     DomainError,
@@ -22,19 +22,10 @@ from .exact import (
     squarefree_decomposition,
     val_p,
 )
-from .heights import (
-    GlobalReport,
-    HeightInterval,
-    PlaceRow,
-    global_fekete,
-    height,
-    uniform_sup,
-)
+from .heights import GlobalReport, HeightInterval, PlaceRow, global_fekete, height
 from .local import (
     fekete_sum,
-    fekete_sum_arch,
     fekete_sum_arch_identity,
-    fekete_sum_nonarch,
     integral_against,
     mahler_g,
     mahler_sharp,
@@ -83,18 +74,14 @@ __all__ = [
     "Weight",
     "arch_support",
     "certified_roots",
-    "certify_uniform_sup",
     "chordal_arch",
-    "d_star",
     "discriminant",
     "divisor_from_poly",
     "equilibrium_energy",
     "ex5_weight",
     "experiment_run",
     "fekete_sum",
-    "fekete_sum_arch",
     "fekete_sum_arch_identity",
-    "fekete_sum_nonarch",
     "float_sum",
     "gauss_point",
     "generate",
@@ -116,7 +103,6 @@ __all__ = [
     "squarefree_decomposition",
     "std_weight",
     "trivial_weight",
-    "uniform_sup",
     "val_p",
     "weight_eval",
     "zero_weight",

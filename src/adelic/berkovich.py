@@ -71,10 +71,6 @@ class BerkPoint:
         require_prime(p)
         return BerkPoint(p, Fraction(center), Fraction(rad_exp))
 
-    @staticmethod
-    def gauss(p: int) -> "BerkPoint":
-        return BerkPoint.disk(p, 0, 0)
-
     # -- structure -------------------------------------------------------
     @property
     def is_infinity(self) -> bool:
@@ -128,7 +124,7 @@ class BerkPoint:
 
 
 def gauss_point(p: int) -> BerkPoint:
-    return BerkPoint.gauss(p)
+    return BerkPoint.disk(p, 0, 0)
 
 
 def chordal_arch(z, w) -> float:

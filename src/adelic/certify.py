@@ -22,8 +22,8 @@ from typing import Sequence
 
 from .exact import DomainError
 
-__all__ = ["Certificate", "Refusal", "lemma43_certify", "certify_uniform_sup",
-           "random_certifier_instance", "random_adversarial_instance"]
+__all__ = ["Certificate", "Refusal", "lemma43_certify", "random_certifier_instance",
+           "random_adversarial_instance"]
 
 
 @dataclass(frozen=True)
@@ -145,9 +145,6 @@ def lemma43_certify(
         sup_bound=0.75 * eps,
         checked_sup=checked,
     )
-
-
-certify_uniform_sup = lemma43_certify
 
 
 def random_certifier_instance(rng: random.Random):

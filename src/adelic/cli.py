@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .berkovich import BerkPoint
 from .certify import lemma43_certify, random_adversarial_instance, random_certifier_instance
-from .divisors import d_star, divisor_from_poly
+from .divisors import divisor_from_poly
 from .exact import DomainError, _primes_below, val_p
 from .heights import global_fekete, height
 from .local import fekete_sum
@@ -37,12 +37,9 @@ _WEIGHTS = {"trivial": trivial_weight, "std": std_weight, "ex5": ex5_weight}
 
 def _parse_poly(text: str) -> list[int]:
     try:
-        coeffs = [int(tok.strip()) for tok in text.split(",")]
+        return [int(tok.strip()) for tok in text.split(",")]
     except ValueError:
         raise DomainError("--poly wants comma separated integers, got %r" % text)
-    if not coeffs:
-        raise DomainError("--poly is empty")
-    return coeffs
 
 
 def _parse_place(text: str) -> Place:
@@ -80,7 +77,7 @@ def _emit(obj: dict) -> None:
 
 def _cmd_dstar(args) -> int:
     Z = divisor_from_poly(_parse_poly(args.poly), args.inf_mult)
-    ds = d_star(Z)
+    ds = Z.d_star
     # the divisor's primes also divide lc; only those of d* go in the table
     places = [ARCH] + [Place(p) for p in sorted(Z.primes) if val_p(ds, p)]
     table = [{"place": str(v), "log_abs": log_abs(ds, v).to_json()} for v in places]
@@ -155,7 +152,7 @@ def _suite_productformula(rng: random.Random) -> tuple[bool, str]:
             Z = divisor_from_poly(coeffs)
         except DomainError:
             continue
-        ds = d_star(Z)
+        ds = Z.d_star
         if not product_formula_check(ds):
             return False, "counterexample: coeffs %s, dstar %s" % (coeffs, ds)
         checked += 1

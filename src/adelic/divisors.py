@@ -28,7 +28,6 @@ from .exact import (
 __all__ = [
     "EffectiveDivisor",
     "divisor_from_poly",
-    "d_star",
 ]
 
 
@@ -145,7 +144,3 @@ def divisor_from_poly(coeffs: Iterable[int], inf_mult: int = 0) -> EffectiveDivi
     if f.lc < 0:
         f = f.scale(-1)
     return EffectiveDivisor(f, inf_mult)
-
-
-def d_star(Z: EffectiveDivisor) -> Fraction:
-    return Z.d_star

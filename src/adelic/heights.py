@@ -23,7 +23,6 @@ __all__ = [
     "GlobalReport",
     "height",
     "global_fekete",
-    "uniform_sup",
 ]
 
 
@@ -201,13 +200,3 @@ def global_fekete(
         fekete_max_finite=max((abs(x) for x, _ in terms[0][:-1]), default=0.0) / d2,
         uniform_sup=max(4.0 * rel.tail_bound, sup / d2),
     )
-
-
-def uniform_sup(
-    Z: EffectiveDivisor,
-    g: Weight,
-    tail_eps: float = 1e-9,
-) -> float:
-    """Sup over all places of the normalized pairing magnitude, with the
-    omitted places covered by four times the certified weight tail."""
-    return global_fekete(Z, g, tail_eps).uniform_sup

@@ -233,31 +233,14 @@ def mahler_g(Z: EffectiveDivisor, g: Weight, v: Place) -> LogValue:
     return LocalData(Z, g, v).mahler_weighted
 
 
-def fekete_sum_arch(Z: EffectiveDivisor, g: Weight) -> LogValue:
-    """Off-diagonal weighted pairing sum at the archimedean place, computed
-    directly from certified roots as a double sum over distinct support
-    points."""
-    return LocalData(Z, g, ARCH).fekete
-
-
 def fekete_sum_arch_identity(Z: EffectiveDivisor, g: Weight) -> LogValue:
     """Archimedean off-diagonal sum assembled from the difference product,
     the weighted Mahler measure, and diagonal corrections.
 
-    Cross-check companion to fekete_sum_arch; the two agree up to their
-    error bounds.
+    Cross-check companion to fekete_sum at ARCH; the two agree up to
+    their error bounds.
     """
     return LocalData(Z, g, ARCH).pairing()
-
-
-def fekete_sum_nonarch(Z: EffectiveDivisor, g: Weight, p: int) -> LogValue:
-    """Off-diagonal weighted pairing sum at a finite place, exactly.
-
-    Assembled from the valuation of the pairwise difference product, the
-    weighted Mahler measure, and diagonal corrections; every ingredient
-    is an exact rational multiple of log p.
-    """
-    return LocalData(Z, g, Place(p)).fekete
 
 
 def fekete_sum(Z: EffectiveDivisor, g: Weight, v: Place) -> LogValue:

@@ -13,17 +13,16 @@ import sympy
 from adelic.certify import lemma43_certify
 from adelic.certify import random_adversarial_instance, random_certifier_instance
 from adelic.cli import _SUITES
-from adelic.divisors import d_star, divisor_from_poly
+from adelic.divisors import divisor_from_poly
 from adelic.exact import DomainError, IntPoly, squarefree_decomposition, val_p
-from adelic.heights import global_fekete, height, uniform_sup
-from adelic.local import fekete_sum_arch, fekete_sum_arch_identity, fekete_sum_nonarch
+from adelic.heights import global_fekete, height
+from adelic.local import fekete_sum, fekete_sum_arch_identity
 from adelic.places import ARCH, Place, product_formula_check, relevant_places
 from adelic.roots import DEGREE_CAP
 from adelic.sequences import SequenceSpec, experiment_run
 from adelic.weights import (
     equilibrium_energy,
     ex5_weight,
-    fs_kernel_energy,
     normalize,
     std_weight,
     trivial_weight,
@@ -31,6 +30,7 @@ from adelic.weights import (
 )
 
 from helpers import pairwise_fekete_nonarch, rational_root_divisor
+from quadrature import fs_kernel_energy
 
 LOG2 = math.log(2.0)
 
@@ -61,7 +61,7 @@ def test_A1_product_formula_exact():
         assert product_formula_check(q)
     for _ in range(50):
         coeffs = _random_squarefree(rng, 10, 40)
-        ds = d_star(divisor_from_poly(coeffs))
+        ds = divisor_from_poly(coeffs).d_star
         assert product_formula_check(ds)
     took = time.monotonic() - t0
     _verdict("A1", took < 10.0,
@@ -99,14 +99,14 @@ def test_A3_local_identity_random_divisors():
         # small primes actually active for this divisor: trial division
         # keeps the panel honest without factoring a huge difference product
         primes = {2, 3}
-        ds = d_star(Z)
+        ds = Z.d_star
         carrier = abs(ds.numerator) * ds.denominator * abs(Z.finite_part.lc)
         for p in sympy.primerange(2, 1000):
             if carrier % p == 0:
                 primes.add(p)
         for g in weights:
             try:
-                a = fekete_sum_arch(Z, g)
+                a = fekete_sum(Z, g, ARCH)
             except DomainError:
                 continue  # near-coincident support; certified refusal
             b = fekete_sum_arch_identity(Z, g)
@@ -114,7 +114,7 @@ def test_A3_local_identity_random_divisors():
             worst_arch = max(worst_arch, gap)
             assert gap <= 1e-8, (coeffs, inf_mult, g.name, gap)
             for p in sorted(primes):
-                got = fekete_sum_nonarch(Z, g, p)
+                got = fekete_sum(Z, g, Place(p))
                 want = _marginal_nonarch(Z, g, p)
                 assert got.coeff == want, (coeffs, inf_mult, g.name, p)
             checked += 1
@@ -137,7 +137,7 @@ def _marginal_nonarch(Z, g, p):
     for f, m in Z.squarefree_factors:
         for val in newton_polygon(f, p):
             groups.append((val, m))
-    ds = d_star(Z)
+    ds = Z.d_star
     total = Fraction(-val_p(ds, p)) if ds != 1 else Fraction(0)
     for val, m in groups:
         logplus = Fraction(0) if val == math.inf else Fraction(max(Fraction(0), -val))
@@ -160,7 +160,7 @@ def test_A4_nonarch_direct_pairwise_oracle():
                 if v.is_archimedean:
                     continue
                 p = v.prime
-                got = fekete_sum_nonarch(Z, g, p)
+                got = fekete_sum(Z, g, Place(p))
                 want = pairwise_fekete_nonarch(roots, Z.inf_mult, g.finite(p), p)
                 assert got.coeff == want, (Z.finite_part.coeffs, g.name, p)
                 pairs += 1
@@ -196,12 +196,12 @@ def test_A7_arch_fekete_closed_form_and_sup_decay():
     worst = 0.0
     for n in (4, 8, 16, 32, 64):
         Z = divisor_from_poly([-1] + [0] * (n - 1) + [1])
-        ratio = fekete_sum_arch(Z, g).value / n ** 2
+        ratio = fekete_sum(Z, g, ARCH).value / n ** 2
         worst = max(worst, abs(ratio - math.log(n) / n))
     sups = {}
     for n in (16, 32, 64):
         Z = divisor_from_poly([-1] + [0] * (n - 1) + [1])
-        sups[n] = uniform_sup(Z, g)
+        sups[n] = global_fekete(Z, g).uniform_sup
     ok = (worst < 1e-7 and sups[64] <= 0.07
           and sups[16] > sups[32] > sups[64])
     _verdict("A7", ok,
@@ -229,12 +229,12 @@ def test_A8_trivial_weight_negative_control():
     gaps, offsets = {}, {}
     for n in (64, 128, 256):
         Z = divisor_from_poly([-1] + [0] * (n - 1) + [1])
-        ratio = fekete_sum_arch(Z, g_triv).value / n ** 2
+        ratio = fekete_sum(Z, g_triv, ARCH).value / n ** 2
         closed = math.log(n) / n + (1 - 1 / n) * target
         assert abs(ratio - closed) < 1e-9, (n, ratio, closed)
         gaps[n] = abs(ratio - target)
         assert abs(gaps[n] - rate(n)) < 1e-9, (n, gaps[n], rate(n))
-        offsets[n] = ratio - fekete_sum_arch(Z, g_std).value / n ** 2
+        offsets[n] = ratio - fekete_sum(Z, g_std, ARCH).value / n ** 2
         assert abs(offsets[n] - (1 - 1 / n) * target) < 1e-9, (n, offsets[n])
     # A window of 0.01 around the limit is first entered at n = 671, past
     # the certified-root cap, so no admissible degree can reach it.

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from adelic.certify import Certificate, Refusal, certify_uniform_sup, lemma43_certify
+from adelic.certify import Certificate, Refusal, lemma43_certify
 from adelic.certify import random_adversarial_instance, random_certifier_instance
 from adelic.exact import DomainError
 
@@ -106,7 +106,3 @@ def test_adversarial_instances_are_refused():
         assert out.reason == reason
         seen.add(reason)
     assert seen == {"tail_bound", "row_sum", "row_sup"}
-
-
-def test_alias_is_same_function():
-    assert certify_uniform_sup is lemma43_certify

@@ -94,6 +94,8 @@ def test_equidist_flags_degenerate_family(capsys, tmp_path):
 def test_bad_inputs_exit_2(capsys):
     code, _, err = run_cli(capsys, "dstar", "--poly=1,a,1")
     assert code == 2 and "error" in err
+    code, _, err = run_cli(capsys, "dstar", "--poly=")
+    assert code == 2 and "--poly wants comma separated integers" in err
     code, _, err = run_cli(capsys, "height", "--poly=5")
     assert code == 2
     code, _, err = run_cli(capsys, "equidist", "--family", "pow:1",

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from adelic.divisors import EffectiveDivisor, d_star, divisor_from_poly
+from adelic.divisors import EffectiveDivisor, divisor_from_poly
 from adelic.exact import DomainError, IntPoly
 
 from helpers import random_divisor
@@ -63,22 +63,22 @@ def test_diagonal_mass_and_ratio():
 
 def test_d_star_known_values():
     # z^2 - 1: roots 1, -1, product (1-(-1))((-1)-1) = -4
-    assert d_star(divisor_from_poly([-1, 0, 1])) == -4
+    assert divisor_from_poly([-1, 0, 1]).d_star == -4
     # z^2 - 2: (2 sqrt 2)(-2 sqrt 2) = -8
-    assert d_star(divisor_from_poly([-2, 0, 1])) == -8
+    assert divisor_from_poly([-2, 0, 1]).d_star == -8
     # z^4 - 1 has difference product -256 = -4^4
-    assert d_star(divisor_from_poly([-1, 0, 0, 0, 1])) == -256
+    assert divisor_from_poly([-1, 0, 0, 0, 1]).d_star == -256
     # 2z - 1: single point, empty product
-    assert d_star(divisor_from_poly([-1, 2])) == 1
+    assert divisor_from_poly([-1, 2]).d_star == 1
     # z^3: repeated point only, empty product
-    assert d_star(divisor_from_poly([0, 0, 0, 1])) == 1
+    assert divisor_from_poly([0, 0, 0, 1]).d_star == 1
 
 
 def test_d_star_roots_of_unity_magnitude():
     # |D*| for z^n - 1 is n^n
     for n in (2, 3, 5, 8):
         Z = divisor_from_poly([-1] + [0] * (n - 1) + [1])
-        assert abs(d_star(Z)) == n ** n
+        assert abs(Z.d_star) == n ** n
 
 
 def test_d_star_respects_multiplicity_not_power():
@@ -89,7 +89,7 @@ def test_d_star_respects_multiplicity_not_power():
     f = IntPoly.make([-1, 0, 1])
     Z = divisor_from_poly(list((f * f).coeffs))
     # pairs (1,-1) and (-1,1), each with multiplicity weight 2*2
-    assert d_star(Z) == Fraction(-4) ** 4
+    assert Z.d_star == Fraction(-4) ** 4
 
 
 def test_d_star_scalar_invariance():
@@ -98,7 +98,7 @@ def test_d_star_scalar_invariance():
         Z = random_divisor(rng, max_deg=6)
         k = rng.choice([-3, -1, 2, 5, 7])
         scaled = divisor_from_poly([k * c for c in Z.finite_part.coeffs], Z.inf_mult)
-        assert d_star(scaled) == d_star(Z)
+        assert scaled.d_star == Z.d_star
         assert scaled.finite_part.coeffs == Z.finite_part.coeffs
 
 
@@ -123,4 +123,4 @@ def test_d_star_rational_roots_oracle():
             for y in points:
                 if x != y:
                     expect *= (x - y) ** (mults[x] * mults[y])
-        assert d_star(Z) == expect
+        assert Z.d_star == expect

@@ -9,7 +9,7 @@ import pytest
 
 from adelic.divisors import divisor_from_poly
 from adelic.exact import _EPS, DomainError, IntPoly, float_sum
-from adelic.heights import HeightInterval, global_fekete, height, uniform_sup
+from adelic.heights import HeightInterval, global_fekete, height
 from adelic.places import Place, relevant_places
 from adelic.weights import ArchWeight, FiniteWeight, Weight, ex5_weight, std_weight, trivial_weight
 
@@ -106,11 +106,11 @@ def test_uniform_sup_oracles():
     # z^2 - 2 with the trivial weight: the p = 2 row carries 3 log 2,
     # degree 2, so the normalized value is (3/4) log 2
     Z = divisor_from_poly([-2, 0, 1])
-    u = uniform_sup(Z, trivial_weight())
+    u = global_fekete(Z, trivial_weight()).uniform_sup
     arch = abs(global_fekete(Z, trivial_weight()).fekete_arch)
     assert abs(u - max(0.75 * LOG2, arch)) < 1e-10
     # degree-1 divisors pair trivially
-    assert uniform_sup(divisor_from_poly([-1, 2]), std_weight()) == 0.0
+    assert global_fekete(divisor_from_poly([-1, 2]), std_weight()).uniform_sup == 0.0
 
 
 def _aggregates_by_refolding(report):
@@ -161,7 +161,7 @@ def test_report_aggregates_match_a_refold_of_the_rows():
 
 def test_uniform_sup_unit_roots_closed_form():
     Z = divisor_from_poly([-1] + [0] * 63 + [1])
-    u = uniform_sup(Z, std_weight())
+    u = global_fekete(Z, std_weight()).uniform_sup
     assert abs(u - math.log(64) / 64) < 1e-6
 
 

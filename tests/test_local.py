@@ -5,15 +5,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from adelic.divisors import EffectiveDivisor, d_star, divisor_from_poly
+from adelic.divisors import EffectiveDivisor, divisor_from_poly
 from adelic.exact import DomainError, IntPoly, val_p
 from adelic.heights import global_fekete
 from adelic.local import (
     LocalData,
     fekete_sum,
-    fekete_sum_arch,
     fekete_sum_arch_identity,
-    fekete_sum_nonarch,
     integral_against,
     mahler_g,
     mahler_sharp,
@@ -92,7 +90,7 @@ def test_fekete_arch_two_point_hand_value():
     # phi = log|2| - 2 log sqrt 2 + 1/2, doubled for ordered pairs
     Z = divisor_from_poly([-1, 0, 1])
     want = 2 * (math.log(2) - math.log(2) + 0.5)
-    got = fekete_sum_arch(Z, trivial_weight())
+    got = fekete_sum(Z, trivial_weight(), ARCH)
     assert abs(got.value - want) <= 1e-12
     assert got.err < 1e-10
 
@@ -104,7 +102,7 @@ def test_fekete_arch_identity_matches_direct():
             Z = random_divisor(rng, max_deg=7)
             if Z.degree < 2:
                 continue
-            a = fekete_sum_arch(Z, g)
+            a = fekete_sum(Z, g, ARCH)
             b = fekete_sum_arch_identity(Z, g)
             assert abs(a.value - b.value) <= a.err + b.err + 1e-9
 
@@ -114,7 +112,7 @@ def test_fekete_arch_unit_roots_closed_form():
     # and the std weight vanishes on the unit circle pairs
     for n in (4, 8, 16):
         Z = divisor_from_poly([-1] + [0] * (n - 1) + [1])
-        got = fekete_sum_arch(Z, std_weight())
+        got = fekete_sum(Z, std_weight(), ARCH)
         assert abs(got.value - n * math.log(n)) < 1e-9
 
 
@@ -128,7 +126,7 @@ def test_fekete_arch_evaluates_the_weight_once_per_point(monkeypatch):
         return real(self, z)
 
     monkeypatch.setattr(ArchWeight, "__call__", counting)
-    fekete_sum_arch(divisor_from_poly([-2, 0, 0, 0, 0, 1], inf_mult=1), std_weight())
+    fekete_sum(divisor_from_poly([-2, 0, 0, 0, 0, 1], inf_mult=1), std_weight(), ARCH)
     assert len(calls) == 6
 
 
@@ -178,7 +176,7 @@ def test_fekete_arch_encloses_closed_form_at_high_degree():
     # the rounding of the sum over ~n^2/2 pairs, and stay narrow
     for n, a in ((192, 1), (120, 2), (121, 2)):
         Z = divisor_from_poly([-a] + [0] * (n - 1) + [1])
-        got = fekete_sum_arch(Z, std_weight())
+        got = fekete_sum(Z, std_weight(), ARCH)
         with mpmath.workdps(30):
             want = float(n * mpmath.log(n) - (n - 1) * mpmath.log(a))
         assert abs(got.value - want) <= got.err + 2.3e-16 * want
@@ -189,15 +187,15 @@ def test_fekete_nonarch_hand_values():
     g0 = trivial_weight()
     # z^2 - 1 at p = 2: ordered pairs of (1, -1), difference 2
     Z = divisor_from_poly([-1, 0, 1])
-    assert fekete_sum_nonarch(Z, g0, 2).coeff == -2
-    assert fekete_sum_nonarch(Z, g0, 3).coeff == 0
+    assert fekete_sum(Z, g0, Place(2)).coeff == -2
+    assert fekete_sum(Z, g0, Place(3)).coeff == 0
     # z^2 - 2 at p = 2: difference product -8
     Z = divisor_from_poly([-2, 0, 1])
-    assert fekete_sum_nonarch(Z, g0, 2).coeff == -3
+    assert fekete_sum(Z, g0, Place(2)).coeff == -3
     # infinity pairs use the round metric link
     Z = divisor_from_poly([-1, 2], inf_mult=1)  # points 1/2 and inf
     # [1/2, inf]_2 = 1/max(1,|1/2|) = 1/2, two ordered pairs
-    assert fekete_sum_nonarch(Z, g0, 2).coeff == -2
+    assert fekete_sum(Z, g0, Place(2)).coeff == -2
 
 
 def test_fekete_degree_one_is_zero():
@@ -228,7 +226,7 @@ def _marginal_direct_nonarch(Z: EffectiveDivisor, g, p: int) -> Fraction:
             # a root at zero carries infinite valuation; keep it raw
             groups.append((val if val == math.inf else Fraction(val), m))
     # difference product over distinct finite points
-    ds = d_star(Z)
+    ds = Z.d_star
     t1 = Fraction(-val_p(ds, p)) if ds != 1 else Fraction(0)
     # chordal denominators: each finite point x meets mass d - m_x
     # through log max(1, |x|); infinity pairs give the same factor
@@ -257,14 +255,14 @@ def test_fekete_nonarch_matches_marginal_assembly():
     for _ in range(25):
         Z = random_divisor(rng, max_deg=7)
         primes = {2, 3, 5}
-        ds = d_star(Z)
+        ds = Z.d_star
         for q in (ds.numerator, ds.denominator, Z.finite_part.lc):
             for p in (2, 3, 5, 7, 11, 13):
                 if q % p == 0:
                     primes.add(p)
         for g in weights:
             for p in sorted(primes):
-                got = fekete_sum_nonarch(Z, g, p)
+                got = fekete_sum(Z, g, Place(p))
                 want = _marginal_direct_nonarch(Z, g, p)
                 assert got.coeff == want, (Z.finite_part.coeffs, Z.inf_mult, g.name, p)
 
@@ -295,7 +293,7 @@ def test_fekete_nonarch_rational_roots_pairwise():
                         lp_x = max(Fraction(0), -Fraction(val_p(x, p))) if x else Fraction(0)
                         phi = -lp_x - _wval(comp, x, p) - comp.at_infinity
                         total += 2 * mx * k * phi
-                got = fekete_sum_nonarch(Z, g, p)
+                got = fekete_sum(Z, g, Place(p))
                 assert got.coeff == total, (Z.finite_part.coeffs, k, g.name, p)
 
 
@@ -314,6 +312,6 @@ def test_fekete_arch_separability_guard():
     f = IntPoly.make([-1, 10 ** 9]) * IntPoly.make([-999999999, 10 ** 9 - 1])
     Z = divisor_from_poly(list(f.coeffs))
     try:
-        fekete_sum_arch(Z, trivial_weight())
+        fekete_sum(Z, trivial_weight(), ARCH)
     except DomainError:
         pass  # acceptable refusal for near-coincident support

@@ -25,7 +25,7 @@ from adelic.exact import (
     squarefree_decomposition,
 )
 from adelic.heights import global_fekete
-from adelic.local import LocalData, fekete_sum_arch, mahler_g
+from adelic.local import LocalData, fekete_sum, mahler_g
 from adelic.places import relevant_places
 from adelic.roots import certified_roots
 from adelic.weights import FiniteWeight, ex5_weight, std_weight, trivial_weight
@@ -146,7 +146,7 @@ def test_row_matches_the_named_moments(Z, g, tail_eps):
         assert row.mahler_weighted == data.round + data.weight, v
         assert row.log_dstar == data.log_dstar, v
         assert diag == (data.diag_weight, data.diag_round), v
-        want = fekete_sum_arch(Z, g) if v.is_archimedean else data.pairing()
+        want = fekete_sum(Z, g, v) if v.is_archimedean else data.pairing()
         assert row.fekete == want, v
     assert adelic.PlaceRow is adelic.heights.PlaceRow is adelic.local.PlaceRow
 

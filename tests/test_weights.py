@@ -12,12 +12,8 @@ from adelic.berkovich import BerkPoint, INF_POINT
 from adelic.places import ARCH, Place
 from adelic.weights import (
     _default_branch_count,
-    circle_average,
     equilibrium_energy,
-    equilibrium_energy_quadrature,
     ex5_weight,
-    fs_average,
-    fs_kernel_energy,
     normalize,
     potential_kernel,
     radii,
@@ -26,6 +22,8 @@ from adelic.weights import (
     weight_eval,
     zero_weight,
 )
+
+from quadrature import circle_average, equilibrium_energy_quadrature, fs_average, fs_kernel_energy
 
 
 def test_trivial_weight_shape():
@@ -197,15 +195,17 @@ def test_import_leaves_scipy_unloaded():
         "import sys\n"
         "sys.modules['scipy'] = None\n"
         "import adelic\n"
-        "from adelic import weights as W\n"
+        "import quadrature as Q\n"
         "ws = adelic.trivial_weight(), adelic.std_weight(), adelic.ex5_weight()\n"
         "ws[2].finite(7)\n"
-        "print(W.fs_kernel_energy()[0], W.fs_average(ws[0].arch)[0],\n"
-        "      W.circle_average(ws[1].arch)[0], W.circle_kernel_energy_quadrature()[0],\n"
-        "      W.equilibrium_energy_quadrature(ws[1])[0])\n"
+        "print(Q.fs_kernel_energy()[0], Q.fs_average(ws[0].arch)[0],\n"
+        "      Q.circle_average(ws[1].arch)[0], Q.circle_kernel_energy_quadrature()[0],\n"
+        "      Q.equilibrium_energy_quadrature(ws[1])[0])\n"
     )
     src = os.path.dirname(os.path.dirname(adelic.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     want = [-0.5, -0.25, -0.5 * math.log(2.0), -math.log(2.0), 0.0]
