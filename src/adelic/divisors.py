@@ -19,7 +19,6 @@ from .exact import (
     DomainError,
     IntPoly,
     content_primitive,
-    discriminant,
     factorize,
     resultant,
     squarefree_decomposition,
@@ -74,18 +73,16 @@ class EffectiveDivisor:
 
         Within one squarefree factor g of degree d, leading coefficient l and
         multiplicity m, the ordered pairs contribute
-        ((-1)^(d(d-1)/2) disc(g) / l^(2d-2))^(m^2).  Across two factors the
+        (Res(g, g') / l^(2d-1))^(m^2), as Res(g, g') = l^(d-1) prod g'(alpha)
+        = l^(2d-1) prod_{i != j} (alpha_i - alpha_j).  Across two factors the
         contribution is ((-1)^(d1 d2) Res(g1, g2)^2 / (l1^(2 d2) l2^(2 d1)))
         raised to m1*m2.  Empty product (fewer than two points) gives 1.
         """
         fac = self.squarefree_factors
         out = Fraction(1)
         for g, m in fac:
-            d, l = g.degree, g.lc
-            if d >= 2:
-                sign = -1 if (d * (d - 1) // 2) % 2 else 1
-                base = Fraction(sign) * Fraction(discriminant(g), l ** (2 * d - 2))
-                out *= base ** (m * m)
+            base = Fraction(resultant(g, g.derivative()), g.lc ** (2 * g.degree - 1))
+            out *= base ** (m * m)
         for i in range(len(fac)):
             for j in range(i + 1, len(fac)):
                 gi, mi = fac[i]
@@ -129,10 +126,11 @@ class EffectiveDivisor:
     def primes(self) -> frozenset[int]:
         """The primes of the finite part's leading coefficient and of d_star,
         where the divisor's own local data can be nonzero; the package's
-        one factorization of divisor data."""
-        ds = self.d_star
-        return frozenset().union(
-            factorize(self.finite_part.lc), factorize(ds.numerator), factorize(ds.denominator))
+        one factorization of divisor data.  d_star's denominator needs no
+        factoring: each term's is a power of a factor's leading coefficient,
+        and those multiply to the finite part's."""
+        return frozenset(factorize(self.finite_part.lc)).union(
+            factorize(self.d_star.numerator))
 
 
 def divisor_from_poly(coeffs: Iterable[int], inf_mult: int = 0) -> EffectiveDivisor:

@@ -4,12 +4,13 @@ This module is the arithmetic bedrock of the package: p-adic valuations,
 primality (a numpy sieve, Miller-Rabin to the first 13 prime bases, then
 BPSW), integer factorization (sieved trial division, Brent's rho, then
 Lenstra's ECM), primitive integer polynomials, squarefree decomposition
-(Yun's algorithm over a heuristic gcd), resultants via the subresultant
-remainder sequence, discriminants, and Newton polygons, all in exact
-integer or rational arithmetic.  The one
+(Yun's algorithm over a heuristic gcd), one subresultant remainder
+sequence that gives both resultants and the gcd's fallback, discriminants,
+and Newton polygons, all in exact integer or rational arithmetic.  The one
 numeric type, LogValue, keeps finite-place values as exact rational
 multiples of log p and archimedean values as floats with an explicit error
-bound; float_sum adds LogValues across places as floats.
+bound; float_sum adds LogValues across places as floats; _float_err is the
+error bound of a float from a few rounded operations.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ INF = math.inf
 Rational = Union[int, Fraction]
 
 _EPS = 2.220446049250313e-16  # double precision unit roundoff
+
+
+def _float_err(x: float) -> float:
+    """4 eps (1 + |x|): the error bound the package puts on a float x that a
+    few rounded operations computed."""
+    return 4.0 * _EPS * (1.0 + abs(x))
 
 
 def require_prime(p: int) -> int:
@@ -514,33 +521,21 @@ def content_primitive(f: IntPoly) -> tuple[int, IntPoly]:
     return c, IntPoly(tuple(x // c for x in f.coeffs))
 
 
-def _deg(cs: list[int]) -> int:
-    for i in range(len(cs) - 1, -1, -1):
-        if cs[i]:
-            return i
-    return -1
-
-
 def _prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, as a raw list."""
-    da, db = _deg(a), _deg(b)
-    lb = b[db]
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, trimmed; a and
+    b trimmed with deg a >= deg b."""
+    db, lb = len(b) - 1, b[-1]
     r = list(a)
-    mults = 0
-    while True:
-        dr = _deg(r)
-        if dr < db:
-            break
-        top = r[dr]
-        r = [lb * c for c in r]
-        off = dr - db
-        for i in range(db + 1):
-            r[off + i] -= top * b[i]
-        r[dr] = 0  # exact cancellation by construction
-        mults += 1
-    want = da - db + 1
-    if mults < want:
-        scale = lb ** (want - mults)
+    owed = len(a) - db  # factors of lc(b) still to multiply in
+    while len(r) > db:
+        top = r.pop()
+        off = len(r) - db
+        r = [lb * c for c in r[:off]] + [lb * c - top * d for c, d in zip(r[off:], b)]
+        owed -= 1
+        while r and not r[-1]:
+            r.pop()
+    if owed:
+        scale = lb ** owed
         r = [scale * c for c in r]
     return r
 
@@ -613,7 +608,7 @@ def _gcd(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
     max(min(B, 99 sqrt(B)), 2 min(|f|/|lc f|, |g|/|lc g|) + 4) with
     B = 2 min(|f|, |g|) + 29 in the max norm: at least twice Cauchy's root
     bound, so a common divisor found is the greatest.  xi grows after a
-    miss; after six misses the primitive remainder sequence decides."""
+    miss; after six misses the subresultant remainder sequence decides."""
     c = math.gcd(_content(f), _content(g))
     f, g = [a // c for a in f], [a // c for a in g]
     if len(f) == 1 or len(g) == 1:
@@ -629,7 +624,8 @@ def _gcd(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
                 break
         x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
     else:
-        h = _prs_gcd(f, g)
+        A, B, _, _ = _subresultants(f, g)
+        h = _primitive(B or A)
         if h[-1] < 0:
             h = [-a for a in h]
         cf, cg = _quo(f, h), _quo(g, h)
@@ -655,54 +651,47 @@ def _xi_digits(v: int, x: int) -> list[int]:
     return out
 
 
-def _prs_gcd(f: list[int], g: list[int]) -> list[int]:
-    # a primitive gcd of f and g, up to sign, by the primitive remainder
-    # sequence
-    a, b = (f, g) if len(f) >= len(g) else (g, f)
-    while b:
-        a, b = b, list(_trim(_prem(a, b)))
-        if b:
-            b = _primitive(b)
-    return _primitive(a)
+def _subresultants(A: list[int], B: list[int]) -> tuple[list[int], list[int], int, int]:
+    """The subresultant remainder sequence of A and B, nonzero and trimmed
+    (Collins, J. ACM 14 (1967); Brown & Traub, J. ACM 18 (1971)), run until
+    its last member is a constant or zero: (A, B, s, h), its last two
+    members, its sign and its last h.
+
+    The sequence starts from the input of higher degree, and s collects
+    (-1)^(deg A deg B) for that swap and for each step.  The returned B is
+    zero iff the inputs share a root; the last nonzero member is their gcd
+    up to content."""
+    s, g, h = 1, 1, 1
+    if len(A) < len(B):
+        A, B = B, A
+        if (len(A) - 1) * (len(B) - 1) % 2:
+            s = -s
+    while len(B) > 1:
+        delta = len(A) - len(B)
+        if (len(A) - 1) * (len(B) - 1) % 2:
+            s = -s
+        R = _prem(A, B)
+        div = g * h ** delta
+        A, B = B, [c // div for c in R]
+        g = A[-1]
+        if delta:  # h^(1 - delta) g^delta, which is h for delta = 0
+            h = g ** delta // h ** (delta - 1)
+    return A, B, s, h
 
 
 def resultant(f: IntPoly, g: IntPoly) -> int:
     """Res(f, g) = lc(f)^deg(g) * lc(g)^deg(f) * prod (alpha_i - beta_j) over
     the roots alpha of f and beta of g, computed exactly with the subresultant
-    remainder sequence."""
-    if f.degree == 0 and g.degree == 0:
-        return 1
-    s = 1
-    A, B = list(f.coeffs), list(g.coeffs)
-    if _deg(A) < _deg(B):
-        if (_deg(A) & 1) and (_deg(B) & 1):
-            s = -s
-        A, B = B, A
-    ca = _content(A)
-    cb = _content(B)
-    A = [c // ca for c in A]
-    B = [c // cb for c in B]
-    t = ca ** _deg(B) * cb ** _deg(A)
-    gg = 1
-    hh = 1
-    while _deg(B) > 0:
-        dA, dB = _deg(A), _deg(B)
-        delta = dA - dB
-        if (dA & 1) and (dB & 1):
-            s = -s
-        R = _prem(A, B)
-        if _deg(R) < 0:
-            return 0
-        denom = gg * hh ** delta
-        A = B
-        B = [c // denom for c in R[: _deg(R) + 1]]
-        gg = A[_deg(A)]
-        if delta:  # h is unchanged when the degree drops by zero steps
-            hh = gg ** delta // hh ** (delta - 1)
-    dA = _deg(A)
-    lB = B[0]
-    h_final = lB ** dA // hh ** (dA - 1) if dA >= 1 else 1
-    return s * t * h_final
+    remainder sequence of their primitive parts."""
+    cf, pf = content_primitive(f)
+    cg, pg = content_primitive(g)
+    A, B, s, h = _subresultants(list(pf.coeffs), list(pg.coeffs))
+    if not B:
+        return 0
+    # Res of the primitive parts is s B[0]^d / h^(d - 1) with d = deg A;
+    # B[0]^d h // h^d is that quotient with no negative power at d = 0
+    d = len(A) - 1
+    return s * cf ** g.degree * cg ** f.degree * (B[0] ** d * h // h ** d)
 
 
 def discriminant(f: IntPoly) -> Fraction:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .divisors import EffectiveDivisor
-from .exact import _EPS, _fsum_pairs, float_sum
+from .exact import _EPS, _float_err, _fsum_pairs, float_sum
 from .local import LocalData, PlaceRow, mahler_g
 from .places import _product_formula, relevant_places
 from .weights import Weight
@@ -180,7 +180,7 @@ def global_fekete(
     if d >= 2:
         iv, ie = data.pairing()._as_float()
         residual = max(residual, abs(dv - iv))
-        slack = max(slack, de + ie + 4.0 * _EPS * (1.0 + abs(dv)))
+        slack = max(slack, de + ie + _float_err(dv))
 
     d2 = d ** 2
     return GlobalReport(

@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .berkovich import INF_POINT, chordal_arch
 from .divisors import EffectiveDivisor
-from .exact import _EPS, DomainError, LogValue, _val, newton_polygon
+from .exact import _EPS, DomainError, LogValue, _float_err, _val, newton_polygon
 from .places import ARCH, Place, log_abs_float
 from .roots import arch_support
 from .weights import Weight, zero_weight
@@ -136,8 +136,8 @@ class LocalData:
             r = er = 0.0
             if w is not INF_POINT:
                 r = 0.5 * math.log1p(abs(w) ** 2)
-                er = 0.5 * rad + 4.0 * _EPS * (1.0 + abs(r))
-            et = lip * rad + 4.0 * _EPS * (1.0 + abs(t))
+                er = 0.5 * rad + _float_err(r)
+            et = lip * rad + _float_err(t)
             r1, e1, w1, f1 = r1 + m * r, e1 + m * er, w1 + m * t, f1 + m * et
             r2, e2, w2, f2 = r2 + m * m * r, e2 + m * m * er, w2 + m * m * t, f2 + m * m * et
         return (r1, e1), (w1, f1), (r2, e2), (w2, f2)
@@ -186,7 +186,7 @@ class LocalData:
                 else:
                     sep = max(abs(wi - wj) - ri - rj, _TINY)
                     slope = 1.0 / sep + 0.5 + lip
-                err += 2.0 * mi * mj * (slope * (ri + rj) + 4.0 * _EPS * (1.0 + abs(phi)))
+                err += 2.0 * mi * mj * (slope * (ri + rj) + _float_err(phi))
             # fsum rounds each row sum, and then the total, once
             rows.append(math.fsum(row))
             err += _EPS * abs(rows[-1])

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
-from .exact import _EPS, DomainError, LogValue, _primes_below, _val, factorize, require_prime
+from .exact import (
+    DomainError, LogValue, _float_err, _primes_below, _val, factorize, require_prime)
 
 if TYPE_CHECKING:
     from .divisors import EffectiveDivisor
@@ -73,7 +74,7 @@ def log_abs_float(q: Rational) -> tuple[float, float]:
     if q == 0:
         raise DomainError("log of zero")
     v = math.log(abs(q.numerator)) - math.log(q.denominator)
-    return v, 4.0 * _EPS * (1.0 + abs(v))
+    return v, _float_err(v)
 
 
 def log_abs(q: Rational, v: Place) -> LogValue:
@@ -147,7 +148,10 @@ def relevant_places(
     cutoff: int | None = None
     tail = 0.0
     if not g.finitely_supported:
-        cutoff = g.prime_cutoff(tail_eps / Z.degree)
+        try:
+            cutoff = g.prime_cutoff(tail_eps / Z.degree)
+        except DomainError:  # a bound that underflowed to 0 or has no float cutoff
+            cutoff = math.inf
         if cutoff > PRIME_LIMIT:
             raise DomainError(
                 f"tail_eps={tail_eps} needs primes up to {cutoff}, above the"

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import ClassVar
 
 from .berkovich import INF_POINT, BerkPoint, chordal_arch, hsia_kernel
-from .exact import _EPS, DomainError, LogValue
+from .exact import DomainError, LogValue, _float_err
 from .places import Place
 
 
@@ -159,8 +159,10 @@ class Weight:
             return 1
         if not bound > 0.0:  # NaN included
             raise DomainError(f"tail bound must be positive, got {bound!r}")
-        cut = math.floor(1.0 / (2.0 * bound)) + 1
-        return max(cut, 2)
+        cut = 1.0 / (2.0 * bound)
+        if cut == math.inf:
+            raise DomainError(f"tail bound {bound!r} is too small for a float cutoff")
+        return max(math.floor(cut) + 1, 2)
 
     def sup_abs(self, v: Place) -> float:
         """Upper bound on |g_v| over the whole space of points at v."""
@@ -180,7 +182,7 @@ def weight_eval(g: Weight, v: Place, x) -> LogValue:
     """
     if v.is_archimedean:
         val = g.arch(x)
-        return LogValue.real(val, 4.0 * _EPS * (1.0 + abs(val)))
+        return LogValue.real(val, _float_err(val))
     comp = g.finite(v.prime)
     if not isinstance(x, BerkPoint) or x.prime != v.prime:
         raise DomainError("point does not live at place %s" % v)
@@ -198,7 +200,7 @@ def potential_kernel(g: Weight, v: Place, x, y) -> LogValue:
         if dist == 0.0:
             return LogValue.minus_infinity()
         val = math.log(dist) - g.arch(x) - g.arch(y)
-        return LogValue.real(val, 4.0 * _EPS * (1.0 + abs(val)))
+        return LogValue.real(val, _float_err(val))
     base = hsia_kernel(v.prime, x, y)
     if base.is_minus_infinity:
         return base
@@ -230,8 +232,8 @@ def radii(g: Weight, v: Place) -> Radii:
     if v.is_archimedean:
         return Radii(
             place=v,
-            log_outer=LogValue.real(-g.arch.inf, 4.0 * _EPS * (1.0 + abs(g.arch.inf))),
-            log_inner=LogValue.real(-g.arch.sup, 4.0 * _EPS * (1.0 + abs(g.arch.sup))),
+            log_outer=LogValue.real(-g.arch.inf, _float_err(g.arch.inf)),
+            log_inner=LogValue.real(-g.arch.sup, _float_err(g.arch.sup)),
         )
     comp = g.finite(v.prime)
     return Radii(

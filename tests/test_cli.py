@@ -105,6 +105,10 @@ def test_bad_inputs_exit_2(capsys):
         code, _, err = run_cli(capsys, "height", "--poly=-2,0,1", "--weight", weight,
                                "--tail-eps", "nan")
         assert code == 2 and "tail_eps must be positive" in err
+    # a tail target too small for a float cutoff is past the prime limit
+    for poly, tail_eps in (("--poly=-2,1", "1e-310"), ("--poly=-2,0,1", "1e-323")):
+        code, _, err = run_cli(capsys, "height", poly, "--weight", "ex5", "--tail-eps", tail_eps)
+        assert code == 2 and "above the limit" in err
 
 
 def test_verify_suites_pass(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from adelic.divisors import EffectiveDivisor, divisor_from_poly
-from adelic.exact import DomainError, IntPoly
+from adelic.exact import DomainError, IntPoly, factorize
 
 from helpers import random_divisor
 
@@ -124,3 +124,15 @@ def test_d_star_rational_roots_oracle():
                 if x != y:
                     expect *= (x - y) ** (mults[x] * mults[y])
         assert Z.d_star == expect
+
+
+def test_primes_need_no_dstar_denominator():
+    # each term of d* has a power of a factor's leading coefficient below,
+    # so den(d*) adds no prime to lc and num(d*)
+    rng = random.Random(17)
+    for _ in range(300):
+        Z = random_divisor(rng)
+        lc, ds = set(factorize(Z.finite_part.lc)), Z.d_star
+        den = set(factorize(ds.denominator))
+        assert den <= lc
+        assert Z.primes == lc | set(factorize(ds.numerator)) | den

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
-from sympy import factorint, integer_nthroot, isprime, nextprime, primerange
+from sympy import Poly, factorint, integer_nthroot, isprime, nextprime, primerange
+from sympy import resultant as sympy_resultant
+from sympy.abc import z
 
 import adelic.exact
 from adelic.exact import (
@@ -22,7 +24,7 @@ from adelic.exact import (
     squarefree_decomposition,
     val_p,
 )
-from adelic.exact import _fermat, _gcd, _primes_below, _prs_gcd
+from adelic.exact import _fermat, _gcd, _primes_below, _primitive, _subresultants
 
 from helpers import sympy_sqf
 
@@ -177,10 +179,32 @@ def test_gcd_is_the_greatest():
     # xi must exceed twice a root bound: a start at min |f| = 4 reported
     # gcd 1 here, after which Yun's loop on z^2 (z - 4) never ended
     assert _gcd([0, -4, 1], [-4, 1]) == ([-4, 1], [0, 1], [1])
-    # the fallback after six misses: (z - 1)^2 (z + 2) and (z - 1)(3z + 1)
-    assert _prs_gcd([2, -3, 0, 1], [-1, -2, 3]) in ([-1, 1], [1, -1])
-    assert _prs_gcd([0, -4, 1], [-4, 1]) in ([-4, 1], [4, -1])
-    assert _prs_gcd([2, 0, 1], [-1, 1]) in ([1], [-1])
+    # the fallback after six misses reads the last nonzero member of the
+    # subresultant sequence: (z - 1)^2 (z + 2) and (z - 1)(3z + 1)
+    for f, g, h in (([2, -3, 0, 1], [-1, -2, 3], [-1, 1]),
+                    ([0, -4, 1], [-4, 1], [-4, 1]),
+                    ([2, 0, 1], [-1, 1], [1])):
+        A, B, _, _ = _subresultants(f, g)
+        assert _primitive(B or A) in (h, [-a for a in h])
+
+
+def test_gcd_falls_back_after_six_misses(monkeypatch):
+    # xi-adic digits that divide nothing send _gcd to the subresultant
+    # sequence: f = 6 (z - 2)(z + 3)^2 (2z + 1), g = 4 (z - 2)(z + 3)(z^2 + 1)
+    misses = []
+
+    def miss(v, x):
+        misses.append(x)
+        return [1] * 40
+
+    monkeypatch.setattr(adelic.exact, "_xi_digits", miss)
+    f = [-108, -234, -12, 54, 12]
+    g = [-24, 4, -20, 4, 4]
+    h, cf, cg = _gcd(f, g)
+    assert len(misses) == 6
+    assert h == [-12, 2, 2]  # 2 (z - 2)(z + 3)
+    assert cf == [9, 21, 6] and cg == [2, 0, 2]
+    assert _gcd([2, 0, 1], [-1, 1]) == ([1], [2, 0, 1], [-1, 1])
 
 
 def test_isprime_off_the_sieve_below_a_million(monkeypatch):
@@ -248,6 +272,44 @@ def test_resultant_is_multiplicative():
         g = IntPoly.make([rng.randint(-9, 9) for _ in range(2)] + [rng.randint(1, 9)])
         h = IntPoly.make([rng.randint(-9, 9) for _ in range(2)] + [rng.randint(1, 9)])
         assert resultant(f * g, h) == resultant(f, h) * resultant(g, h)
+
+
+def _sympy_res(f, g):
+    # sympy.resultant with the higher degree first: given deg f < deg g it
+    # swaps the two without the sign (-1)^(deg f deg g) (sympy 1.14 has
+    # Res(z, z^3 + 1) = -1, where the Sylvester determinant is 1)
+    if f.degree < g.degree:
+        return (-1) ** (f.degree * g.degree) * _sympy_res(g, f)
+    return int(sympy_resultant(Poly(list(f.coeffs[::-1]), z), Poly(list(g.coeffs[::-1]), z)))
+
+
+# content and sign times a polynomial of degree 0 to 5, zero constant
+# terms included
+_res_poly = st.builds(lambda low, lead, c: IntPoly.make([c * a for a in low + [lead]]),
+                      st.lists(st.integers(-9, 9), max_size=5),
+                      st.integers(-9, 9).filter(bool), st.sampled_from([1, -1, 3, -6]))
+
+
+@given(_res_poly, _res_poly, st.one_of(st.none(), _res_poly))
+@example(IntPoly.make([5]), IntPoly.make([-3]), None)  # two constants
+@example(IntPoly.make([5]), IntPoly.make([1, 2, -3]), None)
+@example(IntPoly.make([0, 1, 0, 0, 0, 0, 1]), IntPoly.make([1, 0, 0, 0, 1]), None)  # drop of 2
+@example(IntPoly.make([1, 0, 0, 0, 0, 0, 0, 1]), IntPoly.make([0, 0, 0, 1]), None)  # to a constant
+@example(IntPoly.make([1, 0, -2]), IntPoly.make([0, -1, 3]), None)  # equal degrees
+@example(IntPoly.make([0, 2]), IntPoly.make([0, 0, -4]), IntPoly.make([1, 1]))  # shared factors
+def test_resultant_matches_sympy(f, g, common):
+    # times a common factor of degree >= 1 the resultant is 0
+    if common is not None and not common.is_constant:
+        f, g = f * common, g * common
+    assert resultant(f, g) == _sympy_res(f, g)
+    assert resultant(g, f) == (-1) ** (f.degree * g.degree) * resultant(f, g)
+
+
+def test_resultant_of_unit_roots_and_their_derivative():
+    for f in (IntPoly.make([-1] + [0] * 511 + [1]), IntPoly.make([-2] + [0] * 255 + [1])):
+        df = f.derivative()
+        assert resultant(f, df) == _sympy_res(f, df)
+        assert resultant(df, f) == _sympy_res(df, f)
 
 
 def test_discriminant_known_values():

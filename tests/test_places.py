@@ -6,6 +6,7 @@ import pytest
 
 from adelic.divisors import divisor_from_poly
 from adelic.exact import DomainError
+from adelic.heights import height
 from adelic.places import (
     ARCH,
     Place,
@@ -81,3 +82,14 @@ def test_relevant_places_cutoff_guard():
     Z = divisor_from_poly([-1, 0, 1])
     with pytest.raises(DomainError):
         relevant_places(Z, ex5_weight(), 1e-9)
+
+
+def test_relevant_places_refuses_a_vanishing_tail_target():
+    # a bound whose 1/(2 bound) overflows a float, and one that underflows
+    # to 0, are past the limit like any tiny target: no OverflowError, and
+    # no complaint that a positive tail_eps is not positive
+    with pytest.raises(DomainError, match="above the limit"):
+        relevant_places(divisor_from_poly([-2, 1]), ex5_weight(), 1e-310)
+    for coeffs, tail_eps in (([-2, 1], 1e-310), ([-2, 0, 1], 1e-323)):
+        with pytest.raises(DomainError, match="above the limit"):
+            height(divisor_from_poly(coeffs), ex5_weight(), tail_eps)

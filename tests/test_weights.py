@@ -5,10 +5,12 @@ import sys
 from fractions import Fraction
 
 import mpmath
+import pytest
 from sympy import sieve
 
 import adelic
 from adelic.berkovich import BerkPoint, INF_POINT
+from adelic.exact import DomainError
 from adelic.places import ARCH, Place
 from adelic.weights import (
     _default_branch_count,
@@ -116,6 +118,9 @@ def test_ex5_tail_bound_and_cutoff():
     cut = g.prime_cutoff(1e-3)
     assert g.tail_sum_bound(cut) < 1e-3
     assert g.tail_sum_bound(cut - 1) >= g.tail_sum_bound(cut)
+    # 1/(2 bound) overflows a float: refused, not an OverflowError
+    with pytest.raises(DomainError, match="too small for a float cutoff"):
+        g.prime_cutoff(1e-310)
 
 
 def test_weight_eval_and_radii():
