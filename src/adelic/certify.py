@@ -22,8 +22,7 @@ from typing import Sequence
 
 from .exact import DomainError
 
-__all__ = ["Certificate", "Refusal", "lemma43_certify", "random_certifier_instance",
-           "random_adversarial_instance"]
+__all__ = ["Certificate", "Refusal", "lemma43_certify"]
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from typing import Iterable
 from .exact import (
     DomainError,
     IntPoly,
+    _index,
     content_primitive,
     factorize,
     resultant,
@@ -43,6 +44,7 @@ class EffectiveDivisor:
     inf_mult: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "inf_mult", _index(self.inf_mult, "inf_mult"))
         if self.inf_mult < 0:
             raise DomainError("negative multiplicity at infinity")
         if self.degree < 1:

@@ -16,6 +16,7 @@ error bound of a float from a few rounded operations.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,9 +32,7 @@ __all__ = [
     "IntPoly",
     "LogValue",
     "val_p",
-    "factorize",
-    "require_prime",
-    "content_primitive",
+    "float_sum",
     "squarefree_decomposition",
     "resultant",
     "discriminant",
@@ -43,6 +42,15 @@ __all__ = [
 
 class DomainError(ValueError):
     """Raised when an argument lies outside an operation's domain."""
+
+
+def _index(x, what: str) -> int:
+    # x as an int if it is one (bools and numpy integers are); a float, str
+    # or Fraction is refused, never truncated
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DomainError("%s must be an integer, got %r" % (what, x)) from None
 
 
 #: Marker for the valuation of a zero root (plus infinity).  A float so it
@@ -260,9 +268,8 @@ def factorize(n: int) -> dict[int, int]:
         if e > 1:
             stack.append((r, k * e))
             continue
-        d = _fermat(m) or _brent(m)
-        parts = [d, m // d] if d else _ecm(m)
-        stack.extend((f, k) for f in parts)
+        d = _fermat(m) or _brent(m) or _ecm(m)
+        stack.extend(((d, k), (m // d, k)))
     return dict(sorted(out.items()))
 
 
@@ -322,29 +329,28 @@ def _brent(m: int) -> int | None:
     return g if g < m else None
 
 
-def _ecm(m: int) -> list[int]:
-    # two divisors of m whose product is m, from ECM at factorint's
-    # schedule: B2 = 100 B1, seed B1, then B1 x5 and the curves x4 until a
-    # factor is found
+def _ecm(m: int) -> int:
+    # a proper divisor of m from ECM at factorint's schedule: seed B1, then
+    # B1 x5 and the curves x4 until a factor is found
     B1, curves = 10_000, 50
-    while (parts := ecm(m, B1, 100 * B1, curves, B1)) is None:
+    while (d := ecm(m, B1, curves, B1)) is None:
         B1, curves = 5 * B1, 4 * curves
-    return parts
+    return d
 
 
-def ecm(n: int, B1: int, B2: int, curves: int, seed: int) -> list[int] | None:
-    """[d, n // d] for a proper divisor d of the odd composite n, from
-    Lenstra's two-stage ECM on up to `curves` curves, or None if none
-    finds one; B1 and B2 must be even.
+def ecm(n: int, B1: int, curves: int, seed: int) -> int | None:
+    """A proper divisor of the odd composite n from Lenstra's two-stage ECM
+    with B2 = 100 B1 on up to `curves` curves, or None if none finds one;
+    B1 must be even.
 
     Each curve is a Montgomery curve with Suyama's parametrization, sigma
     drawn from random.Random(seed).  Stage 1 multiplies the point by every
     prime power up to B1 on an x/z-only Montgomery ladder; stage 2 is the
     improved standard continuation to B2 (Crandall & Pomerance, Prime
     Numbers, 2nd ed. (2005), Alg. 7.4.4)."""
-    if B1 % 2 or B2 % 2:
-        raise DomainError(f"ECM bounds must be even, got {B1}, {B2}")
-    k, D, blocks = _ecm_tables(B1, B2)
+    if B1 % 2:
+        raise DomainError(f"ECM's B1 must be even, got {B1}")
+    k, D, blocks = _ecm_tables(B1)
     rng = random.Random(seed)
     for _ in range(curves):
         sigma = rng.randint(6, n - 1)
@@ -356,23 +362,24 @@ def ecm(n: int, B1: int, B2: int, curves: int, seed: int) -> list[int] | None:
         except ValueError:  # the inverse does not exist
             g = math.gcd(16 * u3 * v, n)
             if g < n:
-                return [g, n // g]
+                return g
             continue
         Q = _ladder((u3, pow(v, 3, n)), k, a24, n)
         g = math.gcd(Q[1], n)
         if g == 1:
             g = _stage2(Q, B1, D, blocks, a24, n)
         if 1 < g < n:
-            return [g, n // g]
+            return g
     return None
 
 
 @lru_cache(maxsize=None)
-def _ecm_tables(B1: int, B2: int) -> tuple[int, int, list[list[int]]]:
+def _ecm_tables(B1: int) -> tuple[int, int, list[list[int]]]:
     # stage 1's multiplier, the product of the largest power of each prime
     # p <= B1 that is at most B1; stage 2's half-width D; and for each block
-    # centre r = B1 + 2D, B1 + 6D, ... below B2 + 2D, the d < D for which
-    # r + 2d + 1 or r - 2d - 1 is prime
+    # centre r = B1 + 2D, B1 + 6D, ... below B2 + 2D, with B2 = 100 B1, the
+    # d < D for which r + 2d + 1 or r - 2d - 1 is prime
+    B2 = 100 * B1
     D = min(math.isqrt(B2), B1 // 2 - 1)
     k = 1
     for p in _primes_below(B1 + 1):
@@ -456,7 +463,7 @@ class IntPoly:
 
     @staticmethod
     def make(cs: Iterable[int]) -> "IntPoly":
-        t = _trim([int(c) for c in cs])
+        t = _trim([_index(c, "a coefficient") for c in cs])
         if not t:
             raise DomainError("zero polynomial")
         return IntPoly(t)

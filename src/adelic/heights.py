@@ -19,7 +19,6 @@ from .weights import Weight
 
 __all__ = [
     "HeightInterval",
-    "PlaceRow",
     "GlobalReport",
     "height",
     "global_fekete",

@@ -21,6 +21,9 @@ from .places import ARCH, Place, log_abs_float
 from .roots import arch_support
 from .weights import Weight, zero_weight
 
+__all__ = ["PlaceRow", "mahler_g", "mahler_sharp", "fekete_sum", "fekete_sum_arch_identity",
+           "integral_against"]
+
 _TINY = 1e-300
 
 

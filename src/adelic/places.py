@@ -24,9 +24,7 @@ __all__ = [
     "Place",
     "ARCH",
     "log_abs",
-    "log_abs_float",
     "product_formula_check",
-    "RelevantPlaces",
     "relevant_places",
 ]
 

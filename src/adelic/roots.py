@@ -24,6 +24,8 @@ import numpy as np
 
 from .exact import DomainError, IntPoly
 
+__all__ = ["certified_roots", "arch_support"]
+
 DEGREE_CAP = 512
 _STEPS = 8  # Newton steps per point and level
 

@@ -23,10 +23,8 @@ from .weights import Weight
 __all__ = [
     "SequenceSpec",
     "generate",
-    "ExperimentRow",
     "ExperimentResult",
     "experiment_run",
-    "CSV_COLUMNS",
 ]
 
 _FAMILIES = ("unit_roots", "pow_minus", "preimages")

@@ -22,6 +22,10 @@ from .berkovich import INF_POINT, BerkPoint, chordal_arch, hsia_kernel
 from .exact import DomainError, LogValue, _float_err
 from .places import Place
 
+__all__ = ["ArchWeight", "FiniteWeight", "Weight", "trivial_weight", "std_weight",
+           "ex5_weight", "zero_weight", "weight_eval", "potential_kernel", "Radii", "radii",
+           "equilibrium_energy", "normalize"]
+
 
 @dataclass(frozen=True)
 class ArchWeight:
@@ -270,15 +274,22 @@ def _default_branch_count(p: int) -> int:
     # ceil(p^2 log p): below 2^26, p^2 is exact in float and the product is
     # within 2 ulp of the true value (one rounding of log, one of the
     # product), so its ceiling is right unless it lies within 8 ulp of an
-    # integer; larger primes, and those near an integer, go to mpmath
+    # integer; larger primes, and those near an integer, go to mpmath, at 20
+    # digits beyond p^2's (40 at least), doubled while the product lies
+    # within its working error of an integer
     if p < 2 ** 26:
         x = p * p * math.log(p)
         if abs(x - round(x)) > 8.0 * math.ulp(x):
             return math.ceil(x)
     import mpmath
 
-    with mpmath.workdps(40):
-        return int(mpmath.ceil(mpmath.mpf(p) ** 2 * mpmath.ln(p)))
+    dps = max(40, len(str(p * p)) + 20)
+    while True:
+        with mpmath.workdps(dps):
+            x = mpmath.mpf(p) ** 2 * mpmath.ln(p)
+            if abs(x - mpmath.nint(x)) > x * mpmath.mpf(10) ** (2 - dps):
+                return int(mpmath.ceil(x))
+        dps *= 2
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from adelic.divisors import EffectiveDivisor, divisor_from_poly
@@ -23,6 +24,28 @@ def test_degree_counts_infinity():
     assert Z.inf_mult == 3
     only_inf = divisor_from_poly([5], inf_mult=2)
     assert only_inf.degree == 2
+
+
+@pytest.mark.parametrize("coeffs", [[-2.5, 0, 1], [1.9, 1], ["3", 1], [Fraction(2), 1]])
+def test_rejects_non_integer_coefficients(coeffs):
+    # read with operator.index: never truncated or parsed
+    with pytest.raises(DomainError):
+        divisor_from_poly(coeffs)
+
+
+@pytest.mark.parametrize("inf_mult", [1.5, 1.0, "1", Fraction(1)])
+def test_rejects_non_integer_inf_mult(inf_mult):
+    with pytest.raises(DomainError):
+        divisor_from_poly([-2, 0, 1], inf_mult)
+    with pytest.raises(DomainError):
+        EffectiveDivisor(IntPoly.make([-2, 0, 1]), inf_mult)
+
+
+def test_accepts_numpy_integers():
+    Z = divisor_from_poly(np.array([-4, 0, 2], dtype=np.int64), np.int32(1))
+    assert Z == divisor_from_poly([-2, 0, 1], 1)
+    assert type(Z.inf_mult) is int
+    assert all(type(c) is int for c in Z.finite_part.coeffs)
 
 
 def test_rejects_empty_divisors():

@@ -245,13 +245,12 @@ def test_integer_nthroot_matches_sympy(m, e):
        st.integers(10 ** 9, 10 ** 15).map(nextprime), st.integers(0, 99))
 def test_ecm_splits_semiprimes(p, q, seed):
     n = p * q
-    parts = None
+    d = None
     B1 = 2000
-    while parts is None:  # factorint's escalation, from a smaller B1
-        parts = adelic.exact.ecm(n, B1, 100 * B1, 50, seed)
+    while d is None:  # factorint's escalation, from a smaller B1
+        d = adelic.exact.ecm(n, B1, 50, seed)
         B1 *= 5
-    assert math.prod(parts) == n
-    assert all(1 < f < n and n % f == 0 for f in parts)
+    assert 1 < d < n and n % d == 0
 
 
 def test_resultant_known_values():

@@ -70,7 +70,8 @@ def test_ex5_weight_components():
 
 
 def _mp_branch_count(p):
-    with mpmath.workdps(50):
+    # 30 digits beyond those of p^2, so the ceiling is resolved at any p
+    with mpmath.workdps(2 * len(str(p)) + 30):
         return int(mpmath.ceil(mpmath.mpf(p) ** 2 * mpmath.ln(p)))
 
 
@@ -102,14 +103,13 @@ def test_default_branch_count_falls_back_near_an_integer(monkeypatch):
 
 def test_default_branch_count_large_primes():
     # from 2^26 on p^2 is not exact in float, and past about 1.3e154 it
-    # overflows: mpmath decides there, as it did for every prime before
-    p = 2 ** 26 + 15
-    assert _default_branch_count(p) == _mp_branch_count(p)
-    big = 2 ** 521 - 1
-    with mpmath.workdps(40):
-        want = int(mpmath.ceil(mpmath.mpf(big) ** 2 * mpmath.ln(big)))
-    assert _default_branch_count(big) == want
-    assert ex5_weight().finite(big).half == Fraction(1, 2 * want)
+    # overflows: mpmath decides there, at a precision that grows with p
+    for p in (2 ** 26 + 15, 2 ** 61 - 1, 2 ** 89 - 1, 2 ** 127 - 1, 2 ** 521 - 1):
+        m = _default_branch_count(p)
+        with mpmath.workdps(2 * len(str(p)) + 30):
+            assert m - 1 < mpmath.mpf(p) ** 2 * mpmath.ln(p) <= m, p
+        assert m == _mp_branch_count(p)
+    assert ex5_weight().finite(p).half == Fraction(1, 2 * m)
 
 
 def test_ex5_tail_bound_and_cutoff():
