@@ -1,16 +1,18 @@
 """Exact integer and rational building blocks.
 
 This module is the arithmetic bedrock of the package: p-adic valuations,
-primality (a numpy sieve, Miller-Rabin to the first 13 prime bases, then
-BPSW), integer factorization (sieved trial division, Brent's rho, then
-Lenstra's ECM), primitive integer polynomials, squarefree decomposition
-(Yun's algorithm over a heuristic gcd), one subresultant remainder
-sequence that gives both resultants and the gcd's fallback, discriminants,
-and Newton polygons, all in exact integer or rational arithmetic.  The one
-numeric type, LogValue, keeps finite-place values as exact rational
-multiples of log p and archimedean values as floats with an explicit error
-bound; float_sum adds LogValues across places as floats; _float_err is the
-error bound of a float from a few rounded operations.
+primality (a numpy sieve, Miller-Rabin to as many of the first 13 prime
+bases as n's size needs, then BPSW), integer factorization (sieved trial
+division, Brent's rho, then Lenstra's ECM), primitive integer polynomials,
+squarefree decomposition (Yun's algorithm over a heuristic gcd), one
+subresultant remainder sequence that gives the gcd's fallback and the
+resultants of sparse or low-degree inputs, a multi-modular resultant (CRT
+over primes below 2^31, in numpy) for dense inputs of high degree,
+discriminants, and Newton polygons, all in exact integer or rational
+arithmetic.  The one numeric type, LogValue, keeps finite-place values as
+exact rational multiples of log p and archimedean values as floats with an
+explicit error bound; float_sum adds LogValues across places as floats;
+_float_err is the error bound of a float from a few rounded operations.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from typing import Iterable, Union
 
 import numpy as np
@@ -123,14 +125,22 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 #: Below this, the 13 bases above prove primality (Sorenson & Webster,
 #: Math. Comp. 86 (2017)); at and above it isprime runs BPSW.
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
+#: (bound, k): below bound the first k bases prove primality, as each bound
+#: is the least strong pseudoprime to all of the first k bases (Jaeschke,
+#: Math. Comp. 61 (1993); Sorenson & Webster).
+_MR_GRADES = ((1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4),
+              (2_152_302_898_747, 5), (3_474_749_660_383, 6),
+              (341_550_071_728_321, 7), (3_825_123_056_546_413_051, 9),
+              (318_665_857_834_031_151_167_461, 12), (_MR_LIMIT, 13))
 
 
 def isprime(n: int) -> bool:
     """Whether n is prime: read from the sieve where it reaches, else trial
-    division by _MR_BASES, then strong probable-prime tests to every base
-    in _MR_BASES below _MR_LIMIT (deterministic there), and BPSW above it
-    (Baillie & Wagstaff, Math. Comp. 35 (1980)): a base-2 strong test and a
-    strong Lucas test with Selfridge's parameters."""
+    division by _MR_BASES, then strong probable-prime tests below
+    _MR_LIMIT (deterministic there) to as many of _MR_BASES as n's grade
+    in _MR_GRADES needs, and BPSW above it (Baillie & Wagstaff, Math.
+    Comp. 35 (1980)): a base-2 strong test and a strong Lucas test with
+    Selfridge's parameters."""
     if n < 2:
         return False
     if n < len(_sieve):
@@ -139,7 +149,8 @@ def isprime(n: int) -> bool:
         if n % p == 0:
             return n == p
     if n < _MR_LIMIT:
-        return all(_strong_prp(n, a) for a in _MR_BASES)
+        k = next(k for bound, k in _MR_GRADES if n < bound)
+        return all(_strong_prp(n, a) for a in _MR_BASES[:k])
     return _strong_prp(n, 2) and _strong_lucas_prp(n)
 
 
@@ -686,19 +697,148 @@ def _subresultants(A: list[int], B: list[int]) -> tuple[list[int], list[int], in
     return A, B, s, h
 
 
+#: resultant takes the modular route when the larger degree is at least
+#: this and at most an eighth of each input's coefficients are zero
+_MODULAR_MIN_DEGREE = 64
+#: The modular route's primes lie in [2^31 - _WINDOW, 2^31): about 3000
+#: primes, whose product covers a Hadamard bound of 93,000 bits
+_WINDOW = 1 << 16
+# those primes, descending, built on the first modular call
+_word_primes: list[int] = []
+
+
+def _window_primes() -> list[int]:
+    """The primes in [2^31 - _WINDOW, 2^31), descending, from a segmented
+    sieve over the primes below 46341 > sqrt(2^31)."""
+    global _word_primes
+    if not _word_primes:
+        lo = (1 << 31) - _WINDOW
+        seg = np.ones(_WINDOW, dtype=bool)
+        for p in _primes_below(46341):
+            seg[-lo % p::p] = False
+        _word_primes = (lo + np.flatnonzero(seg)[::-1]).tolist()
+    return _word_primes
+
+
+def _residues(cs: list[int], p: np.ndarray) -> np.ndarray:
+    # cs mod each prime of the column p: rows are primes, columns the cs
+    if max(map(abs, cs)) >> 62:
+        return np.array([[c % q for c in cs] for q in p[:, 0].tolist()], dtype=np.int64)
+    return np.array(cs, dtype=np.int64) % p
+
+
+def _powmod(x: np.ndarray, e: int, p: np.ndarray) -> np.ndarray:
+    # x^e mod p elementwise, for e >= 0 and x < p < 2^31
+    out = np.ones_like(x)
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
+
+
+def _modular_resultant(A: list[int], B: list[int]) -> int | None:
+    """Res(A, B) for nonzero trimmed A and B by Collins' modular method
+    (J. ACM 18 (1971)), or None when too few primes stay usable, as they
+    do not when the resultant is zero.
+
+    The primes are those of _window_primes() that do not divide
+    lc(A) lc(B), taken until their product M passes 2 |A|_2^deg B
+    |B|_2^deg A, Hadamard's bound on |Res|, and three more; a window whose
+    primes cannot pass the bound is refused before any arithmetic.  The
+    Euclidean remainder sequence runs on all of them at once, as rows of
+    int64 arrays with the leading coefficient first, by Res(A, B) =
+    (-1)^(deg A deg B) lc(B)^(deg A - deg R) Res(B, R) and Res(B, cR) =
+    c^deg B Res(B, R).  Pseudo-division multiplies by lc(B) instead of
+    dividing, and the powers of lc(B) go to a numerator and a denominator
+    per prime, inverted once at the end.  A prime whose remainder falls
+    below the others' degree, or vanishes, is dropped.  Garner's CRT of
+    all primes left but the last gives the symmetric residue, which is Res
+    when their product still passes the bound; the last prime checks it."""
+    a, b, s = len(A) - 1, len(B) - 1, 1
+    if a < b:
+        A, B, a, b = B, A, b, a
+        s = (-1) ** (a * b)
+    need = math.isqrt(4 * sum(c * c for c in A) ** b * sum(c * c for c in B) ** a)
+    lcs = A[-1] * B[-1]
+    usable = (q for q in _window_primes() if lcs % q)
+    primes, M = [], 1
+    for q in usable:
+        primes.append(q)
+        M *= q
+        if M > need:
+            break
+    else:
+        return None  # the window cannot pass the bound
+    primes.extend(islice(usable, 3))
+    p = np.array(primes, dtype=np.int64)[:, None]
+    F, G = _residues(A[::-1], p), _residues(B[::-1], p)
+    num, den = np.ones_like(p), np.ones_like(p)
+    while b > 0:
+        lb = G[:, :1]
+        for k in range(a - b + 1):
+            R = F[:, k + 1:]
+            R *= lb
+            R[:, :b] -= F[:, k:k + 1] * G[:, 1:]
+            R %= p
+        R = F[:, a - b + 1:]
+        nonzero = R != 0
+        lead = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), b)
+        m = int(lead.min())
+        if m == b:
+            return None
+        keep = lead == m
+        r = b - 1 - m
+        e = a - r - (a - b + 1) * b
+        if e > 0:
+            num = num * _powmod(lb, e, p) % p
+        else:
+            den = den * _powmod(lb, -e, p) % p
+        s *= (-1) ** (a * b)
+        F, G, p, num, den = G[keep], R[keep, m:], p[keep], num[keep], den[keep]
+        a, b = b, r
+    *primes, spare = p[:, 0].tolist()
+    if math.prod(primes) <= need:
+        return None
+    num = num * _powmod(G[:, :1], a, p) % p
+    *res, check = [n * pow(d, -1, q) % q for n, d, q
+                   in zip(num[:, 0].tolist(), den[:, 0].tolist(), p[:, 0].tolist())]
+    x, M = 0, 1
+    for q, v in zip(primes, res):
+        x += (v - x) * pow(M, -1, q) % q * M
+        M *= q
+    x = x - M if 2 * x > M else x
+    if x % spare != check:
+        raise AssertionError("the modular resultant disagrees with its spare prime")
+    return s * x
+
+
 def resultant(f: IntPoly, g: IntPoly) -> int:
     """Res(f, g) = lc(f)^deg(g) * lc(g)^deg(f) * prod (alpha_i - beta_j) over
-    the roots alpha of f and beta of g, computed exactly with the subresultant
-    remainder sequence of their primitive parts."""
+    the roots alpha of f and beta of g, computed exactly from their
+    primitive parts.
+
+    Two routes give the same integer.  When the larger degree is at least
+    _MODULAR_MIN_DEGREE and both parts are dense (at most an eighth of
+    their coefficients zero), _modular_resultant runs CRT over primes below
+    2^31.  Everywhere else, and whenever that route refuses, the
+    subresultant remainder sequence decides: on sparse inputs such as
+    z^n - a or iterates of z^2 + c the true resultant is far below the
+    Hadamard bound that fixes the number of primes."""
     cf, pf = content_primitive(f)
     cg, pg = content_primitive(g)
-    A, B, s, h = _subresultants(list(pf.coeffs), list(pg.coeffs))
-    if not B:
-        return 0
-    # Res of the primitive parts is s B[0]^d / h^(d - 1) with d = deg A;
-    # B[0]^d h // h^d is that quotient with no negative power at d = 0
-    d = len(A) - 1
-    return s * cf ** g.degree * cg ** f.degree * (B[0] ** d * h // h ** d)
+    r = None
+    if max(f.degree, g.degree) >= _MODULAR_MIN_DEGREE and all(
+            8 * h.coeffs.count(0) <= len(h.coeffs) for h in (pf, pg)):
+        r = _modular_resultant(list(pf.coeffs), list(pg.coeffs))
+    if r is None:
+        A, B, s, h = _subresultants(list(pf.coeffs), list(pg.coeffs))
+        # Res of the primitive parts is s B[0]^d / h^(d - 1) with d = deg A;
+        # B[0]^d h // h^d is that quotient with no negative power at d = 0
+        d = len(A) - 1
+        r = s * (B[0] ** d * h // h ** d) if B else 0
+    return cf ** g.degree * cg ** f.degree * r
 
 
 def discriminant(f: IntPoly) -> Fraction:

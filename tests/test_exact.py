@@ -24,7 +24,8 @@ from adelic.exact import (
     squarefree_decomposition,
     val_p,
 )
-from adelic.exact import _fermat, _gcd, _primes_below, _primitive, _subresultants
+from adelic.exact import (_MR_BASES, _MR_GRADES, _fermat, _gcd, _modular_resultant, _primes_below,
+                          _primitive, _strong_prp, _subresultants)
 
 from helpers import sympy_sqf
 
@@ -208,7 +209,7 @@ def test_gcd_falls_back_after_six_misses(monkeypatch):
 
 
 def test_isprime_off_the_sieve_below_a_million(monkeypatch):
-    # trial division and the 13 Miller-Rabin bases, with the sieve hidden
+    # trial division and the graded Miller-Rabin bases, with the sieve hidden
     primes = set(_primes_below(10 ** 6))
     monkeypatch.setattr(adelic.exact, "_sieve", np.zeros(0, dtype=bool))
     assert all(adelic.exact.isprime(n) == (n in primes) for n in range(10 ** 6))
@@ -222,6 +223,16 @@ def test_isprime_pseudoprimes_and_mersenne():
         assert not adelic.exact.isprime(n)
     assert adelic.exact.isprime(2 ** 521 - 1) and adelic.exact.isprime(2 ** 607 - 1)
     assert not adelic.exact.isprime(2 ** 523 - 1)
+
+
+def test_isprime_grades_take_enough_bases(monkeypatch):
+    # each grade's bound is a strong pseudoprime to every base of its grade,
+    # and so falls in the next grade, which must find it composite; 8321 =
+    # 53 * 157 is one to base 2 alone, below the first bound
+    monkeypatch.setattr(adelic.exact, "_sieve", np.zeros(0, dtype=bool))
+    for n, k in ((8321, 1),) + _MR_GRADES:
+        assert all(_strong_prp(n, a) for a in _MR_BASES[:k])
+        assert not adelic.exact.isprime(n)
 
 
 _digits = st.integers(19, 199).flatmap(lambda d: st.integers(10 ** d, 10 ** (d + 1)))
@@ -309,6 +320,132 @@ def test_resultant_of_unit_roots_and_their_derivative():
         df = f.derivative()
         assert resultant(f, df) == _sympy_res(f, df)
         assert resultant(df, f) == _sympy_res(df, f)
+
+
+# primes in [50, 5000], ascending: a remainder's leading coefficient is often
+# divisible by one, so abnormal steps are common
+_SMALL_WINDOW = list(primerange(50, 5000))
+
+
+@given(_res_poly, _res_poly, st.one_of(st.none(), _res_poly),
+       st.sampled_from([1, 53, 67 * 4993]))
+@example(IntPoly.make([5]), IntPoly.make([-3]), None, 1)
+@example(IntPoly.make([5]), IntPoly.make([1, 2, -3]), None, 53)
+@example(IntPoly.make([0, 1, 0, 0, 0, 0, 1]), IntPoly.make([1, 0, 0, 0, 1]), None, 1)
+@example(IntPoly.make([1, 0, 0, 0, 0, 0, 0, 1]), IntPoly.make([0, 0, 0, 1]), None, 1)
+@example(IntPoly.make([1, 0, -2]), IntPoly.make([0, -1, 3]), None, 1)
+@example(IntPoly.make([0, 2]), IntPoly.make([0, 0, -4]), IntPoly.make([1, 1]), 1)
+# the first remainders, 53z + 1 and 53z^2 + z + 1, lose their leading
+# term at 53
+@example(IntPoly.make([1, 54, 0, 1]), IntPoly.make([1, 0, 1]), None, 1)
+@example(IntPoly.make([1, 2, 53, 0, 1]), IntPoly.make([1, 0, 0, 1]), None, 1)
+def test_modular_resultant_matches_sympy_or_refuses(f, g, common, q):
+    # q scales f's leading coefficient by primes of the window
+    f = IntPoly.make(f.coeffs[:-1] + (q * f.lc,))
+    if common is not None and not common.is_constant:
+        f, g = f * common, g * common
+    A, B, want = list(f.coeffs), list(g.coeffs), _sympy_res(f, g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adelic.exact, "_word_primes", _SMALL_WINDOW)
+        got = _modular_resultant(A, B)
+    assert got is None or got == want
+    # below 2^31 too few primes are lost on inputs this small to refuse a
+    # nonzero resultant
+    assert _modular_resultant(A, B) == (want or None)
+
+
+def _dense_poly(rng, d, lc=50):
+    return IntPoly.make([rng.randint(-50, 50) for _ in range(d)] + [lc])
+
+
+def _both_routes(monkeypatch, f, g):
+    # resultant(f, g) by the modular route, which must not refuse, and by
+    # the subresultant route alone
+    calls = []
+    modular = adelic.exact._modular_resultant
+
+    def recording(A, B):
+        calls.append(modular(A, B))
+        return calls[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(adelic.exact, "_modular_resultant", recording)
+        got = resultant(f, g)
+    assert len(calls) == 1 and calls[0] is not None
+    with monkeypatch.context() as mp:
+        mp.setattr(adelic.exact, "_MODULAR_MIN_DEGREE", math.inf)
+        return got, resultant(f, g)
+
+
+# lc 2^70 + 1: coefficients past int64 are reduced one by one
+@pytest.mark.parametrize("d, lc", [(96, 50), (128, 50), (192, 50), (64, 2 ** 70 + 1)])
+def test_resultant_routes_agree_on_dense_inputs(monkeypatch, d, lc):
+    f = _dense_poly(random.Random(d), d, lc)
+    got, want = _both_routes(monkeypatch, f, f.derivative())
+    assert got == want
+
+
+def test_resultant_routes_agree_on_factor_pairs(monkeypatch):
+    # g1 g2^2 g3^3: three squarefree factors, each pair and each factor with
+    # its derivative on the modular route, and d* equal on both routes
+    rng = random.Random(3)
+    g1, g2, g3 = (_dense_poly(rng, d) for d in (64, 70, 64))
+    Z = adelic.divisor_from_poly(list((g1 * g2 * g2 * g3 * g3 * g3).coeffs))
+    fac = [g for g, _ in Z.squarefree_factors]
+    assert len(fac) == 3
+    for i, gi in enumerate(fac):
+        for gj in [gi.derivative()] + fac[i + 1:]:
+            got, want = _both_routes(monkeypatch, gi, gj)
+            assert got == want
+    with monkeypatch.context() as mp:
+        mp.setattr(adelic.exact, "_MODULAR_MIN_DEGREE", math.inf)
+        want = adelic.divisor_from_poly(list(Z.finite_part.coeffs)).d_star
+    assert Z.d_star == want
+
+
+def test_resultant_keeps_sparse_inputs_off_the_modular_route(monkeypatch):
+    # z^n - a and iterates of z^2 - 2: the Hadamard bound is far above the
+    # true resultant, so the subresultant route alone runs on them
+    monkeypatch.setattr(adelic.exact, "_modular_resultant", None)
+    c = IntPoly.make([0, 1])
+    for _ in range(7):  # the 128th-degree Chebyshev-like iterate
+        c = (c * c).add_scalar(-2)
+    for f in (IntPoly.make([-2] + [0] * 127 + [1]), c):
+        assert resultant(f, f.derivative()) == _sympy_res(f, f.derivative())
+
+
+def test_modular_resultant_refuses_short_prime_lists(monkeypatch):
+    # primes whose product is below |Res|: no CRT over them can be Res, so
+    # the routine must refuse instead of returning a value
+    f = _dense_poly(random.Random(12), 12)
+    A, B = list(f.coeffs), list(f.derivative().coeffs)
+    want = resultant(f, f.derivative())
+    few = []
+    for q in adelic.exact._window_primes():
+        if math.prod(few) * q >= abs(want):
+            break
+        few.append(q)
+    monkeypatch.setattr(adelic.exact, "_word_primes", few)
+    # and it refuses before reducing anything mod a prime
+    monkeypatch.setattr(adelic.exact, "_residues", None)
+    assert _modular_resultant(A, B) is None
+    assert resultant(f, f.derivative()) == want
+
+
+def test_modular_resultant_refuses_when_drops_leave_too_few(monkeypatch):
+    # Res(z - a, z - 1) = a - 1 = 53 * 59 * 61 * 67: the remainder vanishes
+    # at those four of the eight primes taken, and the four left, spare
+    # included, multiply to less than Res
+    monkeypatch.setattr(adelic.exact, "_word_primes", _SMALL_WINDOW)
+    a = 1 + 53 * 59 * 61 * 67
+    assert _modular_resultant([-a, 1], [-1, 1]) is None
+    assert _modular_resultant([-a, 1], [-2, 1]) == a - 2
+
+
+def test_window_primes_are_the_primes_below_2_31(monkeypatch):
+    monkeypatch.setattr(adelic.exact, "_word_primes", [])
+    got = adelic.exact._window_primes()
+    assert got == list(primerange(2 ** 31 - 2 ** 16, 2 ** 31))[::-1]
 
 
 def test_discriminant_known_values():
