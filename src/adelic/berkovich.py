@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .exact import DomainError, LogValue, require_prime, val_p
 
@@ -41,8 +40,6 @@ class _PointAtInfinity:
 
 #: The point at infinity, shared by the archimedean and finite-place pictures.
 INF_POINT = _PointAtInfinity()
-
-Rational = Union[int, Fraction]
 
 
 @dataclass(frozen=True, eq=False)

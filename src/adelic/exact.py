@@ -703,21 +703,18 @@ _MODULAR_MIN_DEGREE = 64
 #: The modular route's primes lie in [2^31 - _WINDOW, 2^31): about 3000
 #: primes, whose product covers a Hadamard bound of 93,000 bits
 _WINDOW = 1 << 16
-# those primes, descending, built on the first modular call
-_word_primes: list[int] = []
 
 
+@lru_cache(maxsize=None)
 def _window_primes() -> list[int]:
     """The primes in [2^31 - _WINDOW, 2^31), descending, from a segmented
-    sieve over the primes below 46341 > sqrt(2^31)."""
-    global _word_primes
-    if not _word_primes:
-        lo = (1 << 31) - _WINDOW
-        seg = np.ones(_WINDOW, dtype=bool)
-        for p in _primes_below(46341):
-            seg[-lo % p::p] = False
-        _word_primes = (lo + np.flatnonzero(seg)[::-1]).tolist()
-    return _word_primes
+    sieve over the primes below 46341 > sqrt(2^31); built on the first
+    modular call."""
+    lo = (1 << 31) - _WINDOW
+    seg = np.ones(_WINDOW, dtype=bool)
+    for p in _primes_below(46341):
+        seg[-lo % p::p] = False
+    return (lo + np.flatnonzero(seg)[::-1]).tolist()
 
 
 def _residues(cs: list[int], p: np.ndarray) -> np.ndarray:
@@ -751,11 +748,11 @@ def _modular_resultant(A: list[int], B: list[int]) -> int | None:
     int64 arrays with the leading coefficient first, by Res(A, B) =
     (-1)^(deg A deg B) lc(B)^(deg A - deg R) Res(B, R) and Res(B, cR) =
     c^deg B Res(B, R).  Pseudo-division multiplies by lc(B) instead of
-    dividing, and the powers of lc(B) go to a numerator and a denominator
-    per prime, inverted once at the end.  A prime whose remainder falls
-    below the others' degree, or vanishes, is dropped.  Garner's CRT of
-    all primes left but the last gives the symmetric residue, which is Res
-    when their product still passes the bound; the last prime checks it."""
+    dividing, and the powers of lc(B) go to one denominator per prime,
+    inverted once at the end.  A prime whose remainder falls below the
+    others' degree, or vanishes, is dropped.  Garner's CRT of all primes
+    left but the last gives the symmetric residue, which is Res when their
+    product still passes the bound; the last prime checks it."""
     a, b, s = len(A) - 1, len(B) - 1, 1
     if a < b:
         A, B, a, b = B, A, b, a
@@ -774,7 +771,7 @@ def _modular_resultant(A: list[int], B: list[int]) -> int | None:
     primes.extend(islice(usable, 3))
     p = np.array(primes, dtype=np.int64)[:, None]
     F, G = _residues(A[::-1], p), _residues(B[::-1], p)
-    num, den = np.ones_like(p), np.ones_like(p)
+    den = np.ones_like(p)
     while b > 0:
         lb = G[:, :1]
         for k in range(a - b + 1):
@@ -790,18 +787,15 @@ def _modular_resultant(A: list[int], B: list[int]) -> int | None:
             return None
         keep = lead == m
         r = b - 1 - m
-        e = a - r - (a - b + 1) * b
-        if e > 0:
-            num = num * _powmod(lb, e, p) % p
-        else:
-            den = den * _powmod(lb, -e, p) % p
+        # lc(B)'s exponent a - r - (a - b + 1) b is -((a - b)(b - 1) + r) <= 0
+        den = den * _powmod(lb, (a - b) * (b - 1) + r, p) % p
         s *= (-1) ** (a * b)
-        F, G, p, num, den = G[keep], R[keep, m:], p[keep], num[keep], den[keep]
+        F, G, p, den = G[keep], R[keep, m:], p[keep], den[keep]
         a, b = b, r
     *primes, spare = p[:, 0].tolist()
     if math.prod(primes) <= need:
         return None
-    num = num * _powmod(G[:, :1], a, p) % p
+    num = _powmod(G[:, :1], a, p)
     *res, check = [n * pow(d, -1, q) % q for n, d, q
                    in zip(num[:, 0].tolist(), den[:, 0].tolist(), p[:, 0].tolist())]
     x, M = 0, 1

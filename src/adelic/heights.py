@@ -8,7 +8,7 @@ only sources of interval width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .divisors import EffectiveDivisor
@@ -55,13 +55,7 @@ class HeightInterval:
         return self.lo <= float(x) <= self.hi
 
     def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "err": self.err,
-            "tail": self.tail,
-            "lo": self.lo,
-            "hi": self.hi,
-        }
+        return {**asdict(self), "lo": self.lo, "hi": self.hi}
 
 
 def height(

@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 from .exact import (
-    DomainError, LogValue, _float_err, _primes_below, _val, factorize, require_prime)
+    DomainError, LogValue, Rational, _float_err, _primes_below, _val, factorize, require_prime)
 
 if TYPE_CHECKING:
     from .divisors import EffectiveDivisor
@@ -27,8 +27,6 @@ __all__ = [
     "product_formula_check",
     "relevant_places",
 ]
-
-Rational = Union[int, Fraction]
 
 
 @dataclass(frozen=True, order=False)
@@ -145,7 +143,7 @@ def relevant_places(
     ps = set(Z.primes) | {require_prime(c.prime) for c in g.overrides if c.half or c.shift}
     cutoff: int | None = None
     tail = 0.0
-    if not g.finitely_supported:
+    if g.branching:
         try:
             cutoff = g.prime_cutoff(tail_eps / Z.degree)
         except DomainError:  # a bound that underflowed to 0 or has no float cutoff

@@ -69,19 +69,17 @@ class SequenceSpec:
 
 def generate(spec: SequenceSpec) -> Iterator[EffectiveDivisor]:
     """The divisor stream of the family, one per index."""
-    if spec.family == "unit_roots":
-        for n in spec.indices():
-            yield divisor_from_poly([-1] + [0] * (n - 1) + [1])
-    elif spec.family == "pow_minus":
-        for n in spec.indices():
-            yield divisor_from_poly([-spec.param] + [0] * (n - 1) + [1])
-    else:
+    if spec.family == "preimages":
         f = IntPoly.make([spec.param, 0, 1])
         for n in range(1, spec.n_max + 1):
             if n > 1:
                 f = (f * f).add_scalar(spec.param)
             if n >= spec.n_min:
                 yield divisor_from_poly(f.coeffs)
+    else:
+        a = 1 if spec.family == "unit_roots" else spec.param
+        for n in spec.indices():
+            yield divisor_from_poly([-a] + [0] * (n - 1) + [1])
 
 
 CSV_COLUMNS = (

@@ -124,9 +124,9 @@ class Weight:
 
     overrides holds the components at single primes (set by hand or by
     normalize), at most one per prime.  Elsewhere, without branching
-    every finite component is zero, so sums over primes truncate exactly
-    (finitely_supported).  With branching the component at p is the ex5
-    ramp of half-width 1/(2 m_p), m_p the least integer >= p^2 log p.
+    every finite component is zero, so sums over primes truncate exactly.
+    With branching the component at p is the ex5 ramp of half-width
+    1/(2 m_p), m_p the least integer >= p^2 log p.
     """
 
     name: str
@@ -138,10 +138,6 @@ class Weight:
     # weight keeps no per-instance cache, so that is every call
     _finite_cache: ClassVar[tuple] = ()
 
-    @property
-    def finitely_supported(self) -> bool:
-        return not self.branching
-
     def finite(self, p: int) -> FiniteWeight:
         for comp in self.overrides:
             if comp.prime == p:
@@ -150,7 +146,7 @@ class Weight:
 
     def tail_sum_bound(self, prime_floor: int) -> float:
         """Certified bound on sum over primes p > prime_floor of sup |g_p|."""
-        if self.finitely_supported:
+        if not self.branching:
             return 0.0
         if prime_floor < 1:
             raise DomainError("prime_floor must be >= 1")
@@ -159,7 +155,7 @@ class Weight:
 
     def prime_cutoff(self, bound: float) -> int:
         """Smallest P with tail_sum_bound(P) < bound."""
-        if self.finitely_supported:
+        if not self.branching:
             return 1
         if not bound > 0.0:  # NaN included
             raise DomainError(f"tail bound must be positive, got {bound!r}")

@@ -94,6 +94,35 @@ def test_hsia_kernel_ultrametric_in_small_distance():
         assert a <= max(b, c)
 
 
+def test_berk_point_equality_and_hash():
+    p = 5
+    disk = BerkPoint.disk(p, 0, -1)
+    # equal radii p^r: the disks coincide iff |a - b|_p <= p^r
+    same = [BerkPoint.disk(p, 0, -1), BerkPoint.disk(p, 5, -1), BerkPoint.disk(p, -10, -1)]
+    assert all(q == disk for q in same)  # |5|_5 = 5^-1 sits on the boundary
+    assert len({disk, *same}) == 1
+    assert all(hash(q) == hash(disk) for q in same)
+    assert BerkPoint.disk(p, Fraction(1, 5), 1) == BerkPoint.disk(p, 0, 1)
+    assert disk != BerkPoint.disk(p, 1, -1)
+    assert disk != BerkPoint.disk(p, 0, -2)
+    assert disk != BerkPoint.disk(7, 0, -1)
+    # a type I point never equals a disk; two are equal iff their centers are
+    point = BerkPoint.type_i(p, 0)
+    assert point != disk and disk != point
+    assert point != BerkPoint.disk(p, 0, 10)
+    assert BerkPoint.type_i(p, Fraction(2, 6)) == BerkPoint.type_i(p, Fraction(1, 3))
+    assert hash(BerkPoint.type_i(p, Fraction(2, 6))) == hash(BerkPoint.type_i(p, Fraction(1, 3)))
+    assert BerkPoint.type_i(p, 1) != BerkPoint.type_i(p, 6)
+    # the point infinity equals only infinity
+    inf = BerkPoint.type_i(p, INF_POINT)
+    assert inf == BerkPoint.type_i(p, INF_POINT)
+    assert hash(inf) == hash(BerkPoint.type_i(p, INF_POINT))
+    assert inf != point and point != inf
+    assert inf != disk and disk != inf
+    assert inf != BerkPoint.type_i(7, INF_POINT)
+    assert disk.__eq__(0) is NotImplemented
+
+
 def test_mismatched_prime_rejected():
     with pytest.raises(DomainError):
         hsia_kernel(3, BerkPoint.type_i(2, Fraction(1)), BerkPoint.type_i(3, Fraction(1)))

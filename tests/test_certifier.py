@@ -17,6 +17,9 @@ def test_worked_example_certifies():
     assert out.sup_bound == 0.75 * 0.1
     assert out.checked_sup == 0.003
     assert out.to_json()["certified"] is True
+    # the output layout: "certified" first, then the fields in declared order
+    assert list(out.to_json()) == ["certified", "eps", "columns", "rows", "sup_bound",
+                                   "checked_sup"]
 
 
 def test_huge_eps_certifies():
@@ -33,6 +36,8 @@ def test_tail_refusal_comes_first():
     assert isinstance(out, Refusal)
     assert out.reason == "tail_bound"
     assert out.row is None
+    assert out.to_json()["certified"] is False
+    assert list(out.to_json()) == ["certified", "reason", "row", "detail"]
 
 
 def test_row_sum_refusal_names_row():

@@ -346,7 +346,7 @@ def test_modular_resultant_matches_sympy_or_refuses(f, g, common, q):
         f, g = f * common, g * common
     A, B, want = list(f.coeffs), list(g.coeffs), _sympy_res(f, g)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(adelic.exact, "_word_primes", _SMALL_WINDOW)
+        mp.setattr(adelic.exact, "_window_primes", lambda: _SMALL_WINDOW)
         got = _modular_resultant(A, B)
     assert got is None or got == want
     # below 2^31 too few primes are lost on inputs this small to refuse a
@@ -425,7 +425,7 @@ def test_modular_resultant_refuses_short_prime_lists(monkeypatch):
         if math.prod(few) * q >= abs(want):
             break
         few.append(q)
-    monkeypatch.setattr(adelic.exact, "_word_primes", few)
+    monkeypatch.setattr(adelic.exact, "_window_primes", lambda: few)
     # and it refuses before reducing anything mod a prime
     monkeypatch.setattr(adelic.exact, "_residues", None)
     assert _modular_resultant(A, B) is None
@@ -436,15 +436,14 @@ def test_modular_resultant_refuses_when_drops_leave_too_few(monkeypatch):
     # Res(z - a, z - 1) = a - 1 = 53 * 59 * 61 * 67: the remainder vanishes
     # at those four of the eight primes taken, and the four left, spare
     # included, multiply to less than Res
-    monkeypatch.setattr(adelic.exact, "_word_primes", _SMALL_WINDOW)
+    monkeypatch.setattr(adelic.exact, "_window_primes", lambda: _SMALL_WINDOW)
     a = 1 + 53 * 59 * 61 * 67
     assert _modular_resultant([-a, 1], [-1, 1]) is None
     assert _modular_resultant([-a, 1], [-2, 1]) == a - 2
 
 
-def test_window_primes_are_the_primes_below_2_31(monkeypatch):
-    monkeypatch.setattr(adelic.exact, "_word_primes", [])
-    got = adelic.exact._window_primes()
+def test_window_primes_are_the_primes_below_2_31():
+    got = adelic.exact._window_primes.__wrapped__()
     assert got == list(primerange(2 ** 31 - 2 ** 16, 2 ** 31))[::-1]
 
 

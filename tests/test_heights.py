@@ -170,6 +170,12 @@ def test_report_json_roundtrips():
     rep = global_fekete(Z, std_weight())
     blob = json.dumps(rep.to_json())
     back = json.loads(blob)
+    # the output layouts of a report's top level and of its height
+    assert list(back) == [
+        "degree", "inf_mult", "diagonal_mass", "diagonal_ratio", "rows", "tail_bound",
+        "prime_cutoff", "height", "fekete_total_ratio", "fekete_arch", "fekete_max_finite",
+        "uniform_sup", "identity_residual", "identity_slack", "dstar_product_formula"]
+    assert list(back["height"]) == ["value", "err", "tail", "lo", "hi"]
     assert back["degree"] == 3
     assert back["inf_mult"] == 1
     assert back["diagonal_ratio"] == "1/3"

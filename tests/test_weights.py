@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ from sympy import sieve
 
 import adelic
 from adelic.berkovich import BerkPoint, INF_POINT
-from adelic.exact import DomainError
+from adelic.exact import DomainError, _float_err
 from adelic.places import ARCH, Place
 from adelic.weights import (
     _default_branch_count,
@@ -30,7 +31,7 @@ from quadrature import circle_average, equilibrium_energy_quadrature, fs_average
 
 def test_trivial_weight_shape():
     g = trivial_weight()
-    assert g.finitely_supported
+    assert not g.branching
     assert g.arch(0.0) == -0.25
     assert g.arch(INF_POINT) == -0.25
     assert g.finite(2).value_coeff(BerkPoint.type_i(2, Fraction(7))) == 0
@@ -49,12 +50,12 @@ def test_std_weight_arch_values():
     # symmetric under inversion
     for t in (0.3, 1.7, 4.2):
         assert abs(g.arch(t) - g.arch(1 / t)) < 1e-14
-    assert g.finitely_supported
+    assert not g.branching
 
 
 def test_ex5_weight_components():
     g = ex5_weight()
-    assert not g.finitely_supported
+    assert g.branching
     comp = g.finite(2)
     # branch count is the least integer >= p^2 log p
     m = int(1 / (2 * comp.sup_coeff))
@@ -129,11 +130,35 @@ def test_weight_eval_and_radii():
     x = BerkPoint.type_i(5, Fraction(1, 5))
     v = weight_eval(g, p, x)
     assert v.is_exact
+    for z in (0.5, 2.0 - 1.0j, INF_POINT):
+        v = weight_eval(g, ARCH, z)
+        assert not v.is_exact
+        assert v.value == g.arch(z)
+        assert v.err == _float_err(v.value)
     r = radii(g, p)
     assert r.log_outer.coeff + r.log_inner.coeff == 0
     assert r.log_outer.coeff > 0
     ra = radii(g, ARCH)
     assert abs(ra.log_outer.value - 0.25) < 1e-15
+
+
+def test_normalize_at_a_finite_place():
+    # ex5 with its component at 3 shifted by 1/7: the energy there is
+    # -2/7 log 3, and normalize takes the shift back off, exactly
+    g0 = ex5_weight()
+    g = dataclasses.replace(
+        g0, overrides=(dataclasses.replace(g0.finite(3), shift=Fraction(1, 7)),))
+    assert equilibrium_energy(g, Place(3)) == float(Fraction(-2, 7)) * math.log(3)
+    gn = normalize(g, Place(3))
+    assert equilibrium_energy(gn, Place(3)) == 0.0
+    assert gn.finite(3) == g0.finite(3)
+    assert gn.name == g.name + "+norm"
+    # every other place is unchanged
+    assert gn.arch == g.arch
+    assert equilibrium_energy(gn, ARCH) == equilibrium_energy(g, ARCH)
+    for p in (2, 5, 13):
+        assert gn.finite(p) == g.finite(p)
+        assert equilibrium_energy(gn, Place(p)) == equilibrium_energy(g, Place(p)) == 0.0
 
 
 def test_potential_kernel_arch():
