@@ -17,7 +17,7 @@ from fractions import Fraction
 from .berkovich import BerkPoint
 from .certify import lemma43_certify, random_adversarial_instance, random_certifier_instance
 from .divisors import divisor_from_poly
-from .exact import DomainError, _primes_below, val_p
+from .exact import DomainError, _primes_below, factorize, val_p
 from .heights import global_fekete, height
 from .local import fekete_sum
 from .places import ARCH, Place, _product_formula, log_abs, product_formula_check
@@ -78,14 +78,16 @@ def _emit(obj: dict) -> None:
 def _cmd_dstar(args) -> int:
     Z = divisor_from_poly(_parse_poly(args.poly), args.inf_mult)
     ds = Z.d_star
-    # the divisor's primes also divide lc; only those of d* go in the table
-    places = [ARCH] + [Place(p) for p in sorted(Z.primes) if val_p(ds, p)]
+    # d*'s numerator factored in full; its denominator's primes divide lc,
+    # and only the primes of d* go in the table
+    primes = set(factorize(ds.numerator)).union(factorize(Z.finite_part.lc))
+    places = [ARCH] + [Place(p) for p in sorted(primes) if val_p(ds, p)]
     table = [{"place": str(v), "log_abs": log_abs(ds, v).to_json()} for v in places]
     _emit({
         "degree": Z.degree,
         "dstar": str(ds),
         "log_table": table,
-        "product_formula_ok": _product_formula(ds, Z.primes),
+        "product_formula_ok": _product_formula(ds, primes),
     })
     return 0
 

@@ -5,11 +5,13 @@ multiplicities from the squarefree decomposition) plus an explicit
 multiplicity at the point at infinity.  The module also computes the
 quantities that drive all local identities: the diagonal mass, the
 small-diagonal ratio, the pairwise difference product over distinct
-finite support points (an exact rational), and the divisor's primes.
+finite support points (an exact rational), the divisor's primes and the
+cofactor of d* that they leave.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -18,7 +20,9 @@ from typing import Iterable
 from .exact import (
     DomainError,
     IntPoly,
+    _divide_out,
     _index,
+    _trial_division,
     content_primitive,
     factorize,
     resultant,
@@ -126,13 +130,25 @@ class EffectiveDivisor:
 
     @cached_property
     def primes(self) -> frozenset[int]:
-        """The primes of the finite part's leading coefficient and of d_star,
-        where the divisor's own local data can be nonzero; the package's
-        one factorization of divisor data.  d_star's denominator needs no
-        factoring: each term's is a power of a factor's leading coefficient,
-        and those multiply to the finite part's."""
+        """The primes where the divisor's own local data can be more than
+        its d_star term: those of the finite part's leading coefficient,
+        those that d_star's numerator shares with end_coeffs (an
+        input-sized gcd), and the numerator's primes below 2^15, by trial
+        division; d_star is never factored.  Its denominator adds none:
+        each term's is a power of a factor's leading coefficient.  Every
+        other prime of d_star divides cofactor."""
+        num = abs(self.d_star.numerator)
         return frozenset(factorize(self.finite_part.lc)).union(
-            factorize(self.d_star.numerator))
+            factorize(math.gcd(num, self.end_coeffs)), _trial_division(num)[0])
+
+    @cached_property
+    def cofactor(self) -> int:
+        """|numerator of d_star| with the power of every prime of primes
+        divided out.  Each of its primes p is above 2^15 and a unit prime,
+        where every support point is a p-adic unit or zero, so the divisor's
+        only local data at p is log|d_star|_p = -v_p(d_star) log p; summed
+        over those primes it is -log cofactor, with no factoring."""
+        return _divide_out(abs(self.d_star.numerator), self.primes)
 
 
 def divisor_from_poly(coeffs: Iterable[int], inf_mult: int = 0) -> EffectiveDivisor:

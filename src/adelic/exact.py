@@ -61,7 +61,8 @@ INF = math.inf
 
 Rational = Union[int, Fraction]
 
-_EPS = 2.220446049250313e-16  # double precision unit roundoff
+#: Double precision machine epsilon 2^-52, twice the unit roundoff u = 2^-53.
+_EPS = 2.220446049250313e-16
 
 
 def _float_err(x: float) -> float:
@@ -256,19 +257,7 @@ def factorize(n: int) -> dict[int, int]:
     effort is unbounded."""
     if n == 0:
         raise DomainError("cannot factor zero")
-    n = abs(n)
-    out: dict[int, int] = {}
-    root = math.isqrt(n)
-    for p in _primes_below(_SMALL):
-        if p > root:
-            break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out[p] = e
-            root = math.isqrt(n)
+    out, n = _trial_division(abs(n))
     stack = [(n, 1)] if n > 1 else []
     while stack:
         m, k = stack.pop()
@@ -282,6 +271,37 @@ def factorize(n: int) -> dict[int, int]:
         d = _fermat(m) or _brent(m) or _ecm(m)
         stack.extend(((d, k), (m // d, k)))
     return dict(sorted(out.items()))
+
+
+def _trial_division(n: int) -> tuple[dict[int, int], int]:
+    """Trial division of n >= 1 by the primes below 2^15: {p: exponent}
+    over those dividing n, and the rest of n, which has none of them."""
+    out: dict[int, int] = {}
+    root = math.isqrt(n)
+    for p in _primes_below(_SMALL):
+        if p > root:
+            # n is 1 or a prime; keep it here if it is below the bound
+            if 1 < n < _SMALL:
+                out[n], n = 1, 1
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+            root = math.isqrt(n)
+    return out, n
+
+
+def _divide_out(n: int, primes) -> int:
+    """n with the power of every prime in primes divided out."""
+    for p in primes:
+        if n == 1:
+            break
+        while n % p == 0:
+            n //= p
+    return n
 
 
 def _perfect_power(m: int) -> tuple[int, int]:

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .divisors import EffectiveDivisor
-from .exact import _EPS, _float_err, _fsum_pairs, float_sum
+from .exact import _EPS, LogValue, _float_err, _fsum_pairs, float_sum
 from .local import LocalData, PlaceRow, mahler_g
 from .places import _product_formula, relevant_places
 from .weights import Weight
@@ -68,7 +68,9 @@ def height(
 
     The place list is the certified relevant set for half of tail_eps,
     so the interval width never exceeds tail_eps plus the archimedean
-    evaluation error.
+    evaluation error.  A prime of d* left in the set's cofactor adds no
+    Mahler term: it is a unit prime, and above the cutoff, inside
+    tail_bound, when the weight branches.
     """
     rel = relevant_places(Z, g, tail_eps / 2.0)
     total = float_sum(mahler_g(Z, g, v) for v in rel.places)
@@ -85,10 +87,15 @@ def _interval(total: tuple[float, float], d: int, tail: float) -> HeightInterval
 class GlobalReport:
     """Adelic summary of one divisor against one weight.
 
-    The aggregates are fields filled by global_fekete's one fold over the
-    rows.  uniform_sup is the largest pairing magnitude plus error over d^2
+    rows holds one row per relevant place, the archimedean one last.
+    cofactor is the part C of |num(d*)| at the primes they leave out (1 if
+    none): to_json writes it as one more exact row just before the
+    archimedean one (see global_fekete).  The aggregates are fields filled
+    by global_fekete's one fold over the rows and that cofactor row.
+    uniform_sup is the largest pairing magnitude plus error over d^2
     (exact zeros skipped), and at least 4 times the tail of the weight's
-    sup norms, which bounds every omitted place.
+    sup norms, which bounds every omitted place; log C over d^2 enters it
+    and fekete_max_finite, and bounds the d* term of every prime of C.
     """
 
     degree: int
@@ -98,6 +105,7 @@ class GlobalReport:
     rows: tuple[PlaceRow, ...]
     tail_bound: float
     prime_cutoff: int | None
+    cofactor: int
     identity_residual: float
     identity_slack: float
     dstar_product_formula: bool
@@ -108,12 +116,15 @@ class GlobalReport:
     uniform_sup: float
 
     def to_json(self) -> dict:
+        rows = [r.to_json() for r in self.rows]
+        if self.cofactor > 1:
+            rows.insert(-1, _cofactor_row(self.cofactor).to_json())
         return {
             "degree": self.degree,
             "inf_mult": self.inf_mult,
             "diagonal_mass": self.diagonal_mass,
             "diagonal_ratio": str(self.diagonal_ratio),
-            "rows": [r.to_json() for r in self.rows],
+            "rows": rows,
             "tail_bound": self.tail_bound,
             "prime_cutoff": self.prime_cutoff,
             "height": self.height_interval.to_json(),
@@ -125,6 +136,12 @@ class GlobalReport:
             "identity_slack": self.identity_slack,
             "dstar_product_formula": self.dstar_product_formula,
         }
+
+
+def _cofactor_row(c: int) -> PlaceRow:
+    # the unlisted primes of d*, all of them unit primes, as one row
+    zero, dstar = LogValue.zero(), LogValue.exact_log(-1, c)
+    return PlaceRow(c, zero, zero, dstar, dstar)
 
 
 def global_fekete(
@@ -144,13 +161,25 @@ def global_fekete(
     with G(w) the adelic sum of weight values at the support point and
     R(w) the adelic sum of its round-metric terms (the log of its
     projective norm at each place); it must vanish within identity_slack.
+    The primes of d* that relevant_places leaves out share one exact
+    cofactor row, whose place is the int C, the product of p^v_p(d*) over
+    them: its pairing and log_dstar are -log C, as each such prime is a
+    unit prime that adds only its d* term, and its Mahler entries are
+    exact zeros.
     The product formula for the pairwise difference product is checked
-    exactly over the divisor's own factorization and reported as a flag.
+    exactly, as |d*| = C times the product of p^v_p(d*) over the divisor's
+    primes, and reported as a flag; d* is never factored.
     """
     rel = relevant_places(Z, g, tail_eps / 2.0)
     d = Z.degree
     rows, terms = [], ([], [], [])  # (value, error): pairings, weighted Mahler, diagonals
     sup = 0.0  # largest |pairing| + error over the rows that are not exact zeros
+    if rel.cofactor > 1:
+        # the cofactor row's pairing, first: the archimedean row stays last;
+        # its other terms are exact zeros
+        pair = _cofactor_row(rel.cofactor).fekete._as_float()
+        sup = abs(pair[0]) + pair[1]
+        terms[0].append(pair)
     for v in rel.places:
         data = LocalData(Z, g, v)
         row, diag = data.row()
@@ -184,9 +213,10 @@ def global_fekete(
         rows=tuple(rows),
         tail_bound=rel.tail_bound,
         prime_cutoff=rel.prime_cutoff,
+        cofactor=rel.cofactor,
         identity_residual=residual,
         identity_slack=slack,
-        dstar_product_formula=_product_formula(Z.d_star, Z.primes),
+        dstar_product_formula=_product_formula(Z.d_star, Z.primes, Z.cofactor),
         height_interval=_interval((h_tot, h_err), d, rel.tail_bound),
         fekete_total_ratio=lhs / d2,
         fekete_arch=dv / d2,

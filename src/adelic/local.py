@@ -38,10 +38,12 @@ class PlaceRow:
     """Per-place line of a global report.
 
     All four entries are LogValues: exact at finite places, error
-    bounded floats at the archimedean place.
+    bounded floats at the archimedean place.  place is a Place, or the int
+    cofactor C of a report's cofactor row (see global_fekete), which holds
+    the unlisted primes of d* together.
     """
 
-    place: Place
+    place: Place | int
     mahler_round: LogValue
     mahler_weighted: LogValue
     fekete: LogValue

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -151,11 +152,13 @@ def test_d_star_rational_roots_oracle():
 
 def test_primes_need_no_dstar_denominator():
     # each term of d* has a power of a factor's leading coefficient below,
-    # so den(d*) adds no prime to lc and num(d*)
+    # so den(d*) adds no prime to lc and num(d*); the primes of num(d*)
+    # that are not listed are exactly those of the cofactor
     rng = random.Random(17)
     for _ in range(300):
         Z = random_divisor(rng)
         lc, ds = set(factorize(Z.finite_part.lc)), Z.d_star
         den = set(factorize(ds.denominator))
         assert den <= lc
-        assert Z.primes == lc | set(factorize(ds.numerator)) | den
+        assert Z.primes | set(factorize(Z.cofactor)) == lc | set(factorize(ds.numerator)) | den
+        assert all(math.gcd(Z.cofactor, p) == 1 for p in Z.primes)

@@ -6,10 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from adelic.divisors import divisor_from_poly
-from adelic.exact import _EPS, DomainError, IntPoly, float_sum
+from adelic.exact import _EPS, DomainError, IntPoly, float_sum, val_p
 from adelic.heights import HeightInterval, global_fekete, height
+from adelic.local import LocalData
 from adelic.places import Place, relevant_places
 from adelic.weights import ArchWeight, FiniteWeight, Weight, ex5_weight, std_weight, trivial_weight
 
@@ -276,3 +278,122 @@ def test_report_checks_each_prime_once_per_call(monkeypatch):
     special = [p for p in primes if any(c % p == 0 for c in ends)]
     assert len(primes) - len(special) > 100
     assert calls[0] == len(special) * len(factors)
+
+
+def _full_listing(Z):
+    # the primes a report listed when d* was factored in full: lc, num(d*)
+    # and den(d*), with sympy as the oracle
+    ds = Z.d_star
+    return set().union(*(sympy.factorint(abs(n)) for n in (
+        Z.finite_part.lc, ds.numerator, ds.denominator)))
+
+
+def test_cofactor_row_against_full_factorization():
+    # dense inputs of degree 4-7 whose d* sympy factors in milliseconds:
+    # the listed primes are those of a full factorization minus the primes
+    # of C, and the one row -log C is the d* terms of those primes,
+    # exponent by exponent
+    rng = random.Random(2110)
+    with_row = 0
+    for _ in range(16):
+        cs = [rng.randint(-30, 30) for _ in range(rng.randint(4, 7))] + [rng.randint(1, 30)]
+        Z = divisor_from_poly(cs)
+        ds, C = Z.d_star, sympy.factorint(Z.cofactor)
+        assert C == {p: val_p(ds, p) for p in C}
+        assert all(p > 2 ** 15 and Z.end_coeffs % p for p in C)
+        with_row += Z.cofactor > 1
+        for g in (std_weight(), trivial_weight()):
+            rep = global_fekete(Z, g)
+            listed = {r.place.prime for r in rep.rows if not r.place.is_archimedean}
+            assert listed == _full_listing(Z) - set(C)
+            rows = rep.to_json()["rows"]
+            assert rows[-1]["place"] == "inf"
+            assert len(rows) == len(rep.rows) + (Z.cofactor > 1)
+            if Z.cofactor > 1:
+                row = rows[-2]
+                assert row["place"] == str(Z.cofactor) and list(row) == list(rows[0])
+                assert row["fekete"] == row["log_dstar"] == {"coeff": "-1", "log_base": Z.cofactor}
+                zero = {"coeff": "0", "log_base": None}
+                assert row["mahler_round"] == row["mahler_weighted"] == zero
+            # at each prime of C the row that was dropped held only its d* term
+            for p in C:
+                data = LocalData(Z, g, Place(p))
+                assert data.unit_prime and data.mahler_weighted.coeff == 0
+                assert data.fekete.coeff == data.log_dstar.coeff == -C[p]
+            assert rep.dstar_product_formula
+            assert rep.identity_residual <= rep.identity_slack
+    assert with_row >= 8
+
+
+def _rebuilt_dstar(rows):
+    # |d*| from the place and log_dstar coefficient of every finite JSON row
+    out = Fraction(1)
+    for r in rows[:-1]:
+        out *= Fraction(int(r["place"])) ** -Fraction(r["log_dstar"]["coeff"])
+    return out
+
+
+def test_weight_primes_leave_the_cofactor():
+    # an override at a prime of C lists that prime with its own row, so
+    # its power leaves the report's cofactor and the rows still rebuild |d*|
+    Z = divisor_from_poly([-26, 26, 21, -29, -9, 17, 23])  # C = 45247 * 206251
+    C = sympy.factorint(Z.cofactor)
+    q = min(C)
+    g = dataclasses.replace(std_weight(), overrides=(FiniteWeight(q, Fraction(1, 4), Fraction(0)),))
+    rel = relevant_places(Z, g)
+    assert Place(q) in rel.places and rel.cofactor == Z.cofactor // q ** C[q] > 1
+    for weight in (std_weight(), g):
+        rep = global_fekete(Z, weight)
+        rows = rep.to_json()["rows"]
+        assert _rebuilt_dstar(rows) == abs(Z.d_star)
+        assert rep.dstar_product_formula
+        assert rep.identity_residual <= rep.identity_slack
+
+
+def _preimage(depth):
+    # the depth-fold iterate of z^2 - 2
+    cs = [-2, 0, 1]
+    for _ in range(depth - 1):
+        cs = list((IntPoly.make(cs) * IntPoly.make(cs)).coeffs)
+        cs[0] -= 2
+    return cs
+
+
+def test_cofactor_is_one_on_the_structured_families():
+    # C = 1 leaves every prime of num(d*) listed, as when d* was factored in
+    # full, so these reports are byte-identical to that listing's
+    inputs = [[-a] + [0] * (n - 1) + [1] for a in (1, 2) for n in range(1, 129)]
+    inputs += [_preimage(k) for k in range(1, 8)]
+    for cs in inputs:
+        assert divisor_from_poly(cs).cofactor == 1, cs
+    assert _fixed_ex5_divisor().cofactor == 1
+
+
+def _dense64():
+    # a dense input of degree 64: lc 3, the others in [-50, 50]
+    # drawn after random.seed(1)
+    rng = random.Random(1)
+    return [rng.randint(-50, 50) for _ in range(64)] + [3]
+
+
+@pytest.mark.parametrize("coeffs", [
+    _dense64(),
+    # its report spent 115 s factoring d*'s 49-digit numerator 19 * 883 * p21 * p25
+    [-5, -23, 8, 18, 29, 3, -11, 26, -7, 3, 25, 17, 13, 28, 14],
+], ids=["dense64", "deg14"])
+def test_reports_factor_only_the_end_coefficients(monkeypatch, coeffs):
+    import adelic.divisors
+
+    seen = []
+    real = adelic.divisors.factorize
+
+    def recording(n):
+        seen.append(n)
+        return real(n)
+
+    monkeypatch.setattr(adelic.divisors, "factorize", recording)
+    Z = divisor_from_poly(coeffs)
+    rep = global_fekete(Z, std_weight())
+    height(Z, std_weight())
+    assert Z.cofactor > 1 and rep.dstar_product_formula
+    assert seen and all(Z.finite_part.lc % n == 0 or Z.end_coeffs % n == 0 for n in seen)
