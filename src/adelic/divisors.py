@@ -5,8 +5,7 @@ multiplicities from the squarefree decomposition) plus an explicit
 multiplicity at the point at infinity.  The module also computes the
 quantities that drive all local identities: the diagonal mass, the
 small-diagonal ratio, the pairwise difference product over distinct
-finite support points (an exact rational), the divisor's primes and the
-cofactor of d* that they leave.
+finite support points (an exact rational) and the divisor's primes.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from typing import Iterable
 from .exact import (
     DomainError,
     IntPoly,
-    _divide_out,
     _index,
     _trial_division,
     content_primitive,
@@ -41,13 +39,18 @@ class EffectiveDivisor:
 
     finite_part is primitive with positive leading coefficient; inf_mult is
     the multiplicity of the point at infinity.  A constant finite_part means
-    the divisor is supported at infinity alone.
+    the divisor is supported at infinity alone.  A finite_part that
+    IntPoly.make would not return unchanged (a zero polynomial, a trailing
+    zero or a non-integer coefficient) is refused.
     """
 
     finite_part: IntPoly
     inf_mult: int = 0
 
     def __post_init__(self):
+        if IntPoly.make(self.finite_part.coeffs) != self.finite_part:
+            raise DomainError(
+                f"finite part {self.finite_part.coeffs!r} is not as IntPoly.make builds it")
         object.__setattr__(self, "inf_mult", _index(self.inf_mult, "inf_mult"))
         if self.inf_mult < 0:
             raise DomainError("negative multiplicity at infinity")
@@ -136,19 +139,11 @@ class EffectiveDivisor:
         input-sized gcd), and the numerator's primes below 2^15, by trial
         division; d_star is never factored.  Its denominator adds none:
         each term's is a power of a factor's leading coefficient.  Every
-        other prime of d_star divides cofactor."""
+        other prime of d_star is a unit prime above 2^15, where the
+        divisor's only local data is its d_star term."""
         num = abs(self.d_star.numerator)
         return frozenset(factorize(self.finite_part.lc)).union(
             factorize(math.gcd(num, self.end_coeffs)), _trial_division(num)[0])
-
-    @cached_property
-    def cofactor(self) -> int:
-        """|numerator of d_star| with the power of every prime of primes
-        divided out.  Each of its primes p is above 2^15 and a unit prime,
-        where every support point is a p-adic unit or zero, so the divisor's
-        only local data at p is log|d_star|_p = -v_p(d_star) log p; summed
-        over those primes it is -log cofactor, with no factoring."""
-        return _divide_out(abs(self.d_star.numerator), self.primes)
 
 
 def divisor_from_poly(coeffs: Iterable[int], inf_mult: int = 0) -> EffectiveDivisor:

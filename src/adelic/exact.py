@@ -294,16 +294,6 @@ def _trial_division(n: int) -> tuple[dict[int, int], int]:
     return out, n
 
 
-def _divide_out(n: int, primes) -> int:
-    """n with the power of every prime in primes divided out."""
-    for p in primes:
-        if n == 1:
-            break
-        while n % p == 0:
-            n //= p
-    return n
-
-
 def _perfect_power(m: int) -> tuple[int, int]:
     # (r, e) with m = r^e and e prime, else (m, 1); m has no prime below
     # _SMALL, so e <= log_SMALL(m)

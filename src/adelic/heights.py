@@ -8,13 +8,14 @@ only sources of interval width.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .divisors import EffectiveDivisor
 from .exact import _EPS, LogValue, _float_err, _fsum_pairs, float_sum
 from .local import LocalData, PlaceRow, mahler_g
-from .places import _product_formula, relevant_places
+from .places import relevant_places
 from .weights import Weight
 
 __all__ = [
@@ -68,9 +69,9 @@ def height(
 
     The place list is the certified relevant set for half of tail_eps,
     so the interval width never exceeds tail_eps plus the archimedean
-    evaluation error.  A prime of d* left in the set's cofactor adds no
-    Mahler term: it is a unit prime, and above the cutoff, inside
-    tail_bound, when the weight branches.
+    evaluation error.  A prime of d* left out of the set adds no Mahler
+    term: it is a unit prime, and above the cutoff, inside tail_bound,
+    when the weight branches.
     """
     rel = relevant_places(Z, g, tail_eps / 2.0)
     total = float_sum(mahler_g(Z, g, v) for v in rel.places)
@@ -88,10 +89,11 @@ class GlobalReport:
     """Adelic summary of one divisor against one weight.
 
     rows holds one row per relevant place, the archimedean one last.
-    cofactor is the part C of |num(d*)| at the primes they leave out (1 if
-    none): to_json writes it as one more exact row just before the
+    cofactor is C, what the finite rows' d* terms leave of |num(d*)| (1 if
+    nothing): to_json writes it as one more exact row just before the
     archimedean one (see global_fekete).  The aggregates are fields filled
-    by global_fekete's one fold over the rows and that cofactor row.
+    by global_fekete's one fold, so rows plus the cofactor row -log C
+    refold to them.
     uniform_sup is the largest pairing magnitude plus error over d^2
     (exact zeros skipped), and at least 4 times the tail of the weight's
     sup norms, which bounds every omitted place; log C over d^2 enters it
@@ -162,24 +164,21 @@ def global_fekete(
     R(w) the adelic sum of its round-metric terms (the log of its
     projective norm at each place); it must vanish within identity_slack.
     The primes of d* that relevant_places leaves out share one exact
-    cofactor row, whose place is the int C, the product of p^v_p(d*) over
-    them: its pairing and log_dstar are -log C, as each such prime is a
+    cofactor row, whose place is the int C: |num(d*)| over the product of
+    p^v_p(d*) that the finite rows' log_dstar entries give, in the same
+    fold.  Its pairing and log_dstar are -log C, as each such prime is a
     unit prime that adds only its d* term, and its Mahler entries are
     exact zeros.
     The product formula for the pairwise difference product is checked
-    exactly, as |d*| = C times the product of p^v_p(d*) over the divisor's
-    primes, and reported as a flag; d* is never factored.
+    exactly on the printed rows and reported as a flag: their d* terms
+    must divide |num(d*)| to leave C coprime to them, and give den(d*)
+    in full; d* is never factored.
     """
     rel = relevant_places(Z, g, tail_eps / 2.0)
     d = Z.degree
     rows, terms = [], ([], [], [])  # (value, error): pairings, weighted Mahler, diagonals
     sup = 0.0  # largest |pairing| + error over the rows that are not exact zeros
-    if rel.cofactor > 1:
-        # the cofactor row's pairing, first: the archimedean row stays last;
-        # its other terms are exact zeros
-        pair = _cofactor_row(rel.cofactor).fekete._as_float()
-        sup = abs(pair[0]) + pair[1]
-        terms[0].append(pair)
+    listed = Fraction(1)  # the product of p^v_p(d*) over the finite rows
     for v in rel.places:
         data = LocalData(Z, g, v)
         row, diag = data.row()
@@ -190,6 +189,16 @@ def global_fekete(
         terms[0].append(pair)
         terms[1].append(row.mahler_weighted._as_float())
         terms[2].extend(x._as_float() for x in diag)
+        if k := row.log_dstar.coeff:  # -v_p(d*); None at ARCH
+            listed *= Fraction(v.prime) ** -k
+    # what the rows leave of |num(d*)| is C; its pairing goes just before the
+    # archimedean one, which stays last; its other terms are exact zeros
+    cofactor, rest = divmod(abs(Z.d_star.numerator), listed.numerator)
+    formula = rest == 0 and listed.denominator == Z.d_star.denominator
+    if cofactor > 1:
+        pair = _cofactor_row(cofactor).fekete._as_float()
+        sup = max(sup, abs(pair[0]) + pair[1])
+        terms[0].insert(-1, pair)
 
     (lhs, lhs_err), (h_tot, h_err), (dg, dg_err) = map(_fsum_pairs, terms)
     rhs = -2.0 * d * h_tot + 2.0 * dg
@@ -213,10 +222,10 @@ def global_fekete(
         rows=tuple(rows),
         tail_bound=rel.tail_bound,
         prime_cutoff=rel.prime_cutoff,
-        cofactor=rel.cofactor,
+        cofactor=cofactor,
         identity_residual=residual,
         identity_slack=slack,
-        dstar_product_formula=_product_formula(Z.d_star, Z.primes, Z.cofactor),
+        dstar_product_formula=formula and math.gcd(cofactor, listed.numerator) == 1,
         height_interval=_interval((h_tot, h_err), d, rel.tail_bound),
         fekete_total_ratio=lhs / d2,
         fekete_arch=dv / d2,

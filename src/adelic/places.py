@@ -14,8 +14,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .exact import (
-    DomainError, LogValue, Rational, _divide_out, _float_err, _primes_below, _val, factorize,
-    require_prime)
+    DomainError, LogValue, Rational, _float_err, _primes_below, _val, factorize, require_prime)
 
 if TYPE_CHECKING:
     from .divisors import EffectiveDivisor
@@ -97,8 +96,8 @@ def product_formula_check(q: Rational) -> bool:
     return _product_formula(q, set(factorize(q.numerator)) | set(factorize(q.denominator)))
 
 
-def _product_formula(q: Fraction, primes, cofactor: int = 1) -> bool:
-    # |q| == cofactor * prod of p^val_p(q) over primes (known prime), as integers
+def _product_formula(q: Fraction, primes) -> bool:
+    # |q| == prod of p^val_p(q) over primes (known prime), as integers
     num = den = 1
     for p in primes:
         e = _val(q, p)
@@ -106,7 +105,7 @@ def _product_formula(q: Fraction, primes, cofactor: int = 1) -> bool:
             num *= p ** e
         elif e < 0:
             den *= p ** (-e)
-    return num * cofactor == abs(q.numerator) and den == q.denominator
+    return num == abs(q.numerator) and den == q.denominator
 
 
 #: Largest prime cutoff relevant_places will enumerate primes up to.
@@ -116,18 +115,16 @@ PRIME_LIMIT = 10 ** 7
 @dataclass(frozen=True)
 class RelevantPlaces:
     """Finite list of places that can carry more than their d* term for a
-    divisor and weight, the cofactor of d* that they leave, and a certified
-    bound on the weight at every place left out.
+    divisor and weight, and a certified bound on the weight at every place
+    left out.
 
-    cofactor is the divisor's cofactor with every listed prime's power
-    divided out: its primes are exactly the unlisted primes of d*, each a
-    unit prime above 2^15 and above any prime cutoff, and -log cofactor
-    is the sum of their d* terms, the divisor's only local data there."""
+    Every unlisted prime of d* is a unit prime above 2^15 and above any
+    prime cutoff, so its d* term is the divisor's only local data there;
+    global_fekete folds those terms into one cofactor row."""
 
     places: tuple[Place, ...]
     tail_bound: float
     prime_cutoff: int | None
-    cofactor: int
 
 
 def relevant_places(
@@ -145,8 +142,8 @@ def relevant_places(
     weight.  For weights supported at infinitely many primes, also
     includes all p <= P with P minimal such that the weight's certified
     tail bound sum_{p>P} sup|g_p| drops below tail_eps / deg(Z); a P above
-    PRIME_LIMIT is refused.  The returned tail_bound certifies that sum,
-    and the returned cofactor carries the d* terms of every other prime.
+    PRIME_LIMIT is refused.  The returned tail_bound certifies that sum.
+    Every other prime of d* adds only its d* term.
     """
     if not tail_eps > 0:  # NaN included
         raise DomainError(f"tail_eps must be positive, got {tail_eps!r}")
@@ -165,9 +162,6 @@ def relevant_places(
             )
         ps |= set(_primes_below(cutoff + 1))
         tail = g.tail_sum_bound(cutoff)
-    # the weight's primes are listed, so their d* terms leave the cofactor
-    cofactor = _divide_out(Z.cofactor, ps)
-    ps |= Z.primes
     # every prime here is sieved, factored or checked above: no second isprime
-    places = tuple(map(Place._of_prime, sorted(ps))) + (ARCH,)
-    return RelevantPlaces(places, tail, cutoff, cofactor)
+    places = tuple(map(Place._of_prime, sorted(ps | Z.primes))) + (ARCH,)
+    return RelevantPlaces(places, tail, cutoff)

@@ -20,6 +20,15 @@ def sympy_sqf(f: IntPoly) -> list[tuple[IntPoly, int]]:
     return [(IntPoly.make(reversed(g)), m) for g, m in factors]
 
 
+def dstar_cofactor(Z: EffectiveDivisor) -> int:
+    """The cofactor oracle: |num(d*)| over the product of p^v_p(d*) for the
+    primes p of Z.primes, the C of a report whose weight lists no prime."""
+    ds, out = Z.d_star, abs(Z.d_star.numerator)
+    for p in Z.primes:
+        out //= p ** max(val_p(ds, p), 0)
+    return out
+
+
 def random_divisor(rng: random.Random, max_deg: int = 8,
                    coeff_bound: int = 20, allow_inf: bool = True) -> EffectiveDivisor:
     """A random integer divisor, occasionally non-squarefree, never constant."""

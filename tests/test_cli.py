@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from adelic.cli import _SUITES, main
 
 
@@ -109,6 +111,29 @@ def test_bad_inputs_exit_2(capsys):
     for poly, tail_eps in (("--poly=-2,1", "1e-310"), ("--poly=-2,0,1", "1e-323")):
         code, _, err = run_cli(capsys, "height", poly, "--weight", "ex5", "--tail-eps", tail_eps)
         assert code == 2 and "above the limit" in err
+
+
+def test_fekete_at_the_archimedean_place(capsys):
+    # the one archimedean pairing is the full report's last row
+    poly = "--poly=-2,0,1"
+    code, out, _ = run_cli(capsys, "fekete", poly, "--weight", "trivial", "--place", "inf")
+    assert code == 0
+    data = json.loads(out)
+    assert data["place"] == "inf" and data["exact"] is False
+    _, out, _ = run_cli(capsys, "fekete", poly, "--weight", "trivial")
+    arch = json.loads(out)["rows"][-1]
+    assert arch["place"] == "inf" and data["fekete"] == arch["fekete"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fekete", "--poly=-2,0,1", "--place", "x"], "--place wants"),
+    (["equidist", "--family", "pow:x", "--n-max", "3", "--out", "x.csv"],
+     "family parameter must be an integer"),
+    (["equidist", "--family", "bogus", "--n-max", "3", "--out", "x.csv"], "unknown family"),
+], ids=["place", "family_param", "family"])
+def test_bad_place_and_family_exit_2(capsys, argv, message):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and err.startswith("error:") and message in err
 
 
 def test_verify_suites_pass(capsys):

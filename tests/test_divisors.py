@@ -8,7 +8,7 @@ import pytest
 from adelic.divisors import EffectiveDivisor, divisor_from_poly
 from adelic.exact import DomainError, IntPoly, factorize
 
-from helpers import random_divisor
+from helpers import dstar_cofactor, random_divisor
 
 
 def test_normalization_strips_content_and_sign():
@@ -47,6 +47,18 @@ def test_accepts_numpy_integers():
     assert Z == divisor_from_poly([-2, 0, 1], 1)
     assert type(Z.inf_mult) is int
     assert all(type(c) is int for c in Z.finite_part.coeffs)
+
+
+@pytest.mark.parametrize("finite_part, inf_mult", [
+    (IntPoly((-1, 1, 0)), 0),  # a trailing zero: degree 2 with one root
+    (IntPoly((0,)), 1),  # the zero polynomial
+    (IntPoly((-2.5, 1)), 0),  # a non-integer coefficient
+], ids=["trailing_zero", "zero", "non_integer"])
+def test_rejects_a_directly_built_polynomial_that_make_would_change(finite_part, inf_mult):
+    # IntPoly(...) skips make's checks; the divisor refuses what make would
+    # change, before a height divides by a degree that has no roots behind it
+    with pytest.raises(DomainError):
+        EffectiveDivisor(finite_part, inf_mult)
 
 
 def test_rejects_empty_divisors():
@@ -157,8 +169,8 @@ def test_primes_need_no_dstar_denominator():
     rng = random.Random(17)
     for _ in range(300):
         Z = random_divisor(rng)
-        lc, ds = set(factorize(Z.finite_part.lc)), Z.d_star
+        lc, ds, C = set(factorize(Z.finite_part.lc)), Z.d_star, dstar_cofactor(Z)
         den = set(factorize(ds.denominator))
         assert den <= lc
-        assert Z.primes | set(factorize(Z.cofactor)) == lc | set(factorize(ds.numerator)) | den
-        assert all(math.gcd(Z.cofactor, p) == 1 for p in Z.primes)
+        assert Z.primes | set(factorize(C)) == lc | set(factorize(ds.numerator)) | den
+        assert all(math.gcd(C, p) == 1 for p in Z.primes)

@@ -148,6 +148,26 @@ def test_intpoly_basic_ops():
     assert IntPoly.make([1, 1]).add_scalar(4).coeffs == (5, 1)
 
 
+def test_derivative_of_a_constant_is_refused():
+    with pytest.raises(DomainError, match="derivative of a constant"):
+        IntPoly.make([3]).derivative()
+
+
+def test_scaling_by_zero_is_refused():
+    with pytest.raises(DomainError, match="scaling by zero"):
+        IntPoly.make([1, 2]).scale(0)
+
+
+def test_discriminant_of_a_constant_is_refused():
+    with pytest.raises(DomainError, match="discriminant needs degree >= 1"):
+        discriminant(IntPoly.make([3]))
+
+
+def test_exact_logs_at_two_primes_do_not_add():
+    with pytest.raises(DomainError, match="different primes"):
+        LogValue.exact_log(1, 2) + LogValue.exact_log(1, 3)
+
+
 def test_content_primitive():
     c, f = content_primitive(IntPoly.make([6, -12, 18]))
     assert c == 6 and f.coeffs == (1, -2, 3)

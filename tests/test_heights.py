@@ -9,13 +9,13 @@ import pytest
 import sympy
 
 from adelic.divisors import divisor_from_poly
-from adelic.exact import _EPS, DomainError, IntPoly, float_sum, val_p
+from adelic.exact import _EPS, DomainError, IntPoly, LogValue, float_sum, val_p
 from adelic.heights import HeightInterval, global_fekete, height
 from adelic.local import LocalData
 from adelic.places import Place, relevant_places
 from adelic.weights import ArchWeight, FiniteWeight, Weight, ex5_weight, std_weight, trivial_weight
 
-from helpers import LOG2, random_divisor, rational_root_divisor
+from helpers import LOG2, dstar_cofactor, random_divisor, rational_root_divisor
 
 
 def test_height_interval_contains():
@@ -117,21 +117,23 @@ def test_uniform_sup_oracles():
 
 def _aggregates_by_refolding(report):
     # height_interval, fekete_total_ratio, fekete_arch, fekete_max_finite and
-    # uniform_sup recomputed from report.rows alone, one walk each
+    # uniform_sup recomputed from report.rows and report.cofactor, one walk
+    # each: the cofactor row's pairing -log C joins the finite pairings
     d, rows = report.degree, report.rows
     tot, err = float_sum(r.mahler_weighted for r in rows)
     h = HeightInterval(tot / d, err / d + _EPS * abs(tot / d), report.tail_bound)
-    total = float_sum(r.fekete for r in rows)[0] / d ** 2
+    pairings = [r.fekete for r in rows]
+    cof = [LogValue.exact_log(-1, report.cofactor)] if report.cofactor > 1 else []
+    total = float_sum(pairings + cof)[0] / d ** 2
     arch = [r.fekete._as_float()[0] / d ** 2 for r in rows if r.place.is_archimedean]
     finite = 0.0
-    for r in rows:
-        if not r.place.is_archimedean:
-            finite = max(finite, abs(r.fekete._as_float()[0]) / d ** 2)
+    for x in [r.fekete for r in rows if not r.place.is_archimedean] + cof:
+        finite = max(finite, abs(x._as_float()[0]) / d ** 2)
     sup = 4.0 * report.tail_bound
-    for r in rows:
-        if r.fekete.is_exact and r.fekete.coeff == 0:
+    for x in pairings + cof:
+        if x.is_exact and x.coeff == 0:
             continue
-        v, e = r.fekete._as_float()
+        v, e = x._as_float()
         sup = max(sup, (abs(v) + e) / d ** 2)
     return h, total, arch[0] if arch else 0.0, finite, sup
 
@@ -155,6 +157,10 @@ def test_report_aggregates_match_a_refold_of_the_rows():
     cases.append(report)
     cases.append(global_fekete(divisor_from_poly([-2, 0, 0, 1], inf_mult=2), trivial_weight()))
     cases.append(global_fekete(divisor_from_poly([-3, 1, 0, 2], inf_mult=1), ex5_override, 1e-2))
+    # C = 45247 * 206251: its -log C pair is the largest finite pairing
+    report = global_fekete(divisor_from_poly([-26, 26, 21, -29, -9, 17, 23]), std_weight())
+    assert report.cofactor == 45247 * 206251
+    cases.append(report)
     for report in cases:
         fields = (report.height_interval, report.fekete_total_ratio, report.fekete_arch,
                   report.fekete_max_finite, report.uniform_sup)
@@ -298,21 +304,23 @@ def test_cofactor_row_against_full_factorization():
     for _ in range(16):
         cs = [rng.randint(-30, 30) for _ in range(rng.randint(4, 7))] + [rng.randint(1, 30)]
         Z = divisor_from_poly(cs)
-        ds, C = Z.d_star, sympy.factorint(Z.cofactor)
+        cof = dstar_cofactor(Z)
+        ds, C = Z.d_star, sympy.factorint(cof)
         assert C == {p: val_p(ds, p) for p in C}
         assert all(p > 2 ** 15 and Z.end_coeffs % p for p in C)
-        with_row += Z.cofactor > 1
+        with_row += cof > 1
         for g in (std_weight(), trivial_weight()):
             rep = global_fekete(Z, g)
+            assert rep.cofactor == cof
             listed = {r.place.prime for r in rep.rows if not r.place.is_archimedean}
             assert listed == _full_listing(Z) - set(C)
             rows = rep.to_json()["rows"]
             assert rows[-1]["place"] == "inf"
-            assert len(rows) == len(rep.rows) + (Z.cofactor > 1)
-            if Z.cofactor > 1:
+            assert len(rows) == len(rep.rows) + (cof > 1)
+            if cof > 1:
                 row = rows[-2]
-                assert row["place"] == str(Z.cofactor) and list(row) == list(rows[0])
-                assert row["fekete"] == row["log_dstar"] == {"coeff": "-1", "log_base": Z.cofactor}
+                assert row["place"] == str(cof) and list(row) == list(rows[0])
+                assert row["fekete"] == row["log_dstar"] == {"coeff": "-1", "log_base": cof}
                 zero = {"coeff": "0", "log_base": None}
                 assert row["mahler_round"] == row["mahler_weighted"] == zero
             # at each prime of C the row that was dropped held only its d* term
@@ -337,17 +345,38 @@ def test_weight_primes_leave_the_cofactor():
     # an override at a prime of C lists that prime with its own row, so
     # its power leaves the report's cofactor and the rows still rebuild |d*|
     Z = divisor_from_poly([-26, 26, 21, -29, -9, 17, 23])  # C = 45247 * 206251
-    C = sympy.factorint(Z.cofactor)
+    cof = dstar_cofactor(Z)
+    C = sympy.factorint(cof)
     q = min(C)
     g = dataclasses.replace(std_weight(), overrides=(FiniteWeight(q, Fraction(1, 4), Fraction(0)),))
-    rel = relevant_places(Z, g)
-    assert Place(q) in rel.places and rel.cofactor == Z.cofactor // q ** C[q] > 1
-    for weight in (std_weight(), g):
+    assert Place(q) in relevant_places(Z, g).places
+    for weight, want in ((std_weight(), cof), (g, cof // q ** C[q])):
         rep = global_fekete(Z, weight)
+        assert rep.cofactor == want > 1
         rows = rep.to_json()["rows"]
         assert _rebuilt_dstar(rows) == abs(Z.d_star)
         assert rep.dstar_product_formula
         assert rep.identity_residual <= rep.identity_slack
+
+
+@pytest.mark.parametrize("coeffs, p", [
+    ([-2, 0, 1], 2),  # d* = 8, C = 1
+    ([-1, 0, 0, 2], 2),  # the row at 2 holds den(d*)
+    ([-26, 26, 21, -29, -9, 17, 23], 5),  # v_5(d*) = 4, C = 45247 * 206251
+    ([-26, 26, 21, -29, -9, 17, 23], 23),  # v_23(d*) = -10
+])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_product_formula_flag_reads_the_rows(monkeypatch, coeffs, p, delta):
+    # one finite row's d* exponent moved by one, and kept nonzero: the
+    # printed rows and C no longer rebuild |d*|, and the flag says so
+    Z = divisor_from_poly(coeffs)
+    real = LocalData._dstar.func
+    moved = property(lambda s: real(s) + delta * (s.v == Place(p)))
+    assert global_fekete(Z, std_weight()).dstar_product_formula
+    monkeypatch.setattr(LocalData, "_dstar", moved)
+    rep = global_fekete(Z, std_weight())
+    assert any(r.place == Place(p) for r in rep.rows)
+    assert not rep.dstar_product_formula
 
 
 def _preimage(depth):
@@ -365,8 +394,8 @@ def test_cofactor_is_one_on_the_structured_families():
     inputs = [[-a] + [0] * (n - 1) + [1] for a in (1, 2) for n in range(1, 129)]
     inputs += [_preimage(k) for k in range(1, 8)]
     for cs in inputs:
-        assert divisor_from_poly(cs).cofactor == 1, cs
-    assert _fixed_ex5_divisor().cofactor == 1
+        assert dstar_cofactor(divisor_from_poly(cs)) == 1, cs
+    assert dstar_cofactor(_fixed_ex5_divisor()) == 1
 
 
 def _dense64():
@@ -395,5 +424,5 @@ def test_reports_factor_only_the_end_coefficients(monkeypatch, coeffs):
     Z = divisor_from_poly(coeffs)
     rep = global_fekete(Z, std_weight())
     height(Z, std_weight())
-    assert Z.cofactor > 1 and rep.dstar_product_formula
+    assert rep.cofactor > 1 and rep.dstar_product_formula
     assert seen and all(Z.finite_part.lc % n == 0 or Z.end_coeffs % n == 0 for n in seen)

@@ -52,6 +52,22 @@ def test_product_formula_rationals():
     assert product_formula_check(Fraction(1))
 
 
+def test_log_abs_float_of_zero_is_refused():
+    with pytest.raises(DomainError, match="log of zero"):
+        log_abs_float(0)
+
+
+@pytest.mark.parametrize("v", [ARCH, Place(2)], ids=str)
+def test_log_abs_of_zero_is_refused(v):
+    with pytest.raises(DomainError, match="absolute value of zero"):
+        log_abs(0, v)
+
+
+def test_product_formula_check_of_zero_is_refused():
+    with pytest.raises(DomainError, match="needs a nonzero rational"):
+        product_formula_check(0)
+
+
 def test_relevant_places_finitely_supported():
     # std weight vanishes at finite places, so only lc/dstar primes matter
     Z = divisor_from_poly([-2, 0, 1])  # dstar -8, lc 1

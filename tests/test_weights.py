@@ -14,6 +14,7 @@ from adelic.berkovich import BerkPoint, INF_POINT
 from adelic.exact import DomainError, _float_err
 from adelic.places import ARCH, Place
 from adelic.weights import (
+    ArchWeight,
     _default_branch_count,
     equilibrium_energy,
     ex5_weight,
@@ -140,6 +141,22 @@ def test_weight_eval_and_radii():
     assert r.log_outer.coeff > 0
     ra = radii(g, ARCH)
     assert abs(ra.log_outer.value - 0.25) < 1e-15
+
+
+def test_unknown_arch_measure_is_refused():
+    with pytest.raises(DomainError, match="unknown equilibrium measure"):
+        ArchWeight("bogus")
+
+
+def test_tail_sum_bound_below_one_is_refused():
+    with pytest.raises(DomainError, match="prime_floor must be >= 1"):
+        ex5_weight().tail_sum_bound(0)
+
+
+def test_weight_eval_refuses_a_point_of_another_place():
+    x = BerkPoint.type_i(5, Fraction(1, 5))
+    with pytest.raises(DomainError, match="does not live at place 3"):
+        weight_eval(std_weight(), Place(3), x)
 
 
 def test_normalize_at_a_finite_place():
