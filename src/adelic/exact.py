@@ -10,10 +10,9 @@ resultants of sparse or low-degree inputs, a multi-modular resultant (CRT
 over primes below 2^31, in numpy) for dense inputs of high degree,
 discriminants, and Newton polygons, all in exact integer or rational
 arithmetic.  The one numeric type, LogValue, keeps finite-place values as
-exact rational multiples of log p and archimedean values as floats with an
-explicit error bound; float_sum adds LogValues across places as floats;
-_float_err is the error bound of a float from a few rounded operations.
-"""
+exact rational multiples of log p and archimedean values as balls, a float
+and an err bounding its distance from the true value: each float operation
+here adds its own rounding, and _arch_sum_err that of LocalData's loops."""
 
 from __future__ import annotations
 
@@ -61,14 +60,33 @@ INF = math.inf
 
 Rational = Union[int, Fraction]
 
-#: Double precision machine epsilon 2^-52, twice the unit roundoff u = 2^-53.
-_EPS = 2.220446049250313e-16
+#: The unit roundoff u: a rounded float operation is within u, relative, and an ulp.
+_EPS = 2.0 ** -53
+#: libm's log and log1p are assumed within _LIBM ulp (glibc documents 1).
+_LIBM = 2
 
 
-def _float_err(x: float) -> float:
-    """4 eps (1 + |x|): the error bound the package puts on a float x that a
-    few rounded operations computed."""
-    return 4.0 * _EPS * (1.0 + abs(x))
+def _up(*terms: float) -> float:
+    """An upper bound on the exact sum of nonnegative floats each at most two
+    roundings low: 1 + 4u undoes (1 - u)^3 with fsum's; nextafter rounds up."""
+    return math.nextafter(math.fsum(terms) * (1.0 + 4.0 * _EPS), math.inf)
+
+
+def _arch_sum_err(size: float, lip: float = 0.0, n: int = 1) -> float:
+    """err of an fsum of n terms w x in plain floats: w = m, m^2 or 2 m m'
+    (exact), x a round term 0.5 log1p(|z|^2), a weight g(z) or a pair's
+    log chordal_arch(z, z') - g(z) - g(z').  With hypot at 2u and libm at
+    4u (_LIBM ulp) relative, chordal_arch is 13u off relative (z - z' u,
+    abs 2u, each sqrt(1 + |z|^2) 4u, * and / u), its log 13u + 4u |log|;
+    g(z) = shift - 0.5 log1p(r^2), r <= 1, 3.2u + u |g|; a round term
+    2.5u + 4u |x|; a pair 19.3u + 11u G + 6u |x|, G = max |g| on the
+    support: all within 20u (1 + G + |x|).  Rounding w x and the fsums add
+    u |w x| each: 24u times size = sum w (1 + G + |x|) covers all.  lip sums
+    slope times radius, bounding what a point's distance from its root does
+    to x.  size and lip sum n floats each at most 8 roundings low, which
+    1 + 2(n + 8)u undoes."""
+    grow = 1.0 + 2.0 * (n + 8) * _EPS
+    return _up(grow * 24.0 * _EPS * size, grow * lip)
 
 
 def require_prime(p: int) -> int:
@@ -899,8 +917,9 @@ class LogValue:
 
     Finite places carry an exact rational coefficient: the value is
     coeff * log(base) with base the residue prime.  Archimedean (or mixed)
-    quantities carry a float plus a nonnegative error bound.  An exact zero
-    has base None and combines with any base.
+    quantities are balls: the true value lies within err of the float value,
+    and each float operation adds its rounding to err.  An exact zero has
+    base None and combines with any base.
     """
 
     coeff: Fraction | None
@@ -930,6 +949,17 @@ class LogValue:
     def minus_infinity() -> "LogValue":
         return LogValue(None, None, -math.inf, 0.0)
 
+    @staticmethod
+    def _log(q: Rational | float) -> "LogValue":
+        # log q > 0 from the correctly rounded n / d, u off relative unless
+        # exact; out of the float range, log(q / 2^k) + k log 2
+        n, d = q.as_integer_ratio()
+        k = n.bit_length() - d.bit_length()
+        if abs(k) > 1000:
+            return LogValue._log(Fraction(n, d) / Fraction(2) ** k) + LogValue._log(2).scaled(k)
+        y = math.log(x := n / d)
+        return LogValue(None, None, y, _up(_LIBM * math.ulp(y), 0.0 if x == q else _EPS))
+
     # -- predicates ----------------------------------------------------
     @property
     def is_exact(self) -> bool:
@@ -941,31 +971,23 @@ class LogValue:
 
     # -- arithmetic ----------------------------------------------------
     def _as_float(self) -> tuple[float, float]:
-        if self.coeff is None:
+        # float(coeff) * math.log(p): u, 2 _LIBM u (2.5u past the float range),
+        # u for the product and 0.5u to spare, relative; nextafter below that
+        if self.coeff is None or not self.coeff:
             return self.value, self.err
-        return self.value, self.err + 2.0 * _EPS * (abs(self.value) + 1e-300)
+        return self.value, _up((2.5 + 2 * _LIBM) * _EPS * abs(self.value))
 
     def __add__(self, other: "LogValue") -> "LogValue":
         if not isinstance(other, LogValue):
             return NotImplemented
-        if self.is_minus_infinity or other.is_minus_infinity:
-            return LogValue.minus_infinity()
         if self.is_exact and other.is_exact:
-            if self.coeff == 0:
-                return other
-            if other.coeff == 0:
-                return self
-            if self.base == other.base:
-                return LogValue.exact_log(self.coeff + other.coeff, self.base)
+            if self.base == other.base or not self.coeff or not other.coeff:
+                return LogValue.exact_log(self.coeff + other.coeff, self.base or other.base)
             raise DomainError("cannot add exact logs at different primes")
-        a, ea = self._as_float()
-        b, eb = other._as_float()
-        return LogValue.real(a + b, ea + eb + _EPS * (abs(a + b) + 1e-300))
+        return LogValue.real(*float_sum((self, other)))
 
     def __neg__(self) -> "LogValue":
         if self.is_exact:
-            if self.coeff == 0:
-                return self
             return LogValue.exact_log(-self.coeff, self.base)
         return LogValue(None, None, -self.value, self.err)
 
@@ -973,20 +995,18 @@ class LogValue:
         return self + (-other)
 
     def scaled(self, k: Rational) -> "LogValue":
-        k = Fraction(k)
         if self.is_exact:
-            if k == 0 or self.coeff == 0:
-                return LogValue.zero()
             return LogValue.exact_log(self.coeff * k, self.base)
+        # an ulp for the product, and (|value| + err) ulp(kf) if kf rounds k
         kf = float(k)
-        return LogValue(None, None, self.value * kf, self.err * abs(kf)
-                        + _EPS * abs(self.value * kf))
+        x = self.value * kf
+        rounds = kf.as_integer_ratio() != k.as_integer_ratio()
+        off = (abs(self.value) + self.err) * math.ulp(kf) if rounds else 0.0
+        return LogValue(None, None, x, _up(self.err * abs(kf), math.ulp(x), off))
 
     def to_json(self) -> dict:
-        if self.is_exact and self.coeff != 0:
+        if self.is_exact:  # the exact zero's base is None
             return {"coeff": str(self.coeff), "log_base": self.base}
-        if self.is_exact:
-            return {"coeff": "0", "log_base": None}
         return {"value": self.value, "err": self.err}
 
     def __repr__(self) -> str:
@@ -1002,14 +1022,10 @@ _ZERO = LogValue(Fraction(0), None, 0.0, 0.0)
 
 
 def float_sum(values: Iterable[LogValue]) -> tuple[float, float]:
-    """Sum LogValues across places as floats, returning (value, error bound)."""
-    return _fsum_pairs([v._as_float() for v in values])
-
-
-def _fsum_pairs(pairs: list[tuple[float, float]]) -> tuple[float, float]:
-    """Sum (value, error bound) pairs, (-inf, 0) if a value is -inf: math.fsum
-    rounds once in any order, so the error is the terms' plus one rounding."""
-    tot = math.fsum(x for x, _ in pairs)
+    """Sum LogValues as floats: (value, err), or (-inf, 0) if a value is
+    -inf.  math.fsum rounds once in any order (an ulp); the errs add."""
+    balls = [v._as_float() for v in values]
+    tot = math.fsum(x for x, _ in balls)
     if tot == -math.inf:
         return tot, 0.0
-    return tot, math.fsum(e for _, e in pairs) + _EPS * abs(tot)
+    return tot, _up(math.ulp(tot), *(e for _, e in balls))

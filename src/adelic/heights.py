@@ -8,12 +8,11 @@ only sources of interval width.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .divisors import EffectiveDivisor
-from .exact import _EPS, LogValue, _float_err, _fsum_pairs, float_sum
+from .exact import LogValue, float_sum
 from .local import LocalData, PlaceRow, mahler_g
 from .places import relevant_places
 from .weights import Weight
@@ -31,9 +30,9 @@ class HeightInterval:
     """Certified enclosure of a weighted adelic height.
 
     value carries the computed sum over relevant places, err the
-    accumulated archimedean evaluation error, and tail a bound on the
-    total contribution of every omitted place.  Exact inputs (finite
-    places only, finitely supported weight) give a zero-width interval.
+    archimedean evaluation error and the rounding of the float fold of the
+    exact rows, and tail a bound on the total contribution of every
+    omitted place (0 for a finitely supported weight).
     """
 
     value: float
@@ -74,14 +73,14 @@ def height(
     when the weight branches.
     """
     rel = relevant_places(Z, g, tail_eps / 2.0)
-    total = float_sum(mahler_g(Z, g, v) for v in rel.places)
+    total = LogValue.real(*float_sum(mahler_g(Z, g, v) for v in rel.places))
     return _interval(total, Z.degree, rel.tail_bound)
 
 
-def _interval(total: tuple[float, float], d: int, tail: float) -> HeightInterval:
-    # the height from the summed weighted Mahler measure (value, error) and degree d
-    tot, err = total
-    return HeightInterval(tot / d, err / d + _EPS * abs(tot / d), tail)
+def _interval(total: LogValue, d: int, tail: float) -> HeightInterval:
+    # the height from the summed weighted Mahler measure and the degree d
+    h = total.scaled(Fraction(1, d))
+    return HeightInterval(h.value, h.err, tail)
 
 
 @dataclass(frozen=True)
@@ -171,47 +170,40 @@ def global_fekete(
     exact zeros.
     The product formula for the pairwise difference product is checked
     exactly on the printed rows and reported as a flag: their d* terms
-    must divide |num(d*)| to leave C coprime to them, and give den(d*)
-    in full; d* is never factored.
+    must divide |num(d*)| and give den(d*) in full, and no listed prime
+    may divide the C they leave; d* is never factored.
     """
     rel = relevant_places(Z, g, tail_eps / 2.0)
     d = Z.degree
-    rows, terms = [], ([], [], [])  # (value, error): pairings, weighted Mahler, diagonals
-    sup = 0.0  # largest |pairing| + error over the rows that are not exact zeros
+    rows, diags = [], []
     listed = Fraction(1)  # the product of p^v_p(d*) over the finite rows
     for v in rel.places:
         data = LocalData(Z, g, v)
         row, diag = data.row()
         rows.append(row)
-        pair = row.fekete._as_float()
-        if pair[0] or row.fekete.coeff != 0:  # an exact zero has value 0.0
-            sup = max(sup, abs(pair[0]) + pair[1])
-        terms[0].append(pair)
-        terms[1].append(row.mahler_weighted._as_float())
-        terms[2].extend(x._as_float() for x in diag)
+        diags.extend(diag)
         if k := row.log_dstar.coeff:  # -v_p(d*); None at ARCH
             listed *= Fraction(v.prime) ** -k
+    pairings = [r.fekete for r in rows]
     # what the rows leave of |num(d*)| is C; its pairing goes just before the
     # archimedean one, which stays last; its other terms are exact zeros
     cofactor, rest = divmod(abs(Z.d_star.numerator), listed.numerator)
     formula = rest == 0 and listed.denominator == Z.d_star.denominator
     if cofactor > 1:
-        pair = _cofactor_row(cofactor).fekete._as_float()
-        sup = max(sup, abs(pair[0]) + pair[1])
-        terms[0].insert(-1, pair)
+        pairings.insert(-1, _cofactor_row(cofactor).fekete)
+        formula = formula and all(cofactor % r.place.prime for r in rows[:-1])
+    # the largest |pairing| + error; exact zeros give 0
+    sup = max(abs(x) + e for x, e in map(LogValue._as_float, pairings))
 
-    (lhs, lhs_err), (h_tot, h_err), (dg, dg_err) = map(_fsum_pairs, terms)
-    rhs = -2.0 * d * h_tot + 2.0 * dg
-    slack = lhs_err + 2.0 * d * h_err + 2.0 * dg_err
-    slack += 16.0 * _EPS * (abs(lhs) + abs(rhs) + 1.0)
-    residual = abs(lhs - rhs)
-
-    # the archimedean row (the last) also has to match its difference-product route
-    dv, de = terms[0][-1]
+    # the identity's two sides and the archimedean row against its
+    # difference-product route: each gap's true value is 0
+    mahlers = (r.mahler_weighted for r in rows)
+    lhs, h, dg = (LogValue.real(*float_sum(xs)) for xs in (pairings, mahlers, diags))
+    gap = lhs - (h.scaled(-2 * d) + dg.scaled(2))
+    residual, slack = abs(gap.value), gap.err
     if d >= 2:
-        iv, ie = data.pairing()._as_float()
-        residual = max(residual, abs(dv - iv))
-        slack = max(slack, de + ie + _float_err(dv))
+        gap = pairings[-1] - data.pairing()
+        residual, slack = max(residual, abs(gap.value)), max(slack, gap.err)
 
     d2 = d ** 2
     return GlobalReport(
@@ -225,10 +217,10 @@ def global_fekete(
         cofactor=cofactor,
         identity_residual=residual,
         identity_slack=slack,
-        dstar_product_formula=formula and math.gcd(cofactor, listed.numerator) == 1,
-        height_interval=_interval((h_tot, h_err), d, rel.tail_bound),
-        fekete_total_ratio=lhs / d2,
-        fekete_arch=dv / d2,
-        fekete_max_finite=max((abs(x) for x, _ in terms[0][:-1]), default=0.0) / d2,
+        dstar_product_formula=formula,
+        height_interval=_interval(h, d, rel.tail_bound),
+        fekete_total_ratio=lhs.value / d2,
+        fekete_arch=pairings[-1].value / d2,
+        fekete_max_finite=max((abs(x.value) for x in pairings[:-1]), default=0.0) / d2,
         uniform_sup=max(4.0 * rel.tail_bound, sup / d2),
     )

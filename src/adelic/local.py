@@ -10,21 +10,20 @@ propagated error bounds.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .berkovich import INF_POINT, chordal_arch
 from .divisors import EffectiveDivisor
-from .exact import _EPS, DomainError, LogValue, _float_err, _val, newton_polygon
-from .places import ARCH, Place, log_abs_float
+from .exact import DomainError, LogValue, _arch_sum_err, _val, newton_polygon
+from .places import ARCH, Place
 from .roots import arch_support
 from .weights import Weight, zero_weight
 
 __all__ = ["PlaceRow", "mahler_g", "mahler_sharp", "fekete_sum", "fekete_sum_arch_identity",
            "integral_against"]
-
-_TINY = 1e-300
 
 
 def _lin(a: int, x, b: int, y, c: int = 0) -> Fraction:
@@ -71,8 +70,8 @@ class LocalData:
     place of m; log_dstar is log|d*|_v; mahler_weighted is round + weight
     and fekete the off-diagonal pairing.  Each is an exact LogValue at a
     finite place and a bounded float at ARCH, read from sums computed on
-    first use: at ARCH the four moments come from one pass over the
-    support, which carries each point's weight.
+    first use: at ARCH the four moments are fsums over the support, which
+    carries each point's weight.
     """
 
     Z: EffectiveDivisor
@@ -132,20 +131,19 @@ class LocalData:
 
     @cached_property
     def _arch(self) -> tuple[tuple[float, float], ...]:
-        # (value, error) of round, weight, diag_round, diag_weight at ARCH in
-        # one pass: each point's round term r and weight t are summed times m
-        # and m^2, with r = er = 0 at infinity
-        lip = self.g.arch.lip
-        r1 = e1 = w1 = f1 = r2 = e2 = w2 = f2 = 0.0
-        for w, rad, m, t in self.points:
-            r = er = 0.0
-            if w is not INF_POINT:
-                r = 0.5 * math.log1p(abs(w) ** 2)
-                er = 0.5 * rad + _float_err(r)
-            et = lip * rad + _float_err(t)
-            r1, e1, w1, f1 = r1 + m * r, e1 + m * er, w1 + m * t, f1 + m * et
-            r2, e2, w2, f2 = r2 + m * m * r, e2 + m * m * er, w2 + m * m * t, f2 + m * m * et
-        return (r1, e1), (w1, f1), (r2, e2), (w2, f2)
+        # (value, error) of round, weight, diag_round, diag_weight at ARCH:
+        # the round terms r (0 at infinity) and weights t times m and m^2;
+        # radius times the slope, 1/2 for r and lip for t, bounds root error
+        ws, rads, mults, ts = zip(*self.points)
+        rounds = [0.0 if w is INF_POINT else 0.5 * math.log1p(abs(w) ** 2) for w in ws]
+        lip, one_g, out = self.g.arch.lip, 1.0 + self.g.sup_abs(ARCH), []
+        for ms in (mults, [m * m for m in mults]):
+            mass, mrad = sum(ms), math.fsum(map(operator.mul, ms, rads))
+            for xs, slope in ((rounds, 0.5), (ts, lip)):
+                terms = list(map(operator.mul, ms, xs))
+                size = math.fsum(map(abs, terms)) + one_g * mass
+                out.append((math.fsum(terms), _arch_sum_err(size, slope * mrad, len(ws))))
+        return tuple(out)
 
     def _log(self, coeff) -> LogValue:
         return LogValue.exact_log(coeff, self.v.prime)
@@ -158,7 +156,7 @@ class LocalData:
         lambda s: LogValue.real(*s._arch[2]) if s.v.is_archimedean else s._log(s._rounds[1]))
     diag_weight = property(
         lambda s: LogValue.real(*s._arch[3]) if s.v.is_archimedean else s._log(s._weights[1]))
-    log_dstar = property(lambda s: LogValue.real(*log_abs_float(s.Z.d_star))
+    log_dstar = property(lambda s: LogValue._log(abs(s.Z.d_star))
                          if s.v.is_archimedean else s._log(s._dstar))
     # round + weight: one exact coefficient of log p at a finite place
     mahler_weighted = property(lambda s: s.round + s.weight if s.v.is_archimedean
@@ -175,28 +173,24 @@ class LocalData:
         pts = self.points
         if len(pts) <= 1:
             return LogValue.zero()
-        lip = self.g.arch.lip
-        rows = []
-        err = 0.0
+        lip, rows, size, rad = self.g.arch.lip, [], 0.0, 0.0
         for i, (wi, ri, mi, gi) in enumerate(pts):
             row = []
             for wj, rj, mj, gj in pts[i + 1:]:
                 dist = chordal_arch(wi, wj)
-                if dist <= 0.0:
+                # the root disks' gap, whose inverse bounds the slope of log|z - z'|
+                sep = math.inf if wi is INF_POINT or wj is INF_POINT else abs(wi - wj) - ri - rj
+                if dist <= 0.0 or sep <= 0.0:
                     raise DomainError("support points not separable at float precision")
-                phi = math.log(dist) - gi - gj
-                row.append(2.0 * mi * mj * phi)
-                if wi is INF_POINT or wj is INF_POINT:
-                    slope = 0.5 + lip
-                else:
-                    sep = max(abs(wi - wj) - ri - rj, _TINY)
-                    slope = 1.0 / sep + 0.5 + lip
-                err += 2.0 * mi * mj * (slope * (ri + rj) + _float_err(phi))
-            # fsum rounds each row sum, and then the total, once
+                w = 2.0 * mi * mj
+                row.append(w * (math.log(dist) - gi - gj))
+                rad += w * ((1.0 / sep + 0.5 + lip) * (ri + rj))
             rows.append(math.fsum(row))
-            err += _EPS * abs(rows[-1])
-        total = math.fsum(rows)
-        return LogValue.real(total, err + _EPS * abs(total))
+            size += math.fsum(map(abs, row))
+        # the weights w sum to (sum m)^2 - sum m^2
+        n, ms = len(pts), [m for _, _, m, _ in pts]
+        size += (1.0 + self.g.sup_abs(ARCH)) * (sum(ms) ** 2 - sum(m * m for m in ms))
+        return LogValue.real(math.fsum(rows), _arch_sum_err(size, rad, n * (n - 1) // 2))
 
     def pairing(self) -> LogValue:
         """Off-diagonal weighted pairing sum, assembled as

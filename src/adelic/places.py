@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .exact import (
-    DomainError, LogValue, Rational, _float_err, _primes_below, _val, factorize, require_prime)
+    DomainError, LogValue, Rational, _primes_below, _val, factorize, require_prime)
 
 if TYPE_CHECKING:
     from .divisors import EffectiveDivisor
@@ -65,12 +65,13 @@ ARCH = Place(None)
 
 
 def log_abs_float(q: Rational) -> tuple[float, float]:
-    """log |q| as a float with an error bound; safe for huge numerators."""
+    """log |q| as a float with an error bound, from the correctly rounded
+    quotient |q| (LogValue._log); safe for huge numerators."""
     q = Fraction(q)
     if q == 0:
         raise DomainError("log of zero")
-    v = math.log(abs(q.numerator)) - math.log(q.denominator)
-    return v, _float_err(v)
+    v = LogValue._log(abs(q))
+    return v.value, v.err
 
 
 def log_abs(q: Rational, v: Place) -> LogValue:
@@ -79,8 +80,7 @@ def log_abs(q: Rational, v: Place) -> LogValue:
     if q == 0:
         raise DomainError("absolute value of zero")
     if v.is_archimedean:
-        val, err = log_abs_float(q)
-        return LogValue.real(val, err)
+        return LogValue._log(abs(q))
     return LogValue.exact_log(-_val(q, v.prime), v.prime)
 
 

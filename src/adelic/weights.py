@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import ClassVar
 
 from .berkovich import INF_POINT, BerkPoint, chordal_arch, hsia_kernel
-from .exact import DomainError, LogValue, _float_err
+from .exact import DomainError, LogValue, _arch_sum_err
 from .places import Place
 
 __all__ = ["ArchWeight", "FiniteWeight", "Weight", "trivial_weight", "std_weight",
@@ -182,7 +182,7 @@ def weight_eval(g: Weight, v: Place, x) -> LogValue:
     """
     if v.is_archimedean:
         val = g.arch(x)
-        return LogValue.real(val, _float_err(val))
+        return LogValue.real(val, _arch_sum_err(1.0 + g.sup_abs(v) + abs(val)))
     comp = g.finite(v.prime)
     if not isinstance(x, BerkPoint) or x.prime != v.prime:
         raise DomainError("point does not live at place %s" % v)
@@ -200,7 +200,7 @@ def potential_kernel(g: Weight, v: Place, x, y) -> LogValue:
         if dist == 0.0:
             return LogValue.minus_infinity()
         val = math.log(dist) - g.arch(x) - g.arch(y)
-        return LogValue.real(val, _float_err(val))
+        return LogValue.real(val, _arch_sum_err(1.0 + g.sup_abs(v) + abs(val)))
     base = hsia_kernel(v.prime, x, y)
     if base.is_minus_infinity:
         return base
@@ -230,11 +230,9 @@ class Radii:
 
 def radii(g: Weight, v: Place) -> Radii:
     if v.is_archimedean:
-        return Radii(
-            place=v,
-            log_outer=LogValue.real(-g.arch.inf, _float_err(g.arch.inf)),
-            log_inner=LogValue.real(-g.arch.sup, _float_err(g.arch.sup)),
-        )
+        # inf is g's value on the unit circle, sup the shift itself
+        low = LogValue.real(g.arch.inf, _arch_sum_err(1.0 + g.sup_abs(v) + abs(g.arch.inf)))
+        return Radii(place=v, log_outer=-low, log_inner=LogValue.real(-g.arch.sup))
     comp = g.finite(v.prime)
     return Radii(
         place=v,

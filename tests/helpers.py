@@ -10,6 +10,7 @@ import mpmath
 from sympy.polys.domains import ZZ
 from sympy.polys.sqfreetools import dup_sqf_list
 
+from adelic.berkovich import INF_POINT
 from adelic.divisors import EffectiveDivisor, divisor_from_poly
 from adelic.exact import DomainError, IntPoly, val_p
 
@@ -118,6 +119,15 @@ def close(a: float, b: float, tol: float) -> bool:
 
 
 LOG2 = math.log(2.0)
+
+
+def arch_weight_mp(arch, z):
+    # ArchWeight.__call__ in mpmath, at the working precision
+    if arch.measure == "fubini_study" or z is INF_POINT:
+        return mpmath.mpf(arch.shift)
+    r = abs(mpmath.mpc(z))
+    r = min(r, 1 / r)
+    return arch.shift - mpmath.log1p(r * r) / 2
 
 
 def assert_disks_hold_roots(f, disks, oracle):

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -24,8 +25,8 @@ from adelic.exact import (
     squarefree_decomposition,
     val_p,
 )
-from adelic.exact import (_MR_BASES, _MR_GRADES, _fermat, _gcd, _modular_resultant, _primes_below,
-                          _primitive, _strong_prp, _subresultants)
+from adelic.exact import (_MR_BASES, _MR_GRADES, _arch_sum_err, _fermat, _gcd, _modular_resultant,
+                          _primes_below, _primitive, _strong_prp, _subresultants, _up)
 
 from helpers import sympy_sqf
 
@@ -550,6 +551,75 @@ def test_float_sum_bounds_running_sum_rounding():
     exact = Fraction(1.0) + 4000 * Fraction(1e-16)
     assert abs(Fraction(tot) - exact) <= Fraction(err)
     assert err < 1e-15
+
+
+def _log_mp(q):
+    return mpmath.log(mpmath.mpf(q.numerator) / q.denominator)
+
+
+# one case per ball operation: operands of radius 0 whose exact result the
+# rounded value misses, so the test fails if that operation's rounding term
+# is dropped; (ball, exact, needs more than one ulp of the value)
+_TINY = 2.0 ** -60
+_BALL_CASES = {
+    "add": (lambda: LogValue.real(1.0) + LogValue.real(_TINY), lambda: 1 + Fraction(_TINY), False),
+    "sub": (lambda: LogValue.real(1.0) - LogValue.real(_TINY), lambda: 1 - Fraction(_TINY), False),
+    "scaled": (lambda: LogValue.real(1.0 + 2.0 ** -52).scaled(3),
+               lambda: 3 * Fraction(1.0 + 2.0 ** -52), False),
+    # float(11/5) rounds too, which the product's ulp alone does not cover
+    "scaled_rounded_k": (lambda: LogValue.real(1.75).scaled(Fraction(11, 5)),
+                         lambda: Fraction(1.75) * Fraction(11, 5), True),
+    "float_sum": (lambda: LogValue.real(*float_sum(LogValue.real(x) for x in (1.0, _TINY, _TINY))),
+                  lambda: 1 + 2 * Fraction(_TINY), False),
+    # libm's log of an exact float
+    "log_float": (lambda: LogValue._log(3.0), lambda: _log_mp(Fraction(3)), False),
+    # a quotient rounded to 1.0, whose log 0.0 has a tiny ulp
+    "log_rational": (lambda: LogValue._log(Fraction(10 ** 20 + 1, 10 ** 20)),
+                     lambda: _log_mp(Fraction(10 ** 20 + 1, 10 ** 20)), True),
+    # (5/39) log 2 as float(5/39) * math.log(2), off by 1.24 ulp
+    "exact_to_float": (lambda: LogValue.real(*LogValue.exact_log(Fraction(5, 39), 2)._as_float()),
+                       lambda: _log_mp(Fraction(2)) * 5 / 39, True),
+    # a subnormal product, whose relative term underflows: _up's nextafter
+    # is all its err
+    "exact_to_float_subnormal": (
+        lambda: LogValue.real(*LogValue.exact_log(Fraction(1, 2 ** 1070), 2)._as_float()),
+        lambda: _log_mp(Fraction(2)) / 2 ** 1070, False),
+}
+
+
+@pytest.mark.parametrize("case", list(_BALL_CASES))
+def test_ball_operations_charge_their_rounding(case):
+    ball, exact, past_an_ulp = _BALL_CASES[case]
+    with mpmath.workdps(50):
+        ball, exact = ball(), exact()
+        gap = abs(type(exact)(ball.value) - exact)
+        assert 0 < gap <= ball.err <= 4e-16 * (1 + abs(ball.value))
+        assert (gap > math.ulp(ball.value)) == past_an_ulp
+
+
+def test_up_covers_terms_rounded_low():
+    # three products a b c, each rounded twice and low by about 1.14 ulp:
+    # their fsum misses the exact sum by 1.35 ulp, past what nextafter adds
+    abc = [(1.0095970152653053, 1.0009847421675546, 1.3199917715377822),
+           (1.000289261434722, 1.007782974115749, 1.3230931424643106),
+           (1.011329638444199, 1.021004342702435, 1.2915591413037901)]
+    terms = [a * b * c for a, b, c in abc]
+    exact = sum(Fraction(a) * Fraction(b) * Fraction(c) for a, b, c in abc)
+    assert Fraction(math.nextafter(math.fsum(terms), math.inf)) < exact
+    assert Fraction(_up(*terms)) >= exact
+
+
+def test_arch_sum_err_undoes_running_sum_rounding():
+    # a running sum of 1 and 4000 halves of u loses every small term; the
+    # size and lip slots must still bound their exact sums
+    terms = [1.0] + [2.0 ** -54] * 4000
+    run = 0.0
+    for t in terms:
+        run += t
+    exact = sum(map(Fraction, terms))
+    assert run == 1.0 < exact
+    assert Fraction(_arch_sum_err(0.0, run, len(terms))) >= exact
+    assert Fraction(_arch_sum_err(run, 0.0, len(terms))) >= 24 * Fraction(2.0 ** -53) * exact
 
 
 def test_domain_errors():

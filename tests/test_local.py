@@ -19,7 +19,7 @@ from adelic.local import (
 from adelic.places import ARCH, Place
 from adelic.weights import ArchWeight, ex5_weight, std_weight, trivial_weight
 
-from helpers import LOG2, random_divisor, rational_root_divisor
+from helpers import LOG2, arch_weight_mp, random_divisor, rational_root_divisor
 
 
 def test_mahler_sharp_finite_is_lc_valuation():
@@ -315,3 +315,70 @@ def test_fekete_arch_separability_guard():
         fekete_sum(Z, trivial_weight(), ARCH)
     except DomainError:
         pass  # acceptable refusal for near-coincident support
+
+
+def _arch_data(g, pts):
+    # LocalData at ARCH on the points (w, radius, m, g(w)), not a divisor's roots
+    data = LocalData(divisor_from_poly([-1, 1]), g, ARCH)
+    data.__dict__["points"] = pts
+    return data
+
+
+def _arch_sums(data):
+    return [data.round, data.weight, data.diag_round, data.diag_weight, data.fekete]
+
+
+def _chordal_mp(z, w):
+    z, w = mpmath.mpc(z), mpmath.mpc(w)
+    return abs(z - w) / mpmath.sqrt((1 + abs(z) ** 2) * (1 + abs(w) ** 2))
+
+
+@pytest.mark.parametrize("n", [512, 64])
+def test_arch_sums_charge_their_rounding(n):
+    # centres of radius 0, taken as exact: the four moments and the pairing
+    # hold their 50-digit values on the same floats, so the rounding of
+    # every term and sum is in err (the pairing is checked at n = 64 only)
+    g = std_weight()
+    ws = [complex(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n)]
+    ms = [1 + k % 3 for k in range(n)]
+    got = _arch_sums(_arch_data(g, [(w, 0.0, m, g.arch(w)) for w, m in zip(ws, ms)]))
+    with mpmath.workdps(50):
+        r = [mpmath.log1p(abs(mpmath.mpc(w)) ** 2) / 2 for w in ws]
+        t = [arch_weight_mp(g.arch, w) for w in ws]
+        want = [sum(m ** k * x for m, x in zip(ms, xs)) for k in (1, 2) for xs in (r, t)]
+        if n <= 64:
+            want.append(sum(2 * ms[i] * ms[j] * (mpmath.log(_chordal_mp(ws[i], ws[j])) - t[i] - t[j])
+                            for i in range(n) for j in range(i + 1, n)))
+        for v, x in zip(got, want):
+            assert v.value != x
+            assert abs(v.value - x) <= v.err < 1e-10
+
+
+def test_pair_sum_charges_rounding_near_zero():
+    # under trivial (g = -1/4) a pair's term log chordal + 1/2 vanishes at
+    # chordal distance e^(-1/2): near that, the terms' absolute rounding
+    # (13u in chordal_arch and more) is far above 24u |x|, and only the
+    # mass part of size covers it
+    g = trivial_weight()
+    for k in range(4):
+        w = (1 + k * 1e-9) / math.sqrt(math.expm1(1.0))  # w / sqrt(1 + w^2) ~ e^(-1/2)
+        got = _arch_data(g, [(0.0, 0.0, 1, g.arch(0.0)), (w, 0.0, 1, g.arch(w))]).fekete
+        with mpmath.workdps(50):
+            want = 2 * (mpmath.log(_chordal_mp(0.0, w)) + 0.5)
+            assert abs(got.value) < 1e-8 and got.value != want
+            assert abs(got.value - want) <= got.err < 1e-14
+
+
+def test_arch_sums_charge_the_root_radii():
+    # the 64th roots of unity moved out by 1e-9, with radius 2e-9: each
+    # moment and the pairing must still hold its value at the roots
+    # (n log 2 / 2, -n log 2 / 2 twice each, and n log n under std); the
+    # radius terms are all of the margin
+    g, n, out = std_weight(), 64, 1e-9
+    ws = [complex(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) * (1 + out)
+          for k in range(n)]
+    got = _arch_sums(_arch_data(g, [(w, 2 * out, 1, g.arch(w)) for w in ws]))
+    want = [n * LOG2 / 2, -n * LOG2 / 2] * 2 + [n * math.log(n)]
+    for v, x in zip(got, want):
+        assert abs(v.value - x) > v.err / 20
+        assert abs(v.value - x) <= v.err

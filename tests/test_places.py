@@ -2,11 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from adelic.divisors import divisor_from_poly
 from adelic.exact import DomainError
-from adelic.heights import height
+from adelic.heights import global_fekete, height
 from adelic.places import (
     ARCH,
     Place,
@@ -41,6 +42,34 @@ def test_log_abs_float_big_integers():
     val, err = log_abs_float(Fraction(n))
     assert abs(val - 400 * math.log(10)) < 1e-9
     assert err < 1e-12
+
+
+def _log_mp(q):
+    with mpmath.workdps(60):
+        return mpmath.log(abs(q.numerator)) - mpmath.log(q.denominator)
+
+
+def test_log_abs_float_holds_the_log_of_a_ratio_of_huge_integers():
+    # logs of 300-digit numerators and denominators of a quotient near 1.5:
+    # each 690 and rounded apart, their difference missed log q by up to
+    # about 100 times its err; the log of the rounded quotient does not
+    rng = random.Random(23)
+    for _ in range(2000):
+        d = rng.randrange(10 ** 299, 10 ** 300)
+        q = Fraction(3 * d + rng.randrange(-d // 10, d // 10), 2 * d)
+        val, err = log_abs_float(q)
+        assert abs(val - _log_mp(q)) <= err < 1e-15
+    # beyond the float range the quotient is shifted by 2^k and k log 2 added
+    for q in (Fraction(3 ** 1000 + 1, 7 ** 200), Fraction(7 ** 200, 3 ** 1000 + 1)):
+        val, err = log_abs_float(q)
+        assert abs(val - _log_mp(q)) <= err < 1e-12
+
+
+def test_report_log_dstar_holds_its_value():
+    # the report whose archimedean log_dstar was 8.5e-14 off, 79 times its err
+    Z = divisor_from_poly([3 ** 299, 3 ** 299 + 1, 3 ** 300])
+    arch = global_fekete(Z, std_weight()).rows[-1].log_dstar
+    assert abs(arch.value - _log_mp(Z.d_star)) <= arch.err < 1e-15
 
 
 def test_product_formula_rationals():

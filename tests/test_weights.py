@@ -11,7 +11,7 @@ from sympy import sieve
 
 import adelic
 from adelic.berkovich import BerkPoint, INF_POINT
-from adelic.exact import DomainError, _float_err
+from adelic.exact import DomainError
 from adelic.places import ARCH, Place
 from adelic.weights import (
     ArchWeight,
@@ -27,6 +27,7 @@ from adelic.weights import (
     zero_weight,
 )
 
+from helpers import arch_weight_mp
 from quadrature import circle_average, equilibrium_energy_quadrature, fs_average, fs_kernel_energy
 
 
@@ -131,16 +132,22 @@ def test_weight_eval_and_radii():
     x = BerkPoint.type_i(5, Fraction(1, 5))
     v = weight_eval(g, p, x)
     assert v.is_exact
-    for z in (0.5, 2.0 - 1.0j, INF_POINT):
-        v = weight_eval(g, ARCH, z)
-        assert not v.is_exact
-        assert v.value == g.arch(z)
-        assert v.err == _float_err(v.value)
     r = radii(g, p)
     assert r.log_outer.coeff + r.log_inner.coeff == 0
     assert r.log_outer.coeff > 0
     ra = radii(g, ARCH)
     assert abs(ra.log_outer.value - 0.25) < 1e-15
+    # at ARCH each ball holds the 50-digit value, and stays narrow
+    with mpmath.workdps(50):
+        for g in (ex5_weight(), std_weight()):
+            for z in (0.5, 2.0 - 1.0j, INF_POINT, 1e-3 + 0.7j):
+                v = weight_eval(g, ARCH, z)
+                assert not v.is_exact and v.value == g.arch(z)
+                assert abs(v.value - arch_weight_mp(g.arch, z)) <= v.err < 1e-14
+            ra = radii(g, ARCH)
+            assert ra.log_outer.value == -g.arch.inf and ra.log_inner.value == -g.arch.sup
+            low = arch_weight_mp(g.arch, 1.0)  # the least value, on the unit circle
+            assert abs(ra.log_outer.value + low) <= ra.log_outer.err < 1e-14
 
 
 def test_unknown_arch_measure_is_refused():
@@ -183,6 +190,16 @@ def test_potential_kernel_arch():
     v = potential_kernel(g, ARCH, 1.0, -1.0)
     assert abs(v.value - (math.log(1.0) + 0.5)) < 1e-14
     assert potential_kernel(g, ARCH, 2.0, 2.0).is_minus_infinity
+    # the ball holds the 50-digit value of log chordal(z, w) - g(z) - g(w)
+    g = std_weight()
+    for z, w in ((0.3 + 0.4j, 2.0 - 1.0j), (0.1, INF_POINT), (1.5j, -0.7 + 0.2j)):
+        v = potential_kernel(g, ARCH, z, w)
+        with mpmath.workdps(50):
+            zs = [mpmath.mpc(x) for x in (z, w) if x is not INF_POINT]
+            norm = mpmath.fprod(mpmath.sqrt(1 + abs(x) ** 2) for x in zs)
+            dist = abs(zs[0] - zs[1]) / norm if len(zs) == 2 else 1 / norm
+            want = mpmath.log(dist) - arch_weight_mp(g.arch, z) - arch_weight_mp(g.arch, w)
+            assert 0 < abs(v.value - want) <= v.err < 1e-14
 
 
 def test_fs_kernel_energy_is_minus_half():
