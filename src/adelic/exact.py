@@ -72,6 +72,29 @@ def _up(*terms: float) -> float:
     return math.nextafter(math.fsum(terms) * (1.0 + 4.0 * _EPS), math.inf)
 
 
+def _up_each(a: np.ndarray, b=0.0) -> np.ndarray:
+    """_up(a, b) elementwise over numpy arrays: a + b rounds once, as fsum
+    does.  hypot, within 1 ulp, counts as two roundings (1 + 4u leaves
+    room for it)."""
+    return np.nextafter((a + b) * (1.0 + 4.0 * _EPS), np.inf)
+
+
+def _down(a, b):
+    """A lower bound on a - b, for a >= 0 at most three roundings high and b
+    an upper bound: (1 + u)^4 (1 - 4u) < 1, and nextafter rounds down.
+    Floats or numpy arrays, elementwise."""
+    x = a * (1.0 - 4.0 * _EPS) - b
+    if isinstance(x, np.ndarray):
+        return np.nextafter(x, -np.inf)
+    return math.nextafter(x, -math.inf)
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), rounded up: a product of n factors
+    1 + delta, |delta| <= u, lies within 1 +- gamma_n (requires n u < 1)."""
+    return _up(n * _EPS / (1.0 - n * _EPS))
+
+
 def _arch_sum_err(size: float, lip: float = 0.0, n: int = 1) -> float:
     """err of an fsum of n terms w x in plain floats: w = m, m^2 or 2 m m'
     (exact), x a round term 0.5 log1p(|z|^2), a weight g(z) or a pair's

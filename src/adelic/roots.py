@@ -2,16 +2,34 @@
 
 A polynomial whose roots are symmetric about their mean p/q is a polynomial
 in (q z - p)^2, as iterated quadratics are at every level.  Splitting such
-levels off leaves a base polynomial, whose roots numpy estimates; they are
-lifted back (u -> (p +- sqrt u)/q) and at each level moved to the nearest
-double by Aberth-corrected Newton steps, with f/f' evaluated exactly at the
-double, a dyadic rational, over the Gaussian integers along the chain.
+levels off leaves a base polynomial, whose roots numpy estimates.  Two rungs
+then move the estimates to doubles near the roots and certify them:
 
-Each returned centre is that double, with radius an outward-rounded upper
-bound of d*|f/f'| there, so its disk holds a root (Henrici, Applied and
-Computational Complex Analysis I); the disks are pairwise disjoint, so each
-holds exactly one.  A radius at or above tol, or two disks that meet, is a
-refusal: once d |z| 2^-53 nears tol, no double centre can meet it.
+- the numpy rung, for a base that is the whole polynomial (no level split
+  off), of degree at least _NUMPY_MIN_DEGREE = 24, whose coefficients and
+  those of f' are exact in binary64 (at most 2^53): Aberth sweeps over all
+  centres at once, f and f' at every centre still moving by one compensated
+  Horner pass in float64 arrays, with a stated error bound (_comp_horner;
+  Graillat, Langlois & Louvet 2009, Graillat & Menissier-Morain 2012).  A
+  centre whose radius is not below tol, whose values are not finite, or
+  that leaves the range where the error-free transformations are exact
+  (p~(max(1, |z|)) <= 2^900, no nonzero component of z or of a Horner
+  partial below 2^-480) takes the exact rung instead.  At degree 16-20 the
+  two rungs take the same time (dense inputs, lc 50), at 24 the numpy one
+  is 11% faster, at 192 about ten times;
+- the exact rung, for everything else: the estimates are lifted back
+  (u -> (p +- sqrt u)/q) and at each level moved to the nearest double by
+  Aberth-corrected Newton steps, one centre at a time, with f/f' evaluated
+  exactly at the double, a dyadic rational, over the Gaussian integers along
+  the chain.
+
+Each returned centre is a double, with radius an outward-rounded upper bound
+of d*|f/f'| there, so its disk holds a root (Henrici, Applied and
+Computational Complex Analysis I): the exact rung takes it from integers,
+the numpy rung as d (|f^| + e_f) / (|f^'| - e_f').  The disks are pairwise
+disjoint, so each holds exactly one.  A radius at or above tol, or two disks
+that meet, is a refusal: once d |z| 2^-53 nears tol, no double centre can
+meet it.
 """
 
 from __future__ import annotations
@@ -22,12 +40,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import DomainError, IntPoly
+from .exact import DomainError, IntPoly, _down, _gamma, _up, _up_each
 
 __all__ = ["certified_roots", "arch_support"]
 
 DEGREE_CAP = 512
 _STEPS = 8  # Newton steps per point and level
+_NUMPY_MIN_DEGREE = 24  # the numpy rung from this base degree on
 
 
 def certified_roots(f: IntPoly, tol: float = 1e-13) -> list[tuple[complex, float]]:
@@ -64,30 +83,45 @@ def _certified_roots(f: IntPoly, tol: float) -> list[tuple[complex, float]]:
                 pts = np.roots([c / (1 << shift) for c in reversed(base)])
         except np.linalg.LinAlgError:
             raise DomainError("coefficients too far apart to estimate roots") from None
-        for level in range(len(chain), -1, -1):
-            sub = chain[level:]
-            pts, rads = _refine(pts, lambda z: _ratio(z, sub, terms, dterms))
-            if level:
-                q, p = chain[level - 1]
-                r = np.sqrt(pts)
-                pts = np.concatenate([(p + r) / q, (p - r) / q])
+        if not chain and len(base) > _NUMPY_MIN_DEGREE and max(
+                abs(c) * max(j, 1) for j, c in enumerate(base)) <= 1 << 53:
+            pts, rads = _sweep(pts, base)
+            redo = [i for i, rad in enumerate(rads) if not rad < tol]
+            if redo:
+                pts, exact = _refine(pts, lambda z: _ratio(z, (), terms, dterms), redo)
+                for i, rad in zip(redo, exact):
+                    rads[i] = rad
+        else:
+            for level in range(len(chain), -1, -1):
+                sub = chain[level:]
+                pts, rads = _refine(pts, lambda z: _ratio(z, sub, terms, dterms))
+                if level:
+                    q, p = chain[level - 1]
+                    r = np.sqrt(pts)
+                    pts = np.concatenate([(p + r) / q, (p - r) / q])
         out += zip(map(complex, pts), rads)
     if len(out) != d or any(not rad < tol for _, rad in out):
         raise DomainError("could not certify roots to tolerance %g" % tol)
     out.sort(key=lambda t: (t[0].real, t[0].imag))
-    widest = max((r for _, r in out), default=0.0)
-    for i, (zi, ri) in enumerate(out):
-        for zj, rj in out[i + 1:]:
-            if zj.real - zi.real > 2 * (ri + widest):
-                break
-            # 1e-15 covers the rounding of |zi - zj|
-            if abs(zi - zj) * (1 - 1e-15) <= ri + rj:
-                raise DomainError("certified root disks overlap")
+    _disjoint(out)
     return out
 
 
 certified_roots.cache_info = _certified_roots.cache_info
 certified_roots.cache_clear = _certified_roots.cache_clear
+
+
+def _disjoint(disks):
+    # raise unless the disks, sorted by real part, are pairwise disjoint: a
+    # lower bound of |zi - zj| (one rounding per component, hypot 1 ulp)
+    # must pass an upper bound of ri + rj
+    widest = max((r for _, r in disks), default=0.0)
+    for i, (zi, ri) in enumerate(disks):
+        for zj, rj in disks[i + 1:]:
+            if zj.real - zi.real > 2 * (ri + widest):
+                break
+            if _down(abs(zi - zj), 0.0) <= _up(ri, rj):
+                raise DomainError("certified root disks overlap")
 
 
 def _chain(cs):
@@ -192,13 +226,14 @@ def _snap(z):
                    0.0 if abs(y) < 2.0 ** -60 * abs(x) else y)
 
 
-def _refine(pts, ratio):
+def _refine(pts, ratio, todo=None):
     # Aberth steps z -= n / (1 - n sum_j 1/(z - z_j)), n = f/f' exact, one
-    # point at a time until the step leaves the double unchanged; each
-    # radius is the one evaluated at the point returned
-    pts = np.array([_snap(complex(z)) for z in pts])
+    # point at a time (those of todo, else all) until the step leaves the
+    # double unchanged; each radius is the one evaluated at the point returned
+    pts = _snap_all(np.asarray(pts, dtype=complex))
     rads = []
-    for i, z in enumerate(map(complex, pts)):
+    for i in range(len(pts)) if todo is None else todo:
+        z = complex(pts[i])
         for _ in range(_STEPS):
             n, rad = ratio(z)
             diff = z - pts
@@ -213,6 +248,151 @@ def _refine(pts, ratio):
             rad = ratio(z)[1]
         rads.append(rad)
     return pts, rads
+
+
+def _sweep(pts, cs):
+    """Aberth sweeps over all centres at once, f and f' by _comp_horner.
+
+    A sweep moves every centre still moving by z -= n / (1 - n sum_j
+    1/(z - z_j)), n = f/f' in floats; a centre stops when its step leaves
+    the double unchanged, or after _STEPS steps, and keeps the radius
+    evaluated there: d (|f| + e_f) / (|f'| - e_f'), rounded up, or inf.
+    """
+    d = len(cs) - 1
+    A = _columns(cs)
+    pts = _snap_all(np.asarray(pts, dtype=complex))
+    rads = np.full(d, np.inf)
+    todo = np.arange(d)
+    for sweep in range(_STEPS + 1):
+        z = pts[todo]
+        (f, fp), (ef, efp) = _comp_horner(A, z)
+        with np.errstate(all="ignore"):
+            den = _down(np.abs(fp), efp)
+            rad = np.where(den > 0, _up_each(d * _up_each(np.abs(f), ef) / den), np.inf)
+            if sweep == _STEPS:
+                rads[todo] = rad
+                break
+            n = f / fp
+            diff = z[:, None] - pts
+            diff[np.arange(len(todo)), todo] = 1.0
+            step = n / (1.0 - n * (np.reciprocal(diff, out=diff).sum(axis=1) - 1.0))
+            new = _snap_all(z - step)
+            done = (new == z) | ~(np.abs(step) <= 0.5 * (1.0 + np.abs(z)))
+        rads[todo[done]] = rad[done]
+        pts[todo[~done]] = new[~done]
+        todo = todo[~done]
+        if not len(todo):
+            break
+    return pts, rads.tolist()
+
+
+def _columns(cs):
+    # the coefficients of f and f', degree descending, for _comp_horner
+    d = len(cs) - 1
+    A = np.zeros((d + 1, 2))
+    A[:, 0] = cs[::-1]
+    A[1:, 1] = [j * c for j, c in enumerate(cs)][:0:-1]
+    return A
+
+
+def _snap_all(z):
+    # _snap, elementwise
+    x, y = z.real, z.imag
+    return (np.where(np.abs(x) < 2.0 ** -60 * np.abs(y), 0.0, x)
+            + 1j * np.where(np.abs(y) < 2.0 ** -60 * np.abs(x), 0.0, y))
+
+
+def _veltkamp(x):
+    # x = hi + lo exactly, hi and lo of 26 bits each (Dekker 1971)
+    t = x * 134217729.0  # 2^27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _two_sum_err(a, b, s):
+    # the exact a + b - s for s = fl(a + b) (Knuth, TAOCP 2)
+    bb = s - a
+    return (a - (s - bb)) + (b - bb)
+
+
+def _comp_horner(A, z):
+    """Compensated Horner values of the columns of A at the doubles z.
+
+    A is (d + 1) x k float, row j holding the coefficients of z^(d - j) of k
+    polynomials, each an integer of at most 53 bits.  Returns the k x m
+    complex values p^ and k x m upper bounds e of |p(z) - p^|, inf where a
+    value is not finite or leaves the range below.
+
+    The pass is Horner's, s_d = a_d, s_i = fl(s_(i+1) z + a_i), in float64
+    pairs with each rounding error caught exactly: z s_(i+1) by four
+    TwoProducts (Dekker's split, there being no FMA) and two TwoSums, the
+    sum with a_i by a TwoSum (Graillat, Langlois & Louvet, Japan J. Indust.
+    Appl. Math. 26 (2009); Graillat & Menissier-Morain, Inform. and Comput.
+    216 (2012), for complex z).  Then s_(i+1) z + a_i = s_i + w_i exactly,
+    so p(z) = s_0 + c, c = sum w_i z^i, and p^ = fl(s_0 + c^) with c^ the
+    plain complex Horner value of the rounded w^_i.  With u = 2^-53:
+
+    - |w_i| <= |Re w_i| + |Im w_i| <= (2u + u^2) (|x_r| + |x_i|)(|z_r| +
+      |z_i|) + u |h_r + a_i| <= 6u (|s_(i+1)| |z| + |a_i|), writing x =
+      s_(i+1) and h = fl(x z), |h| <= (1 + sqrt2 gamma_2) |x| |z| (Higham,
+      Accuracy and Stability, 2nd ed., Lemma 3.5);
+    - |s_i| <= (1 + u)^(4 (d - i)) p~_i(|z|), p~_i(r) = sum_(j >= i)
+      |a_j| r^(j - i), so sum |w_i| |z|^i <= 6u (d + 1)(1 + gamma_4d) p~(|z|);
+    - rounding w^_i adds gamma_3 of the same sums, and Horner on them
+      gamma_4d (a complex product sqrt2 gamma_2, a sum u, per step), so
+      |c - c^| <= gamma_(4d+3) 6u (d + 1)(1 + gamma_4d) p~(|z|);
+    - fl(s_0 + c^) rounds each component once: u |p^|.
+
+    So e = u |p^| + 2 gamma_(6d+6) gamma_(4d+3) p~(R): the factor 2 covers
+    (1 + gamma_4d) and the gamma_2d by which p~ is evaluated low in floats
+    at R >= max(1, |z|), and as p~(R) >= R^(d-1), the most by which an error
+    of c^ is multiplied, also the at most 2^-1075 per operation that an
+    underflow adds.  The TwoProducts are exact while
+    every product is finite and no nonzero factor is below 2^-480 (a
+    product's error then is a multiple of 2^-1074): the range guard asks
+    p~(R) <= 2^900, which bounds every |s_i|, and every nonzero component of
+    z and of each s_i at least 2^-480.
+    """
+    d, k = len(A) - 1, A.shape[1]
+    m = len(z)
+    Y = np.array([[z.real, z.real], [-z.imag, z.imag]])[:, :, None, :]
+    YH, YL = _veltkamp(Y)
+    coeff = np.zeros((d + 1, 2, k, 1))
+    coeff[:, 0, :, 0] = A
+    # XX = (x_r, x_i), (x_i, x_r) for x = s_(i+1), so that XX Y holds
+    # (x_r z_r, x_i z_r), (-x_i z_i, x_r z_i); CC likewise for c^
+    XX, CC = np.zeros((2, 2, 2, k, m))
+    XX[0, 0] = XX[1, 1] = A[0][:, None]
+    low = np.broadcast_to(np.frexp(Y)[1].min(axis=(0, 1, 2)), (2, k, m)).copy()
+    for j in range(1, d + 1):
+        XH, XL = _veltkamp(XX)
+        P = XX * Y
+        E = XH * YH - P
+        E += XH * YL
+        E += XL * YH
+        E += XL * YL
+        H = P[0] + P[1]
+        X = np.add(H, coeff[j], out=XX[0])
+        XX[1] = X[::-1]
+        W = E[0] + E[1]
+        W += _two_sum_err(P[0], P[1], H)
+        W += _two_sum_err(H, coeff[j], X)
+        P = CC * Y
+        C = np.add(P[0], P[1], out=CC[0])
+        C += W
+        CC[1] = C[::-1]
+        np.minimum(low, np.frexp(X)[1], out=low)
+    X, C = XX[0], CC[0]
+    F = X + C
+    vals = F[0] + 1j * F[1]
+    R = np.maximum(_up_each(np.abs(z)), 1.0)
+    tilde = np.zeros((k, m))
+    for row in np.abs(A):
+        tilde = tilde * R + row[:, None]
+    with np.errstate(all="ignore"):
+        err = _up_each(_gamma(1) * np.abs(vals), 2.0 * _gamma(6 * d + 6) * _gamma(4 * d + 3) * tilde)
+    ok = (low.min(axis=(0, 1)) > -480) & np.isfinite(vals).all(axis=0) & (tilde <= 2.0 ** 900).all(axis=0)
+    return vals, np.where(ok, err, np.inf)
 
 
 def arch_support(divisor) -> list[tuple[complex, float, int]]:

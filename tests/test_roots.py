@@ -1,10 +1,14 @@
 import cmath
+import hashlib
 import math
 import random
+from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
+from adelic import roots
 from adelic.divisors import divisor_from_poly
 from adelic.exact import DomainError, IntPoly, squarefree_decomposition
 from adelic.roots import arch_support, certified_roots
@@ -172,3 +176,157 @@ def test_cache_key_ignores_how_tol_is_passed():
     assert after.misses - before.misses == 1
     assert after.hits - before.hits == 2
     assert a is b is c
+
+
+def _dense(rng, d, lc=50):
+    # as the dense_arch workload draws them: lc 50, the rest in [-50, 50],
+    # f(0) != 0, squarefree
+    while True:
+        cs = [rng.randint(-50, 50) for _ in range(d)] + [lc]
+        parts = squarefree_decomposition(IntPoly.make(cs))
+        if cs[0] and len(parts) == 1 and parts[0][1] == 1:
+            return cs
+
+
+def _exact_value(cs, z):
+    # sum cs[j] z^j at the double z, as a Gaussian rational (re, im)
+    x, y = Fraction(z.real), Fraction(z.imag)
+    re = im = Fraction(0)
+    for a in reversed(cs):
+        re, im = re * x - im * y + a, re * y + im * x
+    return re, im
+
+
+def _derivative(cs):
+    return [j * c for j, c in enumerate(cs)][1:]
+
+
+def _product(*factors):
+    f = IntPoly.make([1])
+    for g in factors:
+        f = f * IntPoly.make(g)
+    return list(f.coeffs)
+
+
+def test_disjointness_needs_a_rounding_margin():
+    # |zi - zj| rounds in the subtraction and in hypot: a float distance one
+    # ulp above ri + rj does not show the disks apart
+    zj = complex(1.0, 1.0)
+    r = math.nextafter(abs(zj), 0.0) / 2
+    with pytest.raises(DomainError):
+        roots._disjoint([(0j, r), (zj, r)])
+    roots._disjoint([(0j, 0.7), (zj, 0.7)])
+
+
+def test_compensated_horner_bound_holds():
+    # the exact values of f and f' at seeded doubles, near the roots of
+    # products built for cancellation and out to the range guard, lie within
+    # the stated errs; near the roots the error passes u |f^| many times
+    # over, so only the second-order term covers it there
+    rng = random.Random(24)
+    widest = 0.0
+    for cs in (_product(*[[-1, 1]] * 16),
+               _product(*[[-k, 1] for k in range(1, 16)]),
+               _product(*[[1, 0, 1]] * 8),
+               _product(*[[-3, 2]] * 6, *[[5, 0, 2]] * 3)):
+        # the guard's radius: the R with p~(R) = 2^900, by bisection
+        lo, hi = 1.0, 2.0 ** 900
+        for _ in range(200):
+            mid = math.sqrt(lo * hi)
+            tilde = sum(abs(c) * mpmath.mpf(mid) ** j for j, c in enumerate(cs))
+            lo, hi = (mid, hi) if tilde <= 2 ** 900 else (lo, mid)
+        zs = [complex(r) + complex(rng.gauss(0, 1), rng.gauss(0, 1)) * 10.0 ** rng.uniform(-12, -2)
+              for r in np.roots(cs[::-1]) for _ in range(3)]
+        zs += [cmath.rect(lo * 2.0 ** -rng.uniform(0, 40), rng.uniform(-math.pi, math.pi))
+               for _ in range(8)]
+        zs += [complex(-lo, 0.0) * (1 - 2.0 ** -20), complex(0.0, lo) * (1 - 2.0 ** -20)]
+        vals, errs = roots._comp_horner(roots._columns(cs), np.array(zs))
+        for pcs, row, err in zip((cs, _derivative(cs)), vals, errs):
+            for z, v, e in zip(zs, row.tolist(), err.tolist()):
+                assert math.isfinite(e), z
+                re, im = _exact_value(pcs, z)
+                gap = (re - Fraction(v.real)) ** 2 + (im - Fraction(v.imag)) ** 2
+                assert gap <= Fraction(e) ** 2, (cs, z)
+                if v:
+                    size = Fraction(v.real) ** 2 + Fraction(v.imag) ** 2
+                    widest = max(widest, float(gap * 2 ** 106 / size))
+        beyond = np.array([complex(2 * hi, 0.0), complex(0.0, -2 * hi)])
+        assert np.isinf(roots._comp_horner(roots._columns(cs), beyond)[1]).all()
+    assert widest > 10 ** 2
+
+
+def test_compensated_horner_guards_tiny_partials():
+    # z^40 + 1 at z = 2^-30: the Horner partials z^k fall below 2^-480, where
+    # a TwoProduct's error term could underflow, so the err is inf
+    cs = [1] + [0] * 39 + [1]
+    vals, errs = roots._comp_horner(roots._columns(cs), np.array([2.0 ** -30 + 0j, 0.5 + 0.5j]))
+    assert math.isinf(errs[0, 0]) and math.isfinite(errs[0, 1])
+
+
+def test_numpy_rung_radius_is_the_henrici_bound():
+    # each radius the numpy rung returns is at least d |f/f'| at its centre,
+    # exactly, and within 2^-20 of it: the err terms add about 1e-8 here
+    cs = _dense(random.Random(64), 64)
+    d = len(cs) - 1
+    for z, rad in certified_roots(IntPoly.make(cs)):
+        fr, fi = _exact_value(cs, z)
+        gr, gi = _exact_value(_derivative(cs), z)
+        henrici = d * d * (fr * fr + fi * fi) / (gr * gr + gi * gi)
+        assert henrici <= Fraction(rad) ** 2 <= henrici * (1 + Fraction(1, 2 ** 20))
+
+
+@pytest.mark.parametrize("case", ["dense:64", "dense:96", "dense:192", "pow:127"])
+def test_numpy_rung_disks_hold_roots(case):
+    # above the crossover, no symmetric recursion: 60-digit findroot from
+    # each centre in the closed upper half plane, with the conjugates (the
+    # coefficients are real), pairwise distinct, so the oracle set is every root
+    kind, d = case.split(":")
+    d = int(d)
+    cs = _dense(random.Random(d), d) if kind == "dense" else [-2] + [0] * (d - 1) + [1]
+    f = IntPoly.make(cs)
+    disks = certified_roots(f)
+    with mpmath.workdps(60):
+        desc = [mpmath.mpf(c) for c in reversed(cs)]
+        upper = [mpmath.findroot(lambda x: mpmath.polyval(desc, x), mpmath.mpc(z.real, z.imag))
+                 for z, _ in disks if z.imag >= 0]
+        oracle = upper + [mpmath.conj(r) for r in upper if r.imag]
+        assert len(oracle) == d
+        assert min(abs(a - b) for i, a in enumerate(oracle) for b in oracle[i + 1:]) > 1e-40
+    assert_disks_hold_roots(f, disks, oracle)
+
+
+def _disks_digest(disks):
+    return hashlib.sha256(repr([(z.real, z.imag, r) for z, r in disks]).encode()).hexdigest()
+
+
+def test_rung_selection(monkeypatch):
+    # a dense input above the crossover never takes the exact evaluation;
+    # one below it, a symmetric recursion (z^256 - 1, the depth-7 preimage of
+    # z^2 - 2) and a coefficient above 2^53 take only the exact rung, and
+    # their disks are pinned to what that rung alone returned (x86-64,
+    # CPython 3.11)
+    calls = []
+    exact = roots._ratio
+    monkeypatch.setattr(roots, "_ratio", lambda *a: calls.append(a) or exact(*a))
+    certify = roots._certified_roots.__wrapped__  # past the cache
+    assert len(certify(IntPoly.make(_dense(random.Random(96), 96)), 1e-13)) == 96
+    assert not calls
+    cheb = IntPoly.make([-2, 0, 1])
+    for _ in range(6):
+        cheb = (cheb * cheb).add_scalar(-2)
+    rng = random.Random(64)
+    big = [rng.randint(-50, 50) for _ in range(64)] + [50]
+    big[0] = 2 ** 60 + 1
+    rng = random.Random(8)
+    for f, digest in (
+            (IntPoly.make([rng.randint(-50, 50) for _ in range(8)] + [50]),
+             "06a5c3adf04bd13c5a35bddad027f3023149f82b812f64dc7eb344005dd08e47"),
+            (IntPoly.make([-1] + [0] * 255 + [1]),
+             "afa08ce9bdf8da0788b0c91dac58a6f5d28ed8305e4c17af0b096b1402bf51b1"),
+            (cheb, "00ee21d4fb00082eb4bf94443c305e531474a2bd063ea132a5e1f1b04569f1cf"),
+            (IntPoly.make(big), "af731c7937fa46d59ace3690bdf38b032c22fff308510215808530e42776556c")):
+        del calls[:]
+        assert _disks_digest(certify(f, 1e-13)) == digest
+        assert len(calls) >= f.degree
+    with pytest.raises(DomainError):
+        certify(IntPoly.make([-(10 ** 8 + 1), 0, 1]), 1e-13)
