@@ -96,18 +96,39 @@ def _gamma(n: int) -> float:
 
 
 def _arch_sum_err(size: float, lip: float = 0.0, n: int = 1) -> float:
-    """err of an fsum of n terms w x in plain floats: w = m, m^2 or 2 m m'
-    (exact), x a round term 0.5 log1p(|z|^2), a weight g(z) or a pair's
-    log chordal_arch(z, z') - g(z) - g(z').  With hypot at 2u and libm at
-    4u (_LIBM ulp) relative, chordal_arch is 13u off relative (z - z' u,
-    abs 2u, each sqrt(1 + |z|^2) 4u, * and / u), its log 13u + 4u |log|;
-    g(z) = shift - 0.5 log1p(r^2), r <= 1, 3.2u + u |g|; a round term
-    2.5u + 4u |x|; a pair 19.3u + 11u G + 6u |x|, G = max |g| on the
-    support: all within 20u (1 + G + |x|).  Rounding w x and the fsums add
-    u |w x| each: 24u times size = sum w (1 + G + |x|) covers all.  lip sums
-    slope times radius, bounding what a point's distance from its root does
-    to x.  size and lip sum n floats each at most 8 roundings low, which
-    1 + 2(n + 8)u undoes."""
+    """err of one of LocalData's archimedean sums over n terms or n pairs:
+    24u size plus lip, both grown by 1 + 2(n + 8)u.
+
+    A moment is an fsum of terms w x in plain floats, w = m or m^2 (exact),
+    x a round term 0.5 log1p(|z|^2) or a weight g(z).  With libm at 4u
+    (_LIBM ulp) relative, g(z) = shift - 0.5 log1p(r^2), r <= 1, is 3.2u +
+    u |g| off and a round term 2.5u + 4u |x|; rounding w x and the fsum add
+    u |w x| each: 24u times size = sum w (1 + G + |x|), G = max |g| on the
+    support, covers them.
+
+    The pairing, the sum over i < j of w (log d - g_i - g_j) with w = 2 m_i
+    m_j and d = [z_i, z_j], is read from row products (LocalData._pair_sum):
+    it is the fsum of 2 m_i k log F for each row i and multiplicity k, F the
+    product of the np.frexp mantissas of the row's d to later points of
+    multiplicity k; of 2E log 2, E the exact sum of m_i m_j times the
+    exponents; and of -2 m_i (M - m_i) g_i, M = sum m.  Per unit of w: with
+    hypot at 2u, d is chordal_arch's and 13u off relative (z - z' u, abs
+    2u, each sqrt(1 + |z|^2) 4u, * and / u), which is 13u on log d; a
+    product of K mantissas, each at least 1/2 and so normal while K < 1022,
+    is gamma_{K-1} off, u per factor; the two g's and the products with
+    them cost 6.4u + 4G u.  Each log F is 4u |log F| off and 2 m_i k log F
+    rounds u; math.log(2) is 2u off, so 2E log 2 is (2 + log 2)u |2E| off;
+    the fsum rounds u |value| <= u (A + B + 2G W).  With A = sum |2 m_i k
+    log F|, B = |2E| log 2 and W = sum w = M^2 - sum m^2, the error is at
+    most (20.4 + 6G)u W + 6u A + 4.9u B: 24u times size = (1 + G) W + (A +
+    B) / 4 covers it, with 3.6u W to spare for second-order terms.  When
+    every d < 1, A + B is sum w |log d|, read off the row logs with no
+    per-pair log.
+
+    lip sums slope times radius, bounding what a point's distance from its
+    root does to x: for a pair, w (1/sep + 1/2 + lip)(r_i + r_j), sep the
+    root disks' gap.  size and lip sum n floats each at most 8 roundings
+    low, which 1 + 2(n + 8)u undoes."""
     grow = 1.0 + 2.0 * (n + 8) * _EPS
     return _up(grow * 24.0 * _EPS * size, grow * lip)
 

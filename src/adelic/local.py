@@ -5,6 +5,14 @@ coefficient valuations, Newton polygon slopes, and the valuation of the
 pairwise difference product.  At the archimedean place the support is
 located by certified root isolation and all float results carry
 propagated error bounds.
+
+The archimedean pairing is summed in numpy over blocks of at most _BLOCK
+chordal distances, whole rows at a time: each row's distances to the later
+support points, computed as chordal_arch does, are checked for separation,
+charged their root radii, and multiplied per multiplicity as np.frexp
+mantissas with an exact exponent sum, so one math.log per row and
+multiplicity gives the row's logs; the weight terms are O(n) sums.
+_arch_sum_err derives the error bound of that route.
 """
 
 from __future__ import annotations
@@ -15,7 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .berkovich import INF_POINT, chordal_arch
+import numpy as np
+
+from .berkovich import INF_POINT
 from .divisors import EffectiveDivisor
 from .exact import DomainError, LogValue, _arch_sum_err, _val, newton_polygon
 from .places import ARCH, Place
@@ -24,6 +34,11 @@ from .weights import Weight, zero_weight
 
 __all__ = ["PlaceRow", "mahler_g", "mahler_sharp", "fekete_sum", "fekete_sum_arch_identity",
            "integral_against"]
+
+#: Chordal distances per row block of the archimedean pair sum: rows are
+#: taken together up to this many entries, so no temporary grows as n^2.
+_BLOCK = 4096
+_LOG2 = math.log(2.0)
 
 
 def _lin(a: int, x, b: int, y, c: int = 0) -> Fraction:
@@ -165,32 +180,62 @@ class LocalData:
     @cached_property
     def fekete(self) -> LogValue:
         """Off-diagonal weighted pairing sum: at p one exact coefficient of
-        log p from the moments (see pairing), at ARCH the direct double sum
-        over distinct support points.  Zero for a single support point."""
+        log p from the moments (see pairing), at ARCH the sum over pairs of
+        distinct support points, by row blocks.  Zero for a single support
+        point."""
         if not self.v.is_archimedean:
             (r1, r2), (w1, w2), d = self._rounds, self._weights, self.Z.degree
             return self._log(_lin(2, w2, -2 * d, w1, self._dstar + 2 * (r2 - d * r1)))
-        pts = self.points
-        if len(pts) <= 1:
+        if len(self.points) <= 1:
             return LogValue.zero()
-        lip, rows, size, rad = self.g.arch.lip, [], 0.0, 0.0
-        for i, (wi, ri, mi, gi) in enumerate(pts):
-            row = []
-            for wj, rj, mj, gj in pts[i + 1:]:
-                dist = chordal_arch(wi, wj)
-                # the root disks' gap, whose inverse bounds the slope of log|z - z'|
-                sep = math.inf if wi is INF_POINT or wj is INF_POINT else abs(wi - wj) - ri - rj
-                if dist <= 0.0 or sep <= 0.0:
-                    raise DomainError("support points not separable at float precision")
-                w = 2.0 * mi * mj
-                row.append(w * (math.log(dist) - gi - gj))
-                rad += w * ((1.0 / sep + 0.5 + lip) * (ri + rj))
-            rows.append(math.fsum(row))
-            size += math.fsum(map(abs, row))
-        # the weights w sum to (sum m)^2 - sum m^2
-        n, ms = len(pts), [m for _, _, m, _ in pts]
-        size += (1.0 + self.g.sup_abs(ARCH)) * (sum(ms) ** 2 - sum(m * m for m in ms))
-        return LogValue.real(math.fsum(rows), _arch_sum_err(size, rad, n * (n - 1) // 2))
+        return LogValue.real(*self._pair_sum())
+
+    def _pair_sum(self) -> tuple[float, float]:
+        # (value, err) of the sum over i < j of 2 m_i m_j (log [w_i, w_j] - g_i
+        # - g_j) at ARCH, by row blocks: see the module docstring and
+        # _arch_sum_err.  Infinity, if in the support, is the last column only
+        ws, rads, mults, gs = zip(*self.points)
+        n, inf = len(ws), ws[-1] is INF_POINT
+        z = np.array([0j if w is INF_POINT else w for w in ws], dtype=complex)
+        r, m = np.array(rads), np.array(mults)
+        # chordal_arch's sqrt(1 + |w|^2), 1 at infinity
+        s = np.array([math.sqrt(1.0 + abs(x) ** 2) for x in z.tolist()])
+        groups = [(k, m == k) for k in set(mults)]
+        step = min(n - 1, max(1, _BLOCK // n))
+        tri, slope = np.tri(step, step - 1, -1, dtype=bool), 0.5 + self.g.arch.lip
+        rows, expo, rad = [], 0, 0.0
+        for a in range(0, n - 1, step):
+            # rows a..b-1 against columns a+1..n-1: head[low] are the pairs j <= i
+            b = min(a + step, n - 1)
+            head, low, mi, mj = np.s_[:, :b - a - 1], tri[:b - a, :b - a - 1], m[a:b], m[a + 1:]
+            # libm's hypot, as abs(complex) is; numpy's complex abs is not
+            dz = z[a:b, None] - z[None, a + 1:]
+            diff = np.hypot(dz.real, dz.imag)
+            if inf:
+                diff[:, -1] = 1.0
+            f, e = np.frexp(diff / (s[a:b, None] * s[None, a + 1:]))
+            # the root disks' gap, whose inverse bounds the slope of log|z - z'|
+            sep = diff - r[a:b, None] - r[None, a + 1:]
+            if inf:
+                sep[:, -1] = np.inf
+            f[head][low], e[head][low], sep[head][low] = 1.0, 0, np.inf
+            # a mantissa of 0 is a distance of 0
+            if f.min() <= 0.0 or sep.min() <= 0.0:
+                raise DomainError("support points not separable at float precision")
+            t = (1.0 / sep + slope) * (r[a:b, None] + r[None, a + 1:])
+            t[head][low] = 0.0
+            rad += mi @ (t @ mj)
+            expo += int(mi @ (e @ mj))
+            for k, cols in groups:
+                prods = np.multiply.reduce(f, axis=1, where=cols[a + 1:]).tolist()
+                rows.append((2 * k) * mi * np.array(list(map(math.log, prods))))
+        rows = np.concatenate(rows).tolist()
+        mass = sum(mults)
+        terms = [*rows, 2 * expo * _LOG2, *(-2.0 * k * (mass - k) * gk for k, gk in zip(mults, gs))]
+        # the pair weights sum to mass^2 - sum m^2
+        size = (mass ** 2 - sum(k * k for k in mults)) * (1.0 + self.g.sup_abs(ARCH))
+        size += 0.25 * (math.fsum(map(abs, rows)) + abs(2 * expo) * _LOG2)
+        return math.fsum(terms), _arch_sum_err(size, 2.0 * float(rad), n * (n - 1) // 2)
 
     def pairing(self) -> LogValue:
         """Off-diagonal weighted pairing sum, assembled as

@@ -5,10 +5,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from adelic.berkovich import INF_POINT
 from adelic.divisors import EffectiveDivisor, divisor_from_poly
 from adelic.exact import DomainError, IntPoly, val_p
 from adelic.heights import global_fekete
 from adelic.local import (
+    _BLOCK,
     LocalData,
     fekete_sum,
     fekete_sum_arch_identity,
@@ -308,13 +310,19 @@ def _wval(comp, q, p):
 
 
 def test_fekete_arch_separability_guard():
-    # two roots closer than float resolution cannot be paired honestly
+    # the roots 1e-9 and 1 are apart at float precision, and the pairing
+    # holds its 50-digit value at them; two overlapping root disks, or two
+    # equal floats, cannot be paired honestly and are refused
     f = IntPoly.make([-1, 10 ** 9]) * IntPoly.make([-999999999, 10 ** 9 - 1])
-    Z = divisor_from_poly(list(f.coeffs))
-    try:
-        fekete_sum(Z, trivial_weight(), ARCH)
-    except DomainError:
-        pass  # acceptable refusal for near-coincident support
+    got = fekete_sum(divisor_from_poly(list(f.coeffs)), trivial_weight(), ARCH)
+    with mpmath.workdps(50):
+        want = 2 * (mpmath.log(_chordal_mp(mpmath.mpf(1) / 10 ** 9, 1)) + 0.5)
+        assert got.value != want and abs(got.value - want) <= got.err < 1e-13
+    g = trivial_weight()
+    for pts in ([(0.5, 0.3, 1, g.arch(0.5)), (1.0, 0.3, 1, g.arch(1.0))],
+                [(0.5, 0.0, 1, g.arch(0.5)), (0.5, 0.0, 2, g.arch(0.5))]):
+        with pytest.raises(DomainError, match="not separable at float precision"):
+            _arch_data(g, pts).fekete
 
 
 def _arch_data(g, pts):
@@ -329,29 +337,77 @@ def _arch_sums(data):
 
 
 def _chordal_mp(z, w):
+    if w is INF_POINT:
+        return 1 / mpmath.sqrt(1 + abs(mpmath.mpc(z)) ** 2)
     z, w = mpmath.mpc(z), mpmath.mpc(w)
     return abs(z - w) / mpmath.sqrt((1 + abs(z) ** 2) * (1 + abs(w) ** 2))
 
 
-@pytest.mark.parametrize("n", [512, 64])
-def test_arch_sums_charge_their_rounding(n):
+def _ring(n):
+    # the n-th roots of unity as floats, with multiplicities 1, 2, 3, 1, ...
+    ws = [complex(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n)]
+    return ws, [1 + k % 3 for k in range(n)]
+
+
+def _pair_sum_mp(g, ws, ms):
+    # sum over i < j of 2 m_i m_j (log [w_i, w_j] - g(w_i) - g(w_j)) at the
+    # working precision; infinity, if there, is last
+    t, n = [arch_weight_mp(g.arch, w) for w in ws], len(ws)
+    return mpmath.fsum(2 * ms[i] * ms[j] * (mpmath.log(_chordal_mp(ws[i], ws[j])) - t[i] - t[j])
+                       for i in range(n) for j in range(i + 1, n))
+
+
+@pytest.mark.parametrize("n, cap", [pytest.param(n, cap, id=str(n))
+                                    for n, cap in ((512, 1e-10), (128, 4e-10), (64, 1e-10))])
+def test_arch_sums_charge_their_rounding(n, cap):
     # centres of radius 0, taken as exact: the four moments and the pairing
     # hold their 50-digit values on the same floats, so the rounding of
-    # every term and sum is in err (the pairing is checked at n = 64 only)
+    # every term and sum is in err.  The pairing is checked at n <= 128 (at
+    # 128, 8128 pairs in four row blocks); its err grows as the pair
+    # weights, (sum m)^2 - sum m^2, four times that of n = 64
     g = std_weight()
-    ws = [complex(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n)]
-    ms = [1 + k % 3 for k in range(n)]
+    ws, ms = _ring(n)
     got = _arch_sums(_arch_data(g, [(w, 0.0, m, g.arch(w)) for w, m in zip(ws, ms)]))
     with mpmath.workdps(50):
         r = [mpmath.log1p(abs(mpmath.mpc(w)) ** 2) / 2 for w in ws]
         t = [arch_weight_mp(g.arch, w) for w in ws]
         want = [sum(m ** k * x for m, x in zip(ms, xs)) for k in (1, 2) for xs in (r, t)]
-        if n <= 64:
-            want.append(sum(2 * ms[i] * ms[j] * (mpmath.log(_chordal_mp(ws[i], ws[j])) - t[i] - t[j])
-                            for i in range(n) for j in range(i + 1, n)))
+        if n <= 128:
+            want.append(_pair_sum_mp(g, ws, ms))
         for v, x in zip(got, want):
             assert v.value != x
-            assert abs(v.value - x) <= v.err < 1e-10
+            assert abs(v.value - x) <= v.err < cap
+
+
+@pytest.mark.parametrize("inf_mult", [1, 2])
+@pytest.mark.parametrize("weight", [std_weight, trivial_weight])
+def test_pair_sum_over_row_blocks_and_multiplicities(weight, inf_mult):
+    # isqrt(_BLOCK) + 1 scattered points and infinity take more than one row
+    # block; the multiplicities 1-3 interleave, and infinity's column has its
+    # own; the pairing holds its 50-digit value on the same floats
+    g, n = weight(), math.isqrt(_BLOCK) + 1
+    assert _BLOCK // (n + 1) < n
+    rng = random.Random(7)
+    ws = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n)] + [INF_POINT]
+    ms = [1 + k % 3 for k in range(n)] + [inf_mult]
+    got = _arch_data(g, [(w, 0.0, m, g.arch(w)) for w, m in zip(ws, ms)]).fekete
+    with mpmath.workdps(50):
+        want = _pair_sum_mp(g, ws, ms)
+        assert got.value != want
+        assert abs(got.value - want) <= got.err < 1e-10
+
+
+def test_pair_sum_charges_the_binary_exponents():
+    # points 1e-300 apart near 0 under trivial: each chordal distance is
+    # about 2^-997, so the sum is near -4138, and its own rounding and log
+    # 2's, carried by the exponents a thousand times per pair, are far above
+    # the mass part of size; only the row-log part covers them
+    g = trivial_weight()
+    ws = [1e-300, 2e-300, 4e-300]
+    got = _arch_data(g, [(w, 0.0, 1, g.arch(w)) for w in ws]).fekete
+    with mpmath.workdps(50):
+        want = _pair_sum_mp(g, ws, [1, 1, 1])
+        assert abs(got.value - want) <= got.err < 1e-11
 
 
 def test_pair_sum_charges_rounding_near_zero():
