@@ -1,27 +1,35 @@
 """Certified complex root isolation for integer polynomials.
 
-A polynomial whose roots are symmetric about their mean p/q is a polynomial
-in (q z - p)^2, as iterated quadratics are at every level.  Splitting such
-levels off leaves a base polynomial, whose roots numpy estimates.  Two rungs
-then move the estimates to doubles near the roots and certify them:
+One path takes every polynomial, in three steps:
 
-- the numpy rung, for a base that is the whole polynomial (no level split
-  off), of degree at least _NUMPY_MIN_DEGREE = 24, whose coefficients and
-  those of f' are exact in binary64 (at most 2^53): Aberth sweeps over all
-  centres at once, f and f' at every centre still moving by one compensated
-  Horner pass in float64 arrays, with a stated error bound (_comp_horner;
-  Graillat, Langlois & Louvet 2009, Graillat & Menissier-Morain 2012).  A
-  centre whose radius is not below tol, whose values are not finite, or
-  that leaves the range where the error-free transformations are exact
-  (p~(max(1, |z|)) <= 2^900, no nonzero component of z or of a Horner
-  partial below 2^-480) takes the exact rung instead.  At degree 16-20 the
-  two rungs take the same time (dense inputs, lc 50), at 24 the numpy one
-  is 11% faster, at 192 about ten times;
-- the exact rung, for everything else: the estimates are lifted back
-  (u -> (p +- sqrt u)/q) and at each level moved to the nearest double by
-  Aberth-corrected Newton steps, one centre at a time, with f/f' evaluated
-  exactly at the double, a dyadic rational, over the Gaussian integers along
-  the chain.
+- starts: a polynomial whose roots are symmetric about their mean p/q is a
+  polynomial in (q z - p)^2, as iterated quadratics are at every level
+  (_chain).  Splitting such levels off leaves a base polynomial.  From base
+  degree _BINI_MIN_DEGREE = 80 on its roots are estimated by Bini's start
+  and plain complex128 Aberth sweeps, O(d^2) each (_aberth; Bini, Numer.
+  Algorithms 13 (1996), Aberth, Math. Comp. 27 (1973)); below it by
+  numpy.roots, the companion matrix's eigenvalues, O(d^3) but the cheaper
+  there (LAPACK's QR switches method above order 75), and those are
+  polished by the same sweeps when a chain is lifted from them.  numpy.roots
+  is also the fallback if the sweeps do not settle.  The estimates are
+  lifted through the chain in floats, u -> (p +- sqrt u)/q;
+- the numpy rung, for a polynomial of degree at least 24 whose coefficients
+  and those of f' are exact in binary64 (at most 2^53), at every estimate
+  where the a priori term of the evaluation error leaves its radius below
+  tol (_reach): Aberth sweeps over those centres at once, f and f' at every
+  centre still moving by one compensated Horner pass in float64 arrays,
+  with a stated error bound (_comp_horner; Graillat, Langlois & Louvet
+  2009, Graillat & Menissier-Morain 2012).  A centre whose radius is not
+  below tol, whose values are not finite, or that leaves the range where
+  the error-free transformations are exact (p~(max(1, |z|)) <= 2^900, no
+  nonzero component of z or of a Horner partial below 2^-480) is left to
+  the exact rung.  On dense inputs (lc 50) the two rungs take the same time
+  at degree 16-20, at 24 the numpy one is 11% faster, at 192 about ten
+  times;
+- the exact rung, for every centre the numpy rung did not certify: one
+  centre at a time, up to _STEPS Aberth-corrected Newton steps to the
+  nearest double, with f/f' evaluated exactly at the double, a dyadic
+  rational, over the Gaussian integers along the whole chain.
 
 Each returned centre is a double, with radius an outward-rounded upper bound
 of d*|f/f'| there, so its disk holds a root (Henrici, Applied and
@@ -45,8 +53,10 @@ from .exact import DomainError, IntPoly, _down, _gamma, _up, _up_each
 __all__ = ["certified_roots", "arch_support"]
 
 DEGREE_CAP = 512
-_STEPS = 8  # Newton steps per point and level
-_NUMPY_MIN_DEGREE = 24  # the numpy rung from this base degree on
+_STEPS = 8  # Aberth steps per centre, on either rung
+_NUMPY_MIN_DEGREE = 24  # the numpy rung from this degree on
+_BINI_MIN_DEGREE = 80  # Bini's start from this base degree on
+_ABERTH_STEPS = 64  # plain Aberth sweeps before numpy.roots takes over
 
 
 def certified_roots(f: IntPoly, tol: float = 1e-13) -> list[tuple[complex, float]]:
@@ -75,30 +85,21 @@ def _certified_roots(f: IntPoly, tol: float) -> list[tuple[complex, float]]:
         cs = cs[1:]
     if len(cs) > 1:
         chain, base = _chain(cs)
-        terms = [(j, c) for j, c in enumerate(base) if c or not j][::-1]
-        dterms = [(j - 1, j * c) for j, c in enumerate(base) if j and (c or j == 1)][::-1]
-        shift = max(0, max(abs(c).bit_length() for c in base) - 900)
-        try:
-            with np.errstate(all="ignore"):
-                pts = np.roots([c / (1 << shift) for c in reversed(base)])
-        except np.linalg.LinAlgError:
-            raise DomainError("coefficients too far apart to estimate roots") from None
-        if not chain and len(base) > _NUMPY_MIN_DEGREE and max(
-                abs(c) * max(j, 1) for j, c in enumerate(base)) <= 1 << 53:
-            pts, rads = _sweep(pts, base)
-            redo = [i for i, rad in enumerate(rads) if not rad < tol]
-            if redo:
-                pts, exact = _refine(pts, lambda z: _ratio(z, (), terms, dterms), redo)
-                for i, rad in zip(redo, exact):
-                    rads[i] = rad
-        else:
-            for level in range(len(chain), -1, -1):
-                sub = chain[level:]
-                pts, rads = _refine(pts, lambda z: _ratio(z, sub, terms, dterms))
-                if level:
-                    q, p = chain[level - 1]
-                    r = np.sqrt(pts)
-                    pts = np.concatenate([(p + r) / q, (p - r) / q])
+        pts = _starts(base, bool(chain))
+        for q, p in reversed(chain):
+            r = np.sqrt(pts)
+            pts = np.concatenate([(p + r) / q, (p - r) / q])
+        rads = [math.inf] * len(pts)
+        reach = _reach(pts, cs, tol)
+        if len(reach):
+            pts, rads = _sweep(pts, cs, reach)
+        redo = [i for i, rad in enumerate(rads) if not rad < tol]
+        if redo:
+            terms = [(j, c) for j, c in enumerate(base) if c or not j][::-1]
+            dterms = [(j - 1, j * c) for j, c in enumerate(base) if j and (c or j == 1)][::-1]
+            pts, exact = _refine(pts, lambda z: _ratio(z, chain, terms, dterms), redo)
+            for i, rad in zip(redo, exact):
+                rads[i] = rad
         out += zip(map(complex, pts), rads)
     if len(out) != d or any(not rad < tol for _, rad in out):
         raise DomainError("could not certify roots to tolerance %g" % tol)
@@ -146,6 +147,113 @@ def _chain(cs):
         cs = tuple(c // g for c in h[::2])
         chain.append((q, p))
     return chain, cs
+
+
+def _starts(cs, chained):
+    # complex128 estimates of the roots of cs: from _BINI_MIN_DEGREE on,
+    # plain Aberth sweeps from Bini's start; below it numpy.roots, polished
+    # by the same sweeps when a chain is lifted from them, as no level is
+    # refined on the way up; numpy.roots alone when the sweeps do not settle
+    shift = max(0, max(abs(c).bit_length() for c in cs) - 900)
+    a = np.array([c / (1 << shift) for c in cs])
+    eig = None if len(cs) > _BINI_MIN_DEGREE else _eig(a)
+    if eig is not None and not chained:
+        return eig
+    pts = _aberth(a, _bini(a) if eig is None else eig.copy())
+    if pts is not None:
+        return pts
+    return _eig(a) if eig is None else eig
+
+
+def _eig(a):
+    # the roots of sum a_j z^j as the companion matrix's eigenvalues
+    try:
+        with np.errstate(all="ignore"):
+            return np.roots(a[::-1]).astype(complex)
+    except np.linalg.LinAlgError:
+        raise DomainError("coefficients too far apart to estimate roots") from None
+
+
+def _bini(a):
+    # Bini's start (Numer. Algorithms 13 (1996)): for each edge (i, k) of the
+    # upper convex hull of the points (j, log|a_j|), k - i points on the
+    # circle of radius (|a_i|/|a_k|)^(1/(k - i)), the edge's root modulus,
+    # turned by 2 pi i/d + 0.7 as Bini's are, off the real axis and each other
+    d = len(a) - 1
+    with np.errstate(all="ignore"):
+        lg = np.log(np.abs(a))
+    hull = []
+    for j in np.flatnonzero(a).tolist():
+        while len(hull) > 1 and ((lg[j] - lg[hull[-2]]) * (hull[-1] - hull[-2])
+                                 >= (lg[hull[-1]] - lg[hull[-2]]) * (j - hull[-2])):
+            hull.pop()
+        hull.append(j)
+    return np.concatenate([
+        np.exp((lg[i] - lg[k]) / (k - i)
+               + 1j * (2 * np.pi * (np.arange(k - i) / (k - i) + i / d) + 0.7))
+        for i, k in zip(hull, hull[1:])])
+
+
+def _aberth(a, z):
+    """Root estimates of sum a_j z^j by plain Aberth sweeps from z, or None.
+
+    A sweep evaluates p and p' at each point still moving by powers of z,
+    or of w = 1/z when |z| > 1, where p/p' = z/(d - w q'/q) with q the
+    reversed polynomial, so nothing overflows.  A point stops when |p| is
+    within the rounding of its evaluation, sum |a_j| |z|^j times gamma_(4d+4),
+    or its step no longer changes it; None if a coefficient at either end is
+    0, a point is still moving after _ABERTH_STEPS sweeps, or a value is not
+    finite.
+    """
+    d = len(a) - 1
+    if not (a[0] and a[d]):
+        return None
+    # columns: p and q, p' and q' (the coefficient of w^k at row k), p~ and q~
+    cols = np.zeros((d + 1, 6))
+    cols[:, 0], cols[:, 1] = a, a[::-1]
+    cols[:d, 2:4] = np.arange(1, d + 1)[:, None] * cols[1:, :2]
+    cols[:, 4:] = np.abs(cols[:, :2])
+    todo = np.arange(d)
+    with np.errstate(all="ignore"):
+        for _ in range(_ABERTH_STEPS):
+            x = z[todo]
+            rows = np.arange(len(x))
+            out = (_abs(x) > 1).astype(int)
+            w = np.where(out, 1 / x, x)
+            V = _powers(w, d)
+            S = np.stack([V.real, V.imag, _powers(_abs(w), d)], axis=1) @ cols
+            p = S[rows, 0, out] + 1j * S[rows, 1, out]
+            dp = S[rows, 0, 2 + out] + 1j * S[rows, 1, 2 + out]
+            size = S[rows, 2, 4 + out]
+            new = x - _aberth_step(np.where(out, x / (d - w * dp / p), p / dp), z, todo)
+            done = (_abs(p) <= _gamma(4 * d + 4) * size) | (new == x)
+            if not np.isfinite(np.where(done, x, new)).all():
+                return None
+            z[todo[~done]] = new[~done]
+            todo = todo[~done]
+            if not len(todo):
+                return z
+    return None
+
+
+def _aberth_step(n, z, todo):
+    # Aberth's step n_i / (1 - n_i sum_(j != i) 1/(z_i - z_j)) at the points
+    # z_i, i in todo, from their Newton steps n
+    diff = z[todo, None] - z
+    diff[np.arange(len(todo)), todo] = 1.0
+    return n / (1.0 - n * (np.reciprocal(diff, out=diff).sum(axis=1) - 1.0))
+
+
+def _powers(w, d):
+    # the rows 1, w_i, w_i^2, ..., w_i^d, by doubling blocks of columns
+    V = np.empty((len(w), d + 1), dtype=w.dtype)
+    V[:, 0] = 1.0
+    n, wn = 1, w
+    while n <= d:
+        k = min(n, d + 1 - n)
+        np.multiply(V[:, :k], wn[:, None], out=V[:, n:n + k])
+        n, wn = n + k, wn * wn
+    return V
 
 
 def _gpow(a, n):
@@ -226,13 +334,13 @@ def _snap(z):
                    0.0 if abs(y) < 2.0 ** -60 * abs(x) else y)
 
 
-def _refine(pts, ratio, todo=None):
+def _refine(pts, ratio, todo):
     # Aberth steps z -= n / (1 - n sum_j 1/(z - z_j)), n = f/f' exact, one
-    # point at a time (those of todo, else all) until the step leaves the
-    # double unchanged; each radius is the one evaluated at the point returned
+    # point of todo at a time until the step leaves the double unchanged, at
+    # most _STEPS; each radius is the one evaluated at the point returned
     pts = _snap_all(np.asarray(pts, dtype=complex))
     rads = []
-    for i in range(len(pts)) if todo is None else todo:
+    for i in todo:
         z = complex(pts[i])
         for _ in range(_STEPS):
             n, rad = ratio(z)
@@ -250,32 +358,29 @@ def _refine(pts, ratio, todo=None):
     return pts, rads
 
 
-def _sweep(pts, cs):
-    """Aberth sweeps over all centres at once, f and f' by _comp_horner.
+def _sweep(pts, cs, todo):
+    """Aberth sweeps over the centres of todo at once, f and f' by _comp_horner.
 
     A sweep moves every centre still moving by z -= n / (1 - n sum_j
     1/(z - z_j)), n = f/f' in floats; a centre stops when its step leaves
     the double unchanged, or after _STEPS steps, and keeps the radius
     evaluated there: d (|f| + e_f) / (|f'| - e_f'), rounded up, or inf.
+    A centre outside todo keeps its estimate and radius inf.
     """
     d = len(cs) - 1
     A = _columns(cs)
     pts = _snap_all(np.asarray(pts, dtype=complex))
     rads = np.full(d, np.inf)
-    todo = np.arange(d)
     for sweep in range(_STEPS + 1):
         z = pts[todo]
         (f, fp), (ef, efp) = _comp_horner(A, z)
         with np.errstate(all="ignore"):
-            den = _down(np.abs(fp), efp)
-            rad = np.where(den > 0, _up_each(d * _up_each(np.abs(f), ef) / den), np.inf)
+            den = _down(_abs(fp), efp)
+            rad = np.where(den > 0, _up_each(d * _up_each(_abs(f), ef) / den), np.inf)
             if sweep == _STEPS:
                 rads[todo] = rad
                 break
-            n = f / fp
-            diff = z[:, None] - pts
-            diff[np.arange(len(todo)), todo] = 1.0
-            step = n / (1.0 - n * (np.reciprocal(diff, out=diff).sum(axis=1) - 1.0))
+            step = _aberth_step(f / fp, pts, todo)
             new = _snap_all(z - step)
             done = (new == z) | ~(np.abs(step) <= 0.5 * (1.0 + np.abs(z)))
         rads[todo[done]] = rad[done]
@@ -286,6 +391,26 @@ def _sweep(pts, cs):
     return pts, rads.tolist()
 
 
+def _reach(pts, cs, tol):
+    # the indices of the estimates the numpy rung takes: none unless the
+    # degree is at least _NUMPY_MIN_DEGREE and the coefficients of f and f'
+    # are exact in binary64, else those within reach.  A radius there is at
+    # least d e_f / |f'|, and e_f at least _comp_horner's a priori term
+    # 2 gamma_(6d+6) gamma_(4d+3) p~(max(1, |z|)), which does not shrink as a
+    # centre moves to its root; it is taken in plain floats at the estimates,
+    # an overflow or a NaN reading as out of reach
+    d = len(cs) - 1
+    if d < _NUMPY_MIN_DEGREE or max(abs(c) * max(j, 1) for j, c in enumerate(cs)) > 1 << 53:
+        return np.arange(0)
+    R = np.maximum(_abs(pts), 1.0)
+    fp, tilde = np.zeros_like(pts), np.zeros(len(pts))
+    with np.errstate(all="ignore"):
+        for a, b in _columns(cs):
+            fp, tilde = fp * pts + b, tilde * R + abs(a)
+        floor = d * _second_order(d) * tilde / _abs(fp)
+    return np.flatnonzero(floor < tol)
+
+
 def _columns(cs):
     # the coefficients of f and f', degree descending, for _comp_horner
     d = len(cs) - 1
@@ -293,6 +418,17 @@ def _columns(cs):
     A[:, 0] = cs[::-1]
     A[1:, 1] = [j * c for j, c in enumerate(cs)][:0:-1]
     return A
+
+
+def _second_order(d):
+    # the factor of p~(R) in _comp_horner's error bound at degree d
+    return 2.0 * _gamma(6 * d + 6) * _gamma(4 * d + 3)
+
+
+def _abs(z):
+    # |z| elementwise by libm's hypot, within 1 ulp as _up_each and _down
+    # assume; numpy's complex abs is its own routine, up to 1.9 ulp off
+    return np.hypot(z.real, z.imag)
 
 
 def _snap_all(z):
@@ -385,12 +521,12 @@ def _comp_horner(A, z):
     X, C = XX[0], CC[0]
     F = X + C
     vals = F[0] + 1j * F[1]
-    R = np.maximum(_up_each(np.abs(z)), 1.0)
+    R = np.maximum(_up_each(_abs(z)), 1.0)
     tilde = np.zeros((k, m))
     for row in np.abs(A):
         tilde = tilde * R + row[:, None]
     with np.errstate(all="ignore"):
-        err = _up_each(_gamma(1) * np.abs(vals), 2.0 * _gamma(6 * d + 6) * _gamma(4 * d + 3) * tilde)
+        err = _up_each(_gamma(1) * _abs(vals), _second_order(d) * tilde)
     ok = (low.min(axis=(0, 1)) > -480) & np.isfinite(vals).all(axis=0) & (tilde <= 2.0 ** 900).all(axis=0)
     return vals, np.where(ok, err, np.inf)
 

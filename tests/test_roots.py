@@ -275,23 +275,51 @@ def test_numpy_rung_radius_is_the_henrici_bound():
         assert henrici <= Fraction(rad) ** 2 <= henrici * (1 + Fraction(1, 2 ** 20))
 
 
-@pytest.mark.parametrize("case", ["dense:64", "dense:96", "dense:192", "pow:127"])
-def test_numpy_rung_disks_hold_roots(case):
-    # above the crossover, no symmetric recursion: 60-digit findroot from
-    # each centre in the closed upper half plane, with the conjugates (the
-    # coefficients are real), pairwise distinct, so the oracle set is every root
-    kind, d = case.split(":")
-    d = int(d)
-    cs = _dense(random.Random(d), d) if kind == "dense" else [-2] + [0] * (d - 1) + [1]
-    f = IntPoly.make(cs)
-    disks = certified_roots(f)
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(roots, name)
+    monkeypatch.setattr(roots, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
+def _count_numpy_roots(monkeypatch):
+    degrees = []
+    fn = np.roots
+    monkeypatch.setattr(np, "roots", lambda p: degrees.append(len(p) - 1) or fn(p))
+    return degrees
+
+
+def _upper_half_oracle(cs, disks):
+    # 60-digit findroot from each centre in the closed upper half plane, with
+    # the conjugates (the coefficients are real), pairwise distinct, so the
+    # oracle set is every root
     with mpmath.workdps(60):
         desc = [mpmath.mpf(c) for c in reversed(cs)]
         upper = [mpmath.findroot(lambda x: mpmath.polyval(desc, x), mpmath.mpc(z.real, z.imag))
                  for z, _ in disks if z.imag >= 0]
         oracle = upper + [mpmath.conj(r) for r in upper if r.imag]
-        assert len(oracle) == d
+        assert len(oracle) == len(cs) - 1
         assert min(abs(a - b) for i, a in enumerate(oracle) for b in oracle[i + 1:]) > 1e-40
+    return oracle
+
+
+@pytest.mark.parametrize("case", ["dense:64", "dense:96", "dense:192", "pow:127",
+                                  "pow:48:3", "pow:61", "pow:122", "pow:124:5"])
+def test_numpy_rung_disks_hold_roots(case):
+    # above the crossover: dense inputs, and z^n - a through the chain (n
+    # even) or alone (n odd), its base from Bini's circle; the oracle is
+    # findroot's, or a^(1/n) e^(2 pi i k/n) at 60 digits
+    kind, d, *a = case.split(":")
+    d, a = int(d), int(a[0]) if a else 2
+    cs = _dense(random.Random(d), d) if kind == "dense" else [-a] + [0] * (d - 1) + [1]
+    f = IntPoly.make(cs)
+    disks = certified_roots(f)
+    if kind == "dense":
+        oracle = _upper_half_oracle(cs, disks)
+    else:
+        with mpmath.workdps(60):
+            r = mpmath.root(a, d)
+            oracle = [r * mpmath.expjpi(mpmath.mpf(2 * k) / d) for k in range(d)]
     assert_disks_hold_roots(f, disks, oracle)
 
 
@@ -299,18 +327,31 @@ def _disks_digest(disks):
     return hashlib.sha256(repr([(z.real, z.imag, r) for z, r in disks]).encode()).hexdigest()
 
 
+def _centres_digest(disks):
+    return hashlib.sha256(repr([(z.real, z.imag) for z, _ in disks]).encode()).hexdigest()
+
+
 def test_rung_selection(monkeypatch):
-    # a dense input above the crossover never takes the exact evaluation;
-    # one below it, a symmetric recursion (z^256 - 1, the depth-7 preimage of
-    # z^2 - 2) and a coefficient above 2^53 take only the exact rung, and
-    # their disks are pinned to what that rung alone returned (x86-64,
-    # CPython 3.11)
-    calls = []
-    exact = roots._ratio
-    monkeypatch.setattr(roots, "_ratio", lambda *a: calls.append(a) or exact(*a))
+    # a dense input of degree 96 and z^256 - 1 never take the exact
+    # evaluation, and estimate their roots by numpy.roots only on a base
+    # below _BINI_MIN_DEGREE (z^256 - 1's is z - 1); z^256 - 1's centres
+    # are pinned to what the exact rung returned before the numpy rung took
+    # it (its radii are the numpy rung's, from float operations).  An input
+    # below the crossover, the depth-7 preimage of z^2 - 2 and a coefficient
+    # above 2^53 take only the exact rung, and their disks are pinned to
+    # what it returned (x86-64, CPython 3.11)
+    calls = _count_calls(monkeypatch, "_ratio")
+    eig = _count_numpy_roots(monkeypatch)
     certify = roots._certified_roots.__wrapped__  # past the cache
     assert len(certify(IntPoly.make(_dense(random.Random(96), 96)), 1e-13)) == 96
-    assert not calls
+    assert not calls and not eig
+    unit = IntPoly.make([-1] + [0] * 255 + [1])
+    disks = certify(unit, 1e-13)
+    assert not calls and eig == [1]
+    assert _centres_digest(disks) == "3b7959f55da5e10f6f1a7747c673c6e8a667b6f79a59bb6ec27a37551ed093cf"
+    with mpmath.workdps(60):
+        oracle = [mpmath.expjpi(mpmath.mpf(2 * k) / 256) for k in range(256)]
+    assert_disks_hold_roots(unit, disks, oracle)
     cheb = IntPoly.make([-2, 0, 1])
     for _ in range(6):
         cheb = (cheb * cheb).add_scalar(-2)
@@ -321,8 +362,6 @@ def test_rung_selection(monkeypatch):
     for f, digest in (
             (IntPoly.make([rng.randint(-50, 50) for _ in range(8)] + [50]),
              "06a5c3adf04bd13c5a35bddad027f3023149f82b812f64dc7eb344005dd08e47"),
-            (IntPoly.make([-1] + [0] * 255 + [1]),
-             "afa08ce9bdf8da0788b0c91dac58a6f5d28ed8305e4c17af0b096b1402bf51b1"),
             (cheb, "00ee21d4fb00082eb4bf94443c305e531474a2bd063ea132a5e1f1b04569f1cf"),
             (IntPoly.make(big), "af731c7937fa46d59ace3690bdf38b032c22fff308510215808530e42776556c")):
         del calls[:]
@@ -330,3 +369,134 @@ def test_rung_selection(monkeypatch):
         assert len(calls) >= f.degree
     with pytest.raises(DomainError):
         certify(IntPoly.make([-(10 ** 8 + 1), 0, 1]), 1e-13)
+
+
+def _preimage(depth):
+    f = IntPoly.make([-2, 0, 1])
+    for _ in range(depth - 1):
+        f = (f * f).add_scalar(-2)
+    return f
+
+
+def _routing(monkeypatch, f, starts=None):
+    # certify f past the cache; the sweeps' (pts, cs, todo) and the exact
+    # rung's points, with the estimates replaced by starts if given
+    sweeps = _count_calls(monkeypatch, "_sweep")
+    calls = _count_calls(monkeypatch, "_ratio")
+    if starts is not None:
+        monkeypatch.setattr(roots, "_starts", lambda base, chained: np.array(starts))
+    disks = roots._certified_roots.__wrapped__(f, 1e-13)
+    return disks, sweeps, [z for z, *_ in calls]
+
+
+def test_numpy_rung_routes_each_centre(monkeypatch):
+    # the depth-6 preimage of z^2 - 2 fits in 2^53 (coefficients near 2^42),
+    # but the a priori term of the compensated Horner error puts 42 of its
+    # 64 radii above tol at the lifted estimates: one sweep takes the other
+    # 22, and only the 42 take the exact rung
+    f = _preimage(6)
+    assert max(abs(c) * max(j, 1) for j, c in enumerate(f.coeffs)) <= 2 ** 53
+    disks, sweeps, points = _routing(monkeypatch, f)
+    (pts, _, todo), = sweeps
+    assert len(todo) == 22
+    skipped = np.delete(pts, todo)
+    assert len(points) >= 42 and all(np.abs(skipped - z).min() < 1e-9 for z in points)
+    with mpmath.workdps(60):
+        oracle = [2 * mpmath.cospi(mpmath.mpf(2 * k + 1) / 128) for k in range(64)]
+    assert_disks_hold_roots(f, disks, oracle)
+
+
+def test_numpy_rung_routes_a_close_pair(monkeypatch):
+    # z^80 - 2 (2z - 1)^2, no chain, has two roots 6.4e-13 apart about 1/2
+    # (Mignotte), where |f'| is so small that the a priori term is out of
+    # reach; from estimates at its roots the sweep takes the other 78, and
+    # only the pair takes the exact rung
+    cs = [-2, 8, -8] + [0] * 77 + [1]
+    f = IntPoly.make(cs)
+    disks = certified_roots(f)
+    oracle = _upper_half_oracle(cs, disks)
+    disks, sweeps, points = _routing(monkeypatch, f, [complex(r) for r in oracle])
+    (_, _, todo), = sweeps
+    assert len(todo) == 78
+    assert len(points) >= 2 and all(abs(z - 0.5) < 1e-12 for z in points)
+    assert_disks_hold_roots(f, disks, oracle)
+
+
+@pytest.mark.parametrize("n,c,a,handed", [(34, 3, 4, False), (40, 3, 4, True), (80, 2, 2, True)])
+def test_numpy_rung_handoff(monkeypatch, n, c, a, handed):
+    # z^n - c (a z - 1)^2 has two roots about 2 a^(-n/2 - 1)/sqrt(c) apart
+    # near 1/a (Mignotte): the sweeps there still move after _STEPS
+    # steps, so the last allowed sweep's radii are kept, and at the closer
+    # pairs they are not below tol, so the pair, and only the pair, is
+    # handed to the exact rung
+    comps = _count_calls(monkeypatch, "_comp_horner")
+    cs = [-c, 2 * c * a, -c * a * a] + [0] * (n - 3) + [1]
+    f = IntPoly.make(cs)
+    disks, sweeps, points = _routing(monkeypatch, f)
+    assert len(sweeps) == 1 and len(comps) == roots._STEPS + 1
+    assert bool(points) == handed and len(points) <= 2 * (roots._STEPS + 1)
+    assert all(abs(z - 1 / a) < 1e-6 for z in points)
+    assert_disks_hold_roots(f, disks, _upper_half_oracle(cs, disks))
+    for z, rad in disks:  # each radius is at least Henrici's d |f/f'|, exactly
+        fr, fi = _exact_value(cs, z)
+        gr, gi = _exact_value(_derivative(cs), z)
+        assert n * n * (fr * fr + fi * fi) <= Fraction(rad) ** 2 * (gr * gr + gi * gi)
+
+
+def test_chain_base_estimates_are_polished():
+    # g(s^2), s = 36 (z + 1)^2 + 3, g of degree 57 with digits for
+    # coefficients: a chain of two levels over the base g(9 u), whose
+    # coefficients span 183 bits.  numpy.roots misses its roots by up to 14%,
+    # and no level is refined on the way up, so 8 exact steps at the top do
+    # not certify from those estimates; the Aberth sweeps polish them to
+    # 1e-12, and the disks hold the roots
+    g = [4, 3, 1, 3, 9, -4, 4, -2, 0, 2, -4, -4, -9, 1, 1, 9, -2, -8, 0, 4, 7, -6, -2, -7,
+         -4, -3, 5, -8, -5, -3, -1, 4, 2, 1, -6, 1, -3, 1, -9, -2, 4, 6, 1, -9, 0, -2, 1, 0,
+         -9, -7, 5, -7, -6, 8, 1, -6, -1, 4]
+    s = IntPoly.make([39, 72, 36])
+    f = IntPoly.make([g[-1]])
+    for c in reversed(g[:-1]):
+        f = (f * s * s).add_scalar(c)
+    chain, base = roots._chain(f.coeffs)
+    assert chain == [(1, -1), (12, -1)] and len(base) == 58
+    with mpmath.workdps(60):  # base roots t/9, z = -1 +- sqrt((+-sqrt(t) - 3)/36), g(t) = 0
+        desc = [mpmath.mpf(c) for c in reversed(g)]
+        ts = [mpmath.findroot(lambda x: mpmath.polyval(desc, x), complex(t))
+              for t in np.roots(desc)]
+        oracle = [-1 + e * mpmath.sqrt((r - 3) / 36)
+                  for t in ts for r in (mpmath.sqrt(t), -mpmath.sqrt(t)) for e in (1, -1)]
+    miss = [min(abs(complex(t) / 9 - u) / abs(u) for u in roots._starts(base, chained))
+            for chained in (False, True) for t in ts]
+    assert max(miss[:57]) > 0.1 and max(miss[57:]) < 1e-12
+    disks = roots._certified_roots.__wrapped__(f, 1e-13)
+    assert_disks_hold_roots(f, disks, oracle)
+
+
+def test_aberth_fallback_is_numpy_roots(monkeypatch):
+    # Aberth sweeps that do not settle within their count give way to
+    # numpy.roots, and the disks are certified from its estimates
+    cs = _dense(random.Random(96), 96)
+    a = np.array(cs, dtype=float)
+    monkeypatch.setattr(roots, "_ABERTH_STEPS", 1)
+    assert roots._aberth(a, roots._bini(a)) is None
+    eig = _count_numpy_roots(monkeypatch)
+    f = IntPoly.make(cs)
+    disks = roots._certified_roots.__wrapped__(f, 1e-13)
+    assert eig == [96]
+    assert_disks_hold_roots(f, disks, _upper_half_oracle(cs, disks))
+
+
+def test_abs_is_libm_hypot():
+    # the numpy rung's moduli are libm's hypot, bit for bit the abs(complex)
+    # of _disjoint and chordal_arch (math.hypot is CPython's own routine and
+    # differs from both on a few inputs), and within 1 ulp of the exact
+    # modulus, as _up_each and _down charge: on a seeded sample across scales
+    rng = np.random.default_rng(53)
+    z = (rng.standard_normal(20000) * 2.0 ** rng.integers(-60, 60, 20000)
+         + 1j * rng.standard_normal(20000) * 2.0 ** rng.integers(-60, 60, 20000))
+    got = roots._abs(z).tolist()
+    assert all(g == abs(x) for g, x in zip(got, z.tolist()))
+    for g, x in zip(got[:4000], z.tolist()):
+        square = Fraction(x.real) ** 2 + Fraction(x.imag) ** 2
+        ulp = Fraction(math.ulp(g))
+        assert (Fraction(g) - ulp) ** 2 < square < (Fraction(g) + ulp) ** 2
