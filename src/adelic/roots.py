@@ -4,32 +4,36 @@ One path takes every polynomial, in three steps:
 
 - starts: a polynomial whose roots are symmetric about their mean p/q is a
   polynomial in (q z - p)^2, as iterated quadratics are at every level
-  (_chain).  Splitting such levels off leaves a base polynomial.  From base
-  degree _BINI_MIN_DEGREE = 80 on its roots are estimated by Bini's start
-  and plain complex128 Aberth sweeps, O(d^2) each (_aberth; Bini, Numer.
-  Algorithms 13 (1996), Aberth, Math. Comp. 27 (1973)); below it by
-  numpy.roots, the companion matrix's eigenvalues, O(d^3) but the cheaper
-  there (LAPACK's QR switches method above order 75), and those are
-  polished by the same sweeps when a chain is lifted from them.  numpy.roots
-  is also the fallback if the sweeps do not settle.  The estimates are
-  lifted through the chain in floats, u -> (p +- sqrt u)/q;
+  (_chain).  Splitting such levels off leaves a base polynomial.  A root at
+  0 is taken out first only when f has no such level, so it breaks no
+  chain.  From base degree _BINI_MIN_DEGREE = 80 on the base's roots are
+  estimated by Bini's start and plain complex128 Aberth sweeps, O(d^2) each
+  (_aberth; Bini, Numer. Algorithms 13 (1996), Aberth, Math. Comp. 27
+  (1973)); below it by numpy.roots, the companion matrix's eigenvalues,
+  O(d^3) but the cheaper there (LAPACK's QR switches method above order
+  75), and those are polished by the same sweeps when a chain is lifted
+  from them.  numpy.roots is also the fallback if the sweeps do not settle.
+  The estimates are lifted through the chain in floats, u -> (p +- sqrt u)/q;
 - the numpy rung, for a polynomial of degree at least 24 whose coefficients
   and those of f' are exact in binary64 (at most 2^53), at every estimate
   where the a priori term of the evaluation error leaves its radius below
-  tol (_reach): Aberth sweeps over those centres at once, f and f' at every
-  centre still moving by one compensated Horner pass in float64 arrays,
-  with a stated error bound (_comp_horner; Graillat, Langlois & Louvet
-  2009, Graillat & Menissier-Morain 2012).  A centre whose radius is not
-  below tol, whose values are not finite, or that leaves the range where
-  the error-free transformations are exact (p~(max(1, |z|)) <= 2^900, no
-  nonzero component of z or of a Horner partial below 2^-480) is left to
-  the exact rung.  On dense inputs (lc 50) the two rungs take the same time
-  at degree 16-20, at 24 the numpy one is 11% faster, at 192 about ten
-  times;
-- the exact rung, for every centre the numpy rung did not certify: one
-  centre at a time, up to _STEPS Aberth-corrected Newton steps to the
-  nearest double, with f/f' evaluated exactly at the double, a dyadic
-  rational, over the Gaussian integers along the whole chain.
+  tol (_reach): f and f' at every centre still moving by one compensated
+  Horner pass in float64 arrays, with a stated error bound (_comp_horner,
+  _horner_ratio; Graillat, Langlois & Louvet 2009, Graillat &
+  Menissier-Morain 2012).  A centre whose radius is not below tol, whose
+  values are not finite, or that leaves the range where the error-free
+  transformations are exact (p~(max(1, |z|)) <= 2^900, no nonzero component
+  of z or of a Horner partial below 2^-480) is left to the exact rung.  On
+  dense inputs (lc 50) the two rungs take the same time at degree 16-20, at
+  24 the numpy one is 11% faster, at 192 about ten times;
+- the exact rung, for every centre the numpy rung did not certify: f/f'
+  evaluated exactly at each double, a dyadic rational, over the Gaussian
+  integers along the whole chain (_ratio, _exact_ratio).
+
+Both rungs run one loop, _sweep, with their own evaluator of f/f' and the
+radius: Aberth-corrected Newton steps move all its centres at once, a
+centre stopping when its step leaves the double unchanged or after _STEPS
+steps, with the radius evaluated where it stops.
 
 Each returned centre is a double, with radius an outward-rounded upper bound
 of d*|f/f'| there, so its disk holds a root (Henrici, Applied and
@@ -77,30 +81,26 @@ def _certified_roots(f: IntPoly, tol: float) -> list[tuple[complex, float]]:
     if d > DEGREE_CAP:
         raise DomainError("degree %d exceeds the certified-root cap %d" % (d, DEGREE_CAP))
     cs = f.coeffs
+    if d and cs[0] == cs[1] == 0:
+        raise DomainError("polynomial is not squarefree at 0")
     out = []
-    if d and cs[0] == 0:
-        if cs[1] == 0:
-            raise DomainError("polynomial is not squarefree at 0")
+    chain, base = _chain(cs)
+    if d and not chain and cs[0] == 0:
         out.append((0j, 0.0))
         cs = cs[1:]
-    if len(cs) > 1:
         chain, base = _chain(cs)
+    if len(cs) > 1:
         pts = _starts(base, bool(chain))
         for q, p in reversed(chain):
             r = np.sqrt(pts)
             pts = np.concatenate([(p + r) / q, (p - r) / q])
-        rads = [math.inf] * len(pts)
         reach = _reach(pts, cs, tol)
-        if len(reach):
-            pts, rads = _sweep(pts, cs, reach)
-        redo = [i for i, rad in enumerate(rads) if not rad < tol]
-        if redo:
-            terms = [(j, c) for j, c in enumerate(base) if c or not j][::-1]
-            dterms = [(j - 1, j * c) for j, c in enumerate(base) if j and (c or j == 1)][::-1]
-            pts, exact = _refine(pts, lambda z: _ratio(z, chain, terms, dterms), redo)
-            for i, rad in zip(redo, exact):
-                rads[i] = rad
-        out += zip(map(complex, pts), rads)
+        pts, rads = _snap(pts), np.full(len(pts), np.inf)
+        _sweep(pts, rads, reach, functools.partial(_horner_ratio, _columns(cs)))
+        terms = [(j, c) for j, c in enumerate(base) if c or not j][::-1]
+        dterms = [(j - 1, j * c) for j, c in enumerate(base) if j and (c or j == 1)][::-1]
+        _sweep(pts, rads, np.flatnonzero(~(rads < tol)), functools.partial(_exact_ratio, chain, terms, dterms))
+        out += zip(map(complex, pts), rads.tolist())
     if len(out) != d or any(not rad < tol for _, rad in out):
         raise DomainError("could not certify roots to tolerance %g" % tol)
     out.sort(key=lambda t: (t[0].real, t[0].imag))
@@ -326,69 +326,42 @@ def _sqrt_up(P, Q, E):
     return math.nextafter(math.ldexp(math.nextafter(float(r), math.inf), E - t), math.inf)
 
 
-def _snap(z):
-    # a component 2^60 below the other only lengthens the exact arithmetic;
-    # dropping it is sound, the disk is certified about the centre returned
-    x, y = z.real, z.imag
-    return complex(0.0 if abs(x) < 2.0 ** -60 * abs(y) else x,
-                   0.0 if abs(y) < 2.0 ** -60 * abs(x) else y)
+def _sweep(pts, rads, todo, ratio):
+    """Aberth sweeps over the centres of todo at once, in place.
 
-
-def _refine(pts, ratio, todo):
-    # Aberth steps z -= n / (1 - n sum_j 1/(z - z_j)), n = f/f' exact, one
-    # point of todo at a time until the step leaves the double unchanged, at
-    # most _STEPS; each radius is the one evaluated at the point returned
-    pts = _snap_all(np.asarray(pts, dtype=complex))
-    rads = []
-    for i in todo:
-        z = complex(pts[i])
-        for _ in range(_STEPS):
-            n, rad = ratio(z)
-            diff = z - pts
-            diff[i] = 1.0
-            with np.errstate(all="ignore"):
-                step = complex(n / (1.0 - n * ((1.0 / diff).sum() - 1.0)))
-            new = _snap(z - step)
-            if new == z or not abs(step) <= 0.5 * (1.0 + abs(z)):
-                break
-            z = pts[i] = new
-        else:
-            rad = ratio(z)[1]
-        rads.append(rad)
-    return pts, rads
-
-
-def _sweep(pts, cs, todo):
-    """Aberth sweeps over the centres of todo at once, f and f' by _comp_horner.
-
-    A sweep moves every centre still moving by z -= n / (1 - n sum_j
-    1/(z - z_j)), n = f/f' in floats; a centre stops when its step leaves
-    the double unchanged, or after _STEPS steps, and keeps the radius
-    evaluated there: d (|f| + e_f) / (|f'| - e_f'), rounded up, or inf.
-    A centre outside todo keeps its estimate and radius inf.
+    ratio(z) returns f/f' and an upper bound of d |f/f'| (or inf) at each
+    double of z.  A sweep moves every centre still moving by z -= n / (1 -
+    n sum_j 1/(z - z_j)), n = f/f'; a centre stops when its step leaves the
+    double unchanged or exceeds 0.5 (1 + |z|), or after _STEPS steps, and
+    its radius in rads is the one evaluated where it stops.
     """
-    d = len(cs) - 1
-    A = _columns(cs)
-    pts = _snap_all(np.asarray(pts, dtype=complex))
-    rads = np.full(d, np.inf)
     for sweep in range(_STEPS + 1):
-        z = pts[todo]
-        (f, fp), (ef, efp) = _comp_horner(A, z)
-        with np.errstate(all="ignore"):
-            den = _down(_abs(fp), efp)
-            rad = np.where(den > 0, _up_each(d * _up_each(_abs(f), ef) / den), np.inf)
-            if sweep == _STEPS:
-                rads[todo] = rad
-                break
-            step = _aberth_step(f / fp, pts, todo)
-            new = _snap_all(z - step)
-            done = (new == z) | ~(np.abs(step) <= 0.5 * (1.0 + np.abs(z)))
-        rads[todo[done]] = rad[done]
-        pts[todo[~done]] = new[~done]
-        todo = todo[~done]
         if not len(todo):
-            break
-    return pts, rads.tolist()
+            return
+        z = pts[todo]
+        n, rad = ratio(z)
+        with np.errstate(all="ignore"):
+            step = _aberth_step(n, pts, todo)
+            new = _snap(z - step)
+            move = (new != z) & (np.abs(step) <= 0.5 * (1.0 + np.abs(z))) & (sweep < _STEPS)
+        rads[todo[~move]] = rad[~move]
+        pts[todo[move]] = new[move]
+        todo = todo[move]
+
+
+def _horner_ratio(A, z):
+    # the numpy rung's f/f' at the doubles z by _comp_horner, with the radius
+    # d (|f^| + e_f) / (|f^'| - e_f'), rounded up, or inf
+    (f, fp), (ef, efp) = _comp_horner(A, z)
+    with np.errstate(all="ignore"):
+        den = _down(_abs(fp), efp)
+        return f / fp, np.where(den > 0, _up_each((len(A) - 1) * _up_each(_abs(f), ef) / den), np.inf)
+
+
+def _exact_ratio(chain, terms, dterms, z):
+    # the exact rung's f/f' and radius at the doubles z, one _ratio each
+    n, rad = zip(*(_ratio(x, chain, terms, dterms) for x in z.tolist()))
+    return np.array(n), np.array(rad)
 
 
 def _reach(pts, cs, tol):
@@ -431,8 +404,9 @@ def _abs(z):
     return np.hypot(z.real, z.imag)
 
 
-def _snap_all(z):
-    # _snap, elementwise
+def _snap(z):
+    # a component 2^60 below the other only lengthens the exact arithmetic;
+    # dropping it is sound, the disk is certified about the centre returned
     x, y = z.real, z.imag
     return (np.where(np.abs(x) < 2.0 ** -60 * np.abs(y), 0.0, x)
             + 1j * np.where(np.abs(y) < 2.0 ** -60 * np.abs(x), 0.0, y))

@@ -379,9 +379,18 @@ def _preimage(depth):
 
 
 def _routing(monkeypatch, f, starts=None):
-    # certify f past the cache; the sweeps' (pts, cs, todo) and the exact
-    # rung's points, with the estimates replaced by starts if given
-    sweeps = _count_calls(monkeypatch, "_sweep")
+    # certify f past the cache; the numpy rung's sweeps, those whose
+    # evaluator is _horner_ratio, as (estimates, todo), the estimates copied
+    # as _sweep moves them in place, and the exact rung's points, with the
+    # estimates replaced by starts if given
+    sweeps, sweep = [], roots._sweep
+
+    def record(pts, rads, todo, ratio):
+        if ratio.func is roots._horner_ratio:
+            sweeps.append((pts.copy(), todo))
+        return sweep(pts, rads, todo, ratio)
+
+    monkeypatch.setattr(roots, "_sweep", record)
     calls = _count_calls(monkeypatch, "_ratio")
     if starts is not None:
         monkeypatch.setattr(roots, "_starts", lambda base, chained: np.array(starts))
@@ -397,7 +406,7 @@ def test_numpy_rung_routes_each_centre(monkeypatch):
     f = _preimage(6)
     assert max(abs(c) * max(j, 1) for j, c in enumerate(f.coeffs)) <= 2 ** 53
     disks, sweeps, points = _routing(monkeypatch, f)
-    (pts, _, todo), = sweeps
+    (pts, todo), = sweeps
     assert len(todo) == 22
     skipped = np.delete(pts, todo)
     assert len(points) >= 42 and all(np.abs(skipped - z).min() < 1e-9 for z in points)
@@ -416,7 +425,7 @@ def test_numpy_rung_routes_a_close_pair(monkeypatch):
     disks = certified_roots(f)
     oracle = _upper_half_oracle(cs, disks)
     disks, sweeps, points = _routing(monkeypatch, f, [complex(r) for r in oracle])
-    (_, _, todo), = sweeps
+    (_, todo), = sweeps
     assert len(todo) == 78
     assert len(points) >= 2 and all(abs(z - 0.5) < 1e-12 for z in points)
     assert_disks_hold_roots(f, disks, oracle)
@@ -437,10 +446,65 @@ def test_numpy_rung_handoff(monkeypatch, n, c, a, handed):
     assert bool(points) == handed and len(points) <= 2 * (roots._STEPS + 1)
     assert all(abs(z - 1 / a) < 1e-6 for z in points)
     assert_disks_hold_roots(f, disks, _upper_half_oracle(cs, disks))
-    for z, rad in disks:  # each radius is at least Henrici's d |f/f'|, exactly
+    _assert_henrici(cs, disks)
+
+
+def _assert_henrici(cs, disks):
+    # each radius is at least Henrici's d |f/f'| at its centre, exactly
+    d = len(cs) - 1
+    for z, rad in disks:
         fr, fi = _exact_value(cs, z)
         gr, gi = _exact_value(_derivative(cs), z)
-        assert n * n * (fr * fr + fi * fi) <= Fraction(rad) ** 2 * (gr * gr + gi * gi)
+        assert d * d * (fr * fr + fi * fi) <= Fraction(rad) ** 2 * (gr * gr + gi * gi)
+
+
+@pytest.mark.parametrize("n,c,a", [(21, 1, 9), (22, 3, 8)])
+def test_exact_rung_certifies_a_close_pair(monkeypatch, n, c, a):
+    # z^n - c (a z - 1)^2 below the numpy rung's degree: its roots about
+    # 2 a^(-n/2 - 1)/sqrt(c) apart near 1/a (2e-11 here) are certified by
+    # the exact rung alone, its sweep moving both at once
+    comps = _count_calls(monkeypatch, "_comp_horner")
+    cs = [-c, 2 * c * a, -c * a * a] + [0] * (n - 3) + [1]
+    f = IntPoly.make(cs)
+    disks = roots._certified_roots.__wrapped__(f, 1e-13)
+    assert not comps
+    assert_disks_hold_roots(f, disks, _upper_half_oracle(cs, disks))
+    _assert_henrici(cs, disks)
+
+
+@pytest.mark.parametrize("g", [[4, 5, -5, 8, -3, -5, -5, 5, -9, 4, -5, -1, -1, -2, 4, -3, 9],
+                               [17, -2, 1, -2, 1, -3, 4, -1, 1, -9, 0, 0, -9, 7, -1, -5,
+                                -3, 2, 2]])
+def test_zero_root_on_a_chain(g):
+    # f = g((3z + 1)^2) with g(1) = 0: its roots 0 and -2/3 pair up about
+    # -1/3 like all the others, so f is certified on its chain and the root
+    # at 0 comes out exact.  f/z has no chain: from its full-degree
+    # estimates _STEPS steps a centre do not certify the first input, nor
+    # the second once all its centres move at once
+    s = IntPoly.make([1, 6, 9])
+    f = IntPoly.make([g[-1]])
+    for c in reversed(g[:-1]):
+        f = (f * s).add_scalar(c)
+    assert sum(g) == 0 and roots._chain(f.coeffs)[0] == [(3, -1)]
+    assert not roots._chain(f.coeffs[1:])[0]
+    disks = roots._certified_roots.__wrapped__(f, 1e-13)
+    assert (0j, 0.0) in disks
+    with mpmath.workdps(60):
+        ts = mpmath.polyroots([mpmath.mpf(c) for c in reversed(g)], maxsteps=200, extraprec=200)
+        oracle = [(e * mpmath.sqrt(t) - 1) / 3 for t in ts for e in (1, -1)]
+    assert_disks_hold_roots(f, disks, oracle)
+
+
+def test_exact_rung_refuses_where_f_prime_vanishes(monkeypatch):
+    # z^2 - 2 lifted from a base estimate 0 to two centres at 0.0, where f'
+    # = 0: the exact evaluation returns inf for f/f' and the radius, and the
+    # input is refused, never given a disk
+    monkeypatch.setattr(roots, "_starts", lambda base, chained: np.array([0j]))
+    got, fn = [], roots._ratio
+    monkeypatch.setattr(roots, "_ratio", lambda *a: got.append(fn(*a)) or got[-1])
+    with pytest.raises(DomainError):
+        roots._certified_roots.__wrapped__(IntPoly.make([-2, 0, 1]), 1e-13)
+    assert got == [(complex(math.inf), math.inf)] * 2
 
 
 def test_chain_base_estimates_are_polished():
