@@ -6,8 +6,9 @@ One path takes every polynomial, in three steps:
   polynomial in (q z - p)^2, as iterated quadratics are at every level
   (_chain).  Splitting such levels off leaves a base polynomial.  A root at
   0 is taken out first only when f has no such level, so it breaks no
-  chain.  From base degree _BINI_MIN_DEGREE = 80 on the base's roots are
-  estimated by Bini's start and plain complex128 Aberth sweeps, O(d^2) each
+  chain; a level whose p or q is past 2^1000 stays in the base.  From
+  base degree _BINI_MIN_DEGREE = 80 on the base's roots are estimated by
+  Bini's start and plain complex128 Aberth sweeps, O(d^2) each
   (_aberth; Bini, Numer. Algorithms 13 (1996), Aberth, Math. Comp. 27
   (1973)); below it by numpy.roots, the companion matrix's eigenvalues,
   O(d^3) but the cheaper there (LAPACK's QR switches method above order
@@ -94,9 +95,10 @@ def _certified_roots(f: IntPoly, tol: float) -> list[tuple[complex, float]]:
         for q, p in reversed(chain):
             r = np.sqrt(pts)
             pts = np.concatenate([(p + r) / q, (p - r) / q])
-        reach = _reach(pts, cs, tol)
+        reach, A = _reach(pts, cs, tol)
         pts, rads = _snap(pts), np.full(len(pts), np.inf)
-        _sweep(pts, rads, reach, functools.partial(_horner_ratio, _columns(cs)))
+        if len(reach):
+            _sweep(pts, rads, reach, functools.partial(_horner_ratio, A))
         terms = [(j, c) for j, c in enumerate(base) if c or not j][::-1]
         dterms = [(j - 1, j * c) for j, c in enumerate(base) if j and (c or j == 1)][::-1]
         _sweep(pts, rads, np.flatnonzero(~(rads < tol)), functools.partial(_exact_ratio, chain, terms, dterms))
@@ -129,12 +131,15 @@ def _chain(cs):
     # f = g1((q0 z - p0)^2)/lam0, g1 = g2((q1 u - p1)^2)/lam1, ... down to a
     # base; a level exists when H(s) = q^d f((s + p)/q) is even in s.  The
     # Taylor shift fixes H's coefficient i in pass i, so it stops at the
-    # first odd one that is not zero.
+    # first odd one that is not zero.  A level whose p or q is past 2^1000
+    # is left in the base, as the estimates are lifted through it in floats.
     chain = []
     while len(cs) > 2 and len(cs) % 2:
         d = len(cs) - 1
         mu = Fraction(-cs[d - 1], d * cs[d])
         p, q = mu.numerator, mu.denominator
+        if max(abs(p), q).bit_length() > 1000:
+            break
         h = [c * q ** (d - j) for j, c in enumerate(cs)]
         for i in range(d if p else 0):
             for j in range(d - 1, i - 1, -1):
@@ -340,10 +345,13 @@ def _sweep(pts, rads, todo, ratio):
             return
         z = pts[todo]
         n, rad = ratio(z)
+        if sweep == _STEPS:
+            rads[todo] = rad
+            return
         with np.errstate(all="ignore"):
             step = _aberth_step(n, pts, todo)
             new = _snap(z - step)
-            move = (new != z) & (np.abs(step) <= 0.5 * (1.0 + np.abs(z))) & (sweep < _STEPS)
+            move = (new != z) & (np.abs(step) <= 0.5 * (1.0 + np.abs(z)))
         rads[todo[~move]] = rad[~move]
         pts[todo[move]] = new[move]
         todo = todo[move]
@@ -365,23 +373,25 @@ def _exact_ratio(chain, terms, dterms, z):
 
 
 def _reach(pts, cs, tol):
-    # the indices of the estimates the numpy rung takes: none unless the
-    # degree is at least _NUMPY_MIN_DEGREE and the coefficients of f and f'
-    # are exact in binary64, else those within reach.  A radius there is at
+    # the indices of the estimates the numpy rung takes, with the _columns
+    # it evaluates: none unless the degree is at least _NUMPY_MIN_DEGREE and
+    # the coefficients of f and f' are exact in binary64 (past 2^1024 they
+    # have no double at all), else those within reach.  A radius there is at
     # least d e_f / |f'|, and e_f at least _comp_horner's a priori term
     # 2 gamma_(6d+6) gamma_(4d+3) p~(max(1, |z|)), which does not shrink as a
     # centre moves to its root; it is taken in plain floats at the estimates,
     # an overflow or a NaN reading as out of reach
     d = len(cs) - 1
     if d < _NUMPY_MIN_DEGREE or max(abs(c) * max(j, 1) for j, c in enumerate(cs)) > 1 << 53:
-        return np.arange(0)
+        return np.arange(0), None
+    A = _columns(cs)
     R = np.maximum(_abs(pts), 1.0)
     fp, tilde = np.zeros_like(pts), np.zeros(len(pts))
     with np.errstate(all="ignore"):
-        for a, b in _columns(cs):
+        for a, b in A:
             fp, tilde = fp * pts + b, tilde * R + abs(a)
         floor = d * _second_order(d) * tilde / _abs(fp)
-    return np.flatnonzero(floor < tol)
+    return np.flatnonzero(floor < tol), A
 
 
 def _columns(cs):

@@ -495,6 +495,27 @@ def test_zero_root_on_a_chain(g):
     assert_disks_hold_roots(f, disks, oracle)
 
 
+@pytest.mark.parametrize("factors", [[], [[-2, 1]], [[-2] + [0] * 23 + [1], [-2, 1]]])
+def test_coefficients_past_binary64(factors):
+    # (3^700 z - 3^700 - 1) times factors: coefficients past 2^1024, which
+    # have no double, so the numpy rung takes nothing, and the quadratic's
+    # chain level, centred at (3^701 + 1) / (2 3^700), is left in the base
+    t = 3 ** 700
+    f = IntPoly.make([-(t + 1), t])
+    for g in factors:
+        f = f * IntPoly.make(g)
+    assert max(map(abs, f.coeffs)) > 2 ** 1024
+    disks = roots._certified_roots.__wrapped__(f, 1e-13)
+    with mpmath.workdps(60):
+        oracle = [mpmath.mpf(t + 1) / t]
+        if factors:
+            oracle.append(mpmath.mpf(2))
+        if len(factors) > 1:
+            r = mpmath.root(2, 24)
+            oracle += [r * mpmath.expjpi(mpmath.mpf(2 * k) / 24) for k in range(24)]
+    assert_disks_hold_roots(f, disks, oracle)
+
+
 def test_exact_rung_refuses_where_f_prime_vanishes(monkeypatch):
     # z^2 - 2 lifted from a base estimate 0 to two centres at 0.0, where f'
     # = 0: the exact evaluation returns inf for f/f' and the radius, and the
