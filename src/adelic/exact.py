@@ -7,12 +7,13 @@ division, Brent's rho, then Lenstra's ECM), primitive integer polynomials,
 squarefree decomposition (Yun's algorithm over a heuristic gcd), one
 subresultant remainder sequence that gives the gcd's fallback and the
 resultants of sparse or low-degree inputs, a multi-modular resultant (CRT
-over primes below 2^31, in numpy) for dense inputs of high degree,
-discriminants, and Newton polygons, all in exact integer or rational
-arithmetic.  The one numeric type, LogValue, keeps finite-place values as
-exact rational multiples of log p and archimedean values as balls, a float
-and an err bounding its distance from the true value: each float operation
-here adds its own rounding, and _arch_sum_err that of LocalData's loops."""
+over primes below 2^31, in numpy, one reduction mod p per Euclidean step)
+for dense inputs of high degree, discriminants, and Newton polygons, all
+in exact integer or rational arithmetic.  The one numeric type, LogValue,
+keeps finite-place values as exact rational multiples of log p and
+archimedean values as balls, a float and an err bounding its distance from
+the true value: each float operation here adds its own rounding, and
+_arch_sum_err that of LocalData's loops."""
 
 from __future__ import annotations
 
@@ -770,8 +771,11 @@ def _subresultants(A: list[int], B: list[int]) -> tuple[list[int], list[int], in
 
 
 #: resultant takes the modular route when the larger degree is at least
-#: this and at most an eighth of each input's coefficients are zero
-_MODULAR_MIN_DEGREE = 64
+#: this and at most an eighth of each input's coefficients are zero.  On
+#: Res(f, f') of dense f with lc 50, best of 5 on 8 inputs a degree, the
+#: modular route won every input at degrees 52-64 (3.7 against 5.0 ms at
+#: 52) and lost every one at 24-40; 44-48 is about even
+_MODULAR_MIN_DEGREE = 52
 #: The modular route's primes lie in [2^31 - _WINDOW, 2^31): about 3000
 #: primes, whose product covers a Hadamard bound of 93,000 bits
 _WINDOW = 1 << 16
@@ -817,14 +821,19 @@ def _modular_resultant(A: list[int], B: list[int]) -> int | None:
     |B|_2^deg A, Hadamard's bound on |Res|, and three more; a window whose
     primes cannot pass the bound is refused before any arithmetic.  The
     Euclidean remainder sequence runs on all of them at once, as rows of
-    int64 arrays with the leading coefficient first, by Res(A, B) =
+    uint64 arrays with the leading coefficient first, by Res(A, B) =
     (-1)^(deg A deg B) lc(B)^(deg A - deg R) Res(B, R) and Res(B, cR) =
-    c^deg B Res(B, R).  Pseudo-division multiplies by lc(B) instead of
-    dividing, and the powers of lc(B) go to one denominator per prime,
-    inverted once at the end.  A prime whose remainder falls below the
-    others' degree, or vanishes, is dropped.  Garner's CRT of all primes
-    left but the last gives the symmetric residue, which is Res when their
-    product still passes the bound; the last prime checks it."""
+    c^deg B Res(B, R).  Each step is one pseudo-division, R = lc(B)^(d+1) A
+    - Q B with d = deg A - deg B: Q's d + 1 coefficients come from A's
+    leading d + 1 columns, then R from one pass that sums products of
+    residues and reduces them mod p once, and also after every third
+    product when d >= 2.  The powers of lc(B) go to one denominator per
+    prime, inverted once at the end.  A prime whose remainder falls below
+    the others' degree, or vanishes, is dropped; on a step where every
+    remainder keeps degree deg B - 1 only R's leading column is read.
+    Garner's CRT of all primes left but the last gives the symmetric
+    residue, which is Res when their product still passes the bound; the
+    last prime checks it."""
     a, b, s = len(A) - 1, len(B) - 1, 1
     if a < b:
         A, B, a, b = B, A, b, a
@@ -842,27 +851,54 @@ def _modular_resultant(A: list[int], B: list[int]) -> int | None:
         return None  # the window cannot pass the bound
     primes.extend(islice(usable, 3))
     p = np.array(primes, dtype=np.int64)[:, None]
-    F, G = _residues(A[::-1], p), _residues(B[::-1], p)
-    den = np.ones_like(p)
+    # residues lie below p < 2^31, so as uint64 a sum of three products of
+    # two residues, plus one more residue, stays below 2^64
+    F, G = _residues(A[::-1], p).view(np.uint64), _residues(B[::-1], p).view(np.uint64)
+    p = p.view(np.uint64)
+    den = acc = np.ones_like(p)
     while b > 0:
-        lb = G[:, :1]
-        for k in range(a - b + 1):
-            R = F[:, k + 1:]
-            R *= lb
-            R[:, :b] -= F[:, k:k + 1] * G[:, 1:]
-            R %= p
-        R = F[:, a - b + 1:]
-        nonzero = R != 0
-        lead = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), b)
-        m = int(lead.min())
-        if m == b:
-            return None
-        keep = lead == m
+        d, lb = a - b, G[:, :1]
+        # pseudo-division's d + 1 quotient multipliers t_k read only F's
+        # first d + 1 columns: step k scales the columns after k by lb and
+        # takes t_k G from them, t_k being column k when step k starts
+        T = F[:, :d + 1].copy()
+        for k in range(d):
+            w = min(d - k, b)
+            T[:, k + 1:] *= lb
+            T[:, k + 1:k + 1 + w] += (p - T[:, k:k + 1]) * G[:, 1:w + 1]
+            T[:, k + 1:] %= p
+        # then R = lb^(d+1) F[d+1:] - sum_k lb^(d-k) t_k G[d+1-k:] in one
+        # pass, reduced after every third product and once at the end
+        pw = [np.ones_like(p), lb]
+        for _ in range(d):
+            pw.append(pw[-1] * lb % p)
+        C, y = p - T * np.hstack(pw[d::-1]) % p, pw[-1]
+        R = F[:, d + 1:] * y
+        ks = range(d, max(d - b, -1), -1)  # the k whose t_k G reaches R
+        for n, k in enumerate(ks, 2):
+            R[:, :b - d + k] += C[:, k:k + 1] * G[:, d + 1 - k:]
+            if n % 3 == 0 or k == ks[-1]:
+                R %= p
+        if R[:, 0].all():  # the normal step: every prime keeps degree b - 1
+            m = 0
+        else:
+            nonzero = R != 0
+            lead = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), b)
+            m = int(lead.min())
+            if m == b:
+                return None
+            keep = lead == m
+            p, den, acc, G, R = p[keep], den[keep], acc[keep], G[keep], R[keep, m:]
+            lb, y = lb[keep], y[keep]
         r = b - 1 - m
-        # lc(B)'s exponent a - r - (a - b + 1) b is -((a - b)(b - 1) + r) <= 0
-        den = den * _powmod(lb, (a - b) * (b - 1) + r, p) % p
+        # lc(B)'s exponent a - r - (a - b + 1) b is -((a - b)(b - 1) + r) <= 0,
+        # that is -(d m + (d + 1) r): lb^(d m) goes into den now, and y^r =
+        # lb^((d + 1) r) later, as each later step multiplies den by acc, the
+        # product of the earlier steps' y, once per degree it drops
+        owed = _powmod(acc, m + 1, p) * _powmod(lb, m * d, p) % p if m else acc
+        den, acc = den * owed % p, acc * y % p
         s *= (-1) ** (a * b)
-        F, G, p, den = G[keep], R[keep, m:], p[keep], den[keep]
+        F, G = G, R
         a, b = b, r
     *primes, spare = p[:, 0].tolist()
     if math.prod(primes) <= need:

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import mpmath
 import numpy as np
@@ -461,6 +462,37 @@ def test_modular_resultant_refuses_when_drops_leave_too_few(monkeypatch):
     a = 1 + 53 * 59 * 61 * 67
     assert _modular_resultant([-a, 1], [-1, 1]) is None
     assert _modular_resultant([-a, 1], [-2, 1]) == a - 2
+
+
+@pytest.mark.parametrize("drop", [2, 5, 9])
+def test_modular_resultant_abnormal_steps_on_the_window(monkeypatch, drop):
+    # A = B Q + R with deg R = deg B - drop: every prime's second step has
+    # a - b = drop and sums drop + 2 products of residues near 2^31, so an
+    # accumulation that skips its reduction after every third product wraps
+    rng = random.Random(drop)
+    B = _dense_poly(rng, 64 + 13 * (drop // 2))
+    Q, R = _dense_poly(rng, 3, 7), _dense_poly(rng, B.degree - drop, 11)
+    A = IntPoly.make([c + r for c, r in zip_longest((B * Q).coeffs, R.coeffs, fillvalue=0)])
+    got = _modular_resultant(list(A.coeffs), list(B.coeffs))
+    monkeypatch.setattr(adelic.exact, "_MODULAR_MIN_DEGREE", math.inf)
+    assert got is not None and got == resultant(A, B)
+
+
+def test_modular_resultant_drops_a_prime_mid_sequence(monkeypatch):
+    # 53 ahead of the window divides the third pseudo-remainder's leading
+    # coefficient of f and f', so it leaves the sequence there while the
+    # big primes go on
+    f = _dense_poly(random.Random(60), 64)
+    F, G = list(f.coeffs), list(f.derivative().coeffs)
+    tops = []
+    for _ in range(3):
+        F, G = G, adelic.exact._prem(F, G)
+        tops.append(G[-1] % 53)
+    assert all(tops[:2]) and tops[2] == 0 and len(G) == len(F) - 1
+    window = adelic.exact._window_primes()
+    monkeypatch.setattr(adelic.exact, "_window_primes", lambda: [53] + window)
+    got, want = _both_routes(monkeypatch, f, f.derivative())
+    assert got == want
 
 
 def test_window_primes_are_the_primes_below_2_31():
