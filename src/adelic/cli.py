@@ -17,10 +17,10 @@ from fractions import Fraction
 from .berkovich import BerkPoint
 from .certify import lemma43_certify, random_adversarial_instance, random_certifier_instance
 from .divisors import divisor_from_poly
-from .exact import DomainError, _primes_below, factorize, val_p
+from .exact import DomainError, _primes_below, val_p
 from .heights import global_fekete, height
 from .local import fekete_sum
-from .places import ARCH, Place, _product_formula, log_abs, product_formula_check
+from .places import ARCH, Place, _base_places, log_abs, product_formula_check
 from .sequences import SequenceSpec, experiment_run
 from .weights import (
     ex5_weight,
@@ -78,16 +78,14 @@ def _emit(obj: dict) -> None:
 def _cmd_dstar(args) -> int:
     Z = divisor_from_poly(_parse_poly(args.poly), args.inf_mult)
     ds = Z.d_star
-    # d*'s numerator factored in full; its denominator's primes divide lc,
-    # and only the primes of d* go in the table
-    primes = set(factorize(ds.numerator)).union(factorize(Z.finite_part.lc))
-    places = [ARCH] + [Place(p) for p in sorted(primes) if val_p(ds, p)]
-    table = [{"place": str(v), "log_abs": log_abs(ds, v).to_json()} for v in places]
+    # one row per place of d*'s coprime base, as product_formula_check reads
+    table = [{"place": str(v), "log_abs": log_abs(ds, v).to_json()}
+             for v in [ARCH] + _base_places(ds)]
     _emit({
         "degree": Z.degree,
         "dstar": str(ds),
         "log_table": table,
-        "product_formula_ok": _product_formula(ds, primes),
+        "product_formula_ok": product_formula_check(ds),
     })
     return 0
 

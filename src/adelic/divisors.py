@@ -19,10 +19,10 @@ from typing import Iterable
 from .exact import (
     DomainError,
     IntPoly,
+    _coprime_base,
     _index,
     _trial_division,
     content_primitive,
-    factorize,
     resultant,
     squarefree_decomposition,
 )
@@ -133,17 +133,29 @@ class EffectiveDivisor:
 
     @cached_property
     def primes(self) -> frozenset[int]:
-        """The primes where the divisor's own local data can be more than
-        its d_star term: those of the finite part's leading coefficient,
-        those that d_star's numerator shares with end_coeffs (an
-        input-sized gcd), and the numerator's primes below 2^15, by trial
-        division; d_star is never factored.  Its denominator adds none:
-        each term's is a power of a factor's leading coefficient.  Every
-        other prime of d_star is a unit prime above 2^15, where the
-        divisor's only local data is its d_star term."""
-        num = abs(self.d_star.numerator)
-        return frozenset(factorize(self.finite_part.lc)).union(
-            factorize(math.gcd(num, self.end_coeffs)), _trial_division(num)[0])
+        """Pairwise coprime integers whose primes are those where the
+        divisor's own local data can be more than its d_star term: those of
+        the finite part's leading coefficient lc, those that num(d_star)
+        shares with end_coeffs (g, an input-sized gcd), and the numerator's
+        primes below 2^15.  d_star is never factored: lc, g and num(d_star)
+        are trial-divided below 2^15, and what is left of lc and g is
+        refined by gcds (exact._coprime_base) against each squarefree
+        factor's coefficients, num(d_star) and den(d_star).  So an element
+        b above 2^15 divides every number a row reads to an exact power,
+        and the rows of its primes sum to one row at b (a base place, see
+        relevant_places) under a weight that is zero there.  den(d_star)
+        adds no prime: each term's is a power of a factor's leading
+        coefficient.  Every other prime of d_star is a unit prime above
+        2^15, where the divisor's only local data is its d_star term."""
+        ds = self.d_star
+        num = abs(ds.numerator)
+        out, rests = set(), []
+        for n in (self.finite_part.lc, math.gcd(num, self.end_coeffs), num):
+            small, rest = _trial_division(n)
+            out.update(small)
+            rests.append(rest)
+        reads = [c for f, _ in self.squarefree_factors for c in f.coeffs]
+        return frozenset(out | _coprime_base(rests[:2], reads + [num, ds.denominator]))
 
 
 def divisor_from_poly(coeffs: Iterable[int], inf_mult: int = 0) -> EffectiveDivisor:

@@ -2,8 +2,9 @@
 
 This module is the arithmetic bedrock of the package: p-adic valuations,
 primality (a numpy sieve, Miller-Rabin to as many of the first 13 prime
-bases as n's size needs, then BPSW), integer factorization (sieved trial
-division, Brent's rho, then Lenstra's ECM), primitive integer polynomials,
+bases as n's size needs, then BPSW), trial division below 2^15 and a
+coprime base by gcds in place of factorization, so no call's effort grows
+without bound with integer size, primitive integer polynomials,
 squarefree decomposition (Yun's algorithm over a heuristic gcd), one
 subresultant remainder sequence that gives the gcd's fallback and the
 resultants of sparse or low-degree inputs, a multi-modular resultant (CRT
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 import operator
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -146,7 +146,8 @@ def val_p(q: Rational, p: int) -> int:
 
 
 def _val(q: Rational, p: int) -> int:
-    # val_p for a p already known to be prime
+    # val_p for a p already known to be prime; for an element b of a coprime
+    # base, how often b divides q, the v_b that a base place reads
     n, d = q.numerator, q.denominator
     if n == 0:
         raise DomainError("valuation of zero is undefined")
@@ -284,56 +285,9 @@ def _strong_lucas_prp(n: int) -> bool:
     return False
 
 
-def integer_nthroot(m: int, e: int) -> tuple[int, bool]:
-    """(floor(m^(1/e)), whether that root is exact) for m >= 0, e >= 1, by
-    integer Newton iteration from above."""
-    if m < 2:
-        return m, True
-    x = 1 << -(-m.bit_length() // e)  # 2^ceil(bits/e) > m^(1/e)
-    while True:
-        y = ((e - 1) * x + m // x ** (e - 1)) // e
-        if y >= x:
-            return x, x ** e == m
-        x = y
-
-
-#: Trial division runs over the primes below _SMALL, so a cofactor below
-#: _SMALL**2 is prime.
+#: Trial division runs over the primes below _SMALL, so a rest below
+#: _SMALL**2 is 1 or prime.
 _SMALL = 1 << 15
-#: Iterations of x^2 + 1 that Brent's rho spends on a cofactor before it
-#: goes to ECM: rounds up to cycle length 2^16.  On a 23- to 29-digit
-#: cofactor that is about 0.15 s, a third of what ECM takes to find an
-#: 11-digit prime.
-_RHO_STEPS = 1 << 18
-#: Rho steps whose differences share one gcd.
-_RHO_BATCH = 128
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}, keys ascending; n
-    must be nonzero.
-
-    Trial division by the primes below 2^15 leaves a cofactor with no small
-    prime.  Each composite cofactor is split by the first of: a perfect
-    power, factorint's three-step Fermat test, Brent's rho on x^2 + 1 with a
-    budget of _RHO_STEPS iterations, and ECM at factorint's schedule, whose
-    effort is unbounded."""
-    if n == 0:
-        raise DomainError("cannot factor zero")
-    out, n = _trial_division(abs(n))
-    stack = [(n, 1)] if n > 1 else []
-    while stack:
-        m, k = stack.pop()
-        if m < _SMALL * _SMALL or isprime(m):
-            out[m] = out.get(m, 0) + k
-            continue
-        r, e = _perfect_power(m)
-        if e > 1:
-            stack.append((r, k * e))
-            continue
-        d = _fermat(m) or _brent(m) or _ecm(m)
-        stack.extend(((d, k), (m // d, k)))
-    return dict(sorted(out.items()))
 
 
 def _trial_division(n: int) -> tuple[dict[int, int], int]:
@@ -357,176 +311,40 @@ def _trial_division(n: int) -> tuple[dict[int, int], int]:
     return out, n
 
 
-def _perfect_power(m: int) -> tuple[int, int]:
-    # (r, e) with m = r^e and e prime, else (m, 1); m has no prime below
-    # _SMALL, so e <= log_SMALL(m)
-    for e in _primes_below(m.bit_length() // 15 + 1):
-        r, exact = integer_nthroot(m, e)
-        if exact:
-            return r, e
-    return m, 1
-
-
-def _fermat(m: int) -> int | None:
-    # factorint's Fermat test: a divisor a - b with a^2 - m = b^2 for one of
-    # the three values of a just above sqrt(m) of the parity m mod 4 allows
-    a = math.isqrt(m) + 1
-    if (m % 4 == 1) ^ (a & 1):
-        a += 1
-    b2 = a * a - m
-    for _ in range(3):
-        b = math.isqrt(b2)
-        if b * b == b2:
-            return a - b
-        b2 += (a + 1) << 2  # (a + 2)^2 - m
-        a += 2
-    return None
-
-
-def _brent(m: int) -> int | None:
-    # a proper divisor of m from Brent's rho on x^2 + 1 (BIT 20, 1980), the
-    # differences multiplied over _RHO_BATCH steps between gcds; None if the
-    # next round would pass _RHO_STEPS or the batched gcd cannot separate
-    y, r, q, g, steps = 2, 1, 1, 1, 0
-    while g == 1:
-        steps += 2 * r  # r steps to move x, r more to multiply
-        if steps > _RHO_STEPS:
-            return None
-        x = y
-        for _ in range(r):
-            y = (y * y + 1) % m
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(_RHO_BATCH, r - k)):
-                y = (y * y + 1) % m
-                q = q * (x - y) % m
-            g = math.gcd(q, m)
-            k += _RHO_BATCH
-        r *= 2
-    if g == m:
-        # the batch overshot: redo it one gcd per step
-        g = 1
-        while g == 1:
-            ys = (ys * ys + 1) % m
-            g = math.gcd(x - ys, m)
-    return g if g < m else None
-
-
-def _ecm(m: int) -> int:
-    # a proper divisor of m from ECM at factorint's schedule: seed B1, then
-    # B1 x5 and the curves x4 until a factor is found
-    B1, curves = 10_000, 50
-    while (d := ecm(m, B1, curves, B1)) is None:
-        B1, curves = 5 * B1, 4 * curves
-    return d
-
-
-def ecm(n: int, B1: int, curves: int, seed: int) -> int | None:
-    """A proper divisor of the odd composite n from Lenstra's two-stage ECM
-    with B2 = 100 B1 on up to `curves` curves, or None if none finds one;
-    B1 must be even.
-
-    Each curve is a Montgomery curve with Suyama's parametrization, sigma
-    drawn from random.Random(seed).  Stage 1 multiplies the point by every
-    prime power up to B1 on an x/z-only Montgomery ladder; stage 2 is the
-    improved standard continuation to B2 (Crandall & Pomerance, Prime
-    Numbers, 2nd ed. (2005), Alg. 7.4.4)."""
-    if B1 % 2:
-        raise DomainError(f"ECM's B1 must be even, got {B1}")
-    k, D, blocks = _ecm_tables(B1)
-    rng = random.Random(seed)
-    for _ in range(curves):
-        sigma = rng.randint(6, n - 1)
-        u = (sigma * sigma - 5) % n
-        v = 4 * sigma % n
-        u3 = pow(u, 3, n)
-        try:
-            a24 = pow(v - u, 3, n) * (3 * u + v) * pow(16 * u3 * v, -1, n) % n
-        except ValueError:  # the inverse does not exist
-            g = math.gcd(16 * u3 * v, n)
-            if g < n:
-                return g
-            continue
-        Q = _ladder((u3, pow(v, 3, n)), k, a24, n)
-        g = math.gcd(Q[1], n)
-        if g == 1:
-            g = _stage2(Q, B1, D, blocks, a24, n)
-        if 1 < g < n:
-            return g
-    return None
-
-
-@lru_cache(maxsize=None)
-def _ecm_tables(B1: int) -> tuple[int, int, list[list[int]]]:
-    # stage 1's multiplier, the product of the largest power of each prime
-    # p <= B1 that is at most B1; stage 2's half-width D; and for each block
-    # centre r = B1 + 2D, B1 + 6D, ... below B2 + 2D, with B2 = 100 B1, the
-    # d < D for which r + 2d + 1 or r - 2d - 1 is prime
-    B2 = 100 * B1
-    D = min(math.isqrt(B2), B1 // 2 - 1)
-    k = 1
-    for p in _primes_below(B1 + 1):
-        q = p
-        while q * p <= B1:
-            q *= p
-        k *= q
-    n_blocks = len(range(B1 + 2 * D, B2 + 2 * D, 4 * D))
-    hi = B1 + 4 * D * n_blocks
-    off = np.flatnonzero(_sieve_to(hi)[B1:hi])
-    keys = np.unique(off // (4 * D) * D + (np.abs(off % (4 * D) - 2 * D) >> 1))
-    cuts = np.searchsorted(keys, D * np.arange(1, n_blocks))
-    return k, D, [b.tolist() for b in np.split(keys % D, cuts)]
-
-
-def _xdbl(P: tuple[int, int], a24: int, n: int) -> tuple[int, int]:
-    # 2P on a Montgomery curve, x and z only
-    x, z = P
-    u = (x + z) ** 2 % n
-    v = (x - z) ** 2 % n
-    t = u - v
-    return u * v % n, t * (v + a24 * t) % n
-
-
-def _xadd(P: tuple[int, int], Q: tuple[int, int], diff: tuple[int, int],
-          n: int) -> tuple[int, int]:
-    # P + Q from x and z only, given diff = P - Q
-    u = (P[0] - P[1]) * (Q[0] + Q[1])
-    v = (P[0] + P[1]) * (Q[0] - Q[1])
-    return diff[1] * (u + v) ** 2 % n, diff[0] * (u - v) ** 2 % n
-
-
-def _ladder(P: tuple[int, int], k: int, a24: int, n: int) -> tuple[int, int]:
-    # kP by Montgomery's ladder: R - Q = P throughout
-    Q, R = P, _xdbl(P, a24, n)
-    for bit in bin(k)[3:]:
-        if bit == "1":
-            Q, R = _xadd(R, Q, P, n), _xdbl(R, a24, n)
+def _coprime_base(ns: Iterable[int], against: Iterable[int]) -> set[int]:
+    """Pairwise coprime b >= 2 whose primes are those of the ns, each
+    dividing every nonzero x of the ns and of against to an exact power (x
+    = b^k y, gcd(b, y) = 1), by factor refinement (Bach, Driscoll &
+    Shallit, J. Algorithms 15 (1993)): a number sharing g > 1 with an
+    element b gives way to g, b / g and its own quotient by g.  Each step
+    divides the product of what is left by g, so the effort is bounded by
+    the numbers' size.  Of each x, only its part over the ns' primes
+    takes part."""
+    ns = [n for n in ns if n > 1]
+    m = math.prod(ns)
+    todo = ns + [_part(abs(x), m) for x in against if x] if ns else []
+    base: list[int] = []
+    while todo:
+        n = todo.pop()
+        for i, b in enumerate(base):
+            if (g := math.gcd(n, b)) > 1:
+                del base[i]
+                todo += [k for k in (g, b // g, n // g) if k > 1]
+                break
         else:
-            Q, R = _xdbl(Q, a24, n), _xadd(R, Q, P, n)
-    return Q
+            if n > 1:
+                base.append(n)
+    return set(base)
 
 
-def _stage2(Q: tuple[int, int], B1: int, D: int, blocks: list[list[int]],
-            a24: int, n: int) -> int:
-    # gcd(n, prod over the blocks' centres r and their d of x(rQ) z(S_d) -
-    # x(S_d) z(rQ)), with S_d = (2d + 1)Q: it vanishes mod a prime q | n
-    # when some prime r +- (2d + 1) kills Q on the curve mod q
-    Q2 = _xdbl(Q, a24, n)
-    S = [Q, _xadd(Q2, Q, Q, n)]
-    for d in range(2, D):
-        S.append(_xadd(S[-1], Q2, S[-2], n))
-    beta = [x * z % n for x, z in S]
-    W = _ladder(Q, 4 * D, a24, n)
-    T = _ladder(Q, B1 - 2 * D, a24, n)
-    R = _ladder(Q, B1 + 2 * D, a24, n)
-    g = 1
-    for deltas in blocks:
-        alpha = R[0] * R[1] % n
-        for d in deltas:
-            g = g * ((R[0] - S[d][0]) * (R[1] + S[d][1]) - alpha + beta[d]) % n
-        T, R = R, _xadd(R, W, T, n)
-    return math.gcd(g, n)
+def _part(x: int, m: int) -> int:
+    # the largest divisor of x >= 1 whose primes all divide m
+    out, g = 1, math.gcd(x, m)
+    while g > 1:
+        out *= g
+        x //= g
+        g = math.gcd(x, g)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .divisors import EffectiveDivisor
 from .exact import LogValue, float_sum
 from .local import LocalData, PlaceRow, mahler_g
-from .places import relevant_places
+from .places import ARCH, Place, _coprime, relevant_places
 from .weights import Weight
 
 __all__ = [
@@ -87,12 +87,11 @@ def _interval(total: LogValue, d: int, tail: float) -> HeightInterval:
 class GlobalReport:
     """Adelic summary of one divisor against one weight.
 
-    rows holds one row per relevant place, the archimedean one last.
-    cofactor is C, what the finite rows' d* terms leave of |num(d*)| (1 if
-    nothing): to_json writes it as one more exact row just before the
-    archimedean one (see global_fekete).  The aggregates are fields filled
-    by global_fekete's one fold, so rows plus the cofactor row -log C
-    refold to them.
+    rows holds one row per relevant place: primes ascending, then base
+    places, C's last (see global_fekete), then the archimedean one.
+    cofactor is C, what the other finite rows' d* terms leave of |num(d*)|
+    (1 if nothing).  The aggregates are fields filled by global_fekete's
+    one fold, so the rows refold to them.
     uniform_sup is the largest pairing magnitude plus error over d^2
     (exact zeros skipped), and at least 4 times the tail of the weight's
     sup norms, which bounds every omitted place; log C over d^2 enters it
@@ -117,15 +116,12 @@ class GlobalReport:
     uniform_sup: float
 
     def to_json(self) -> dict:
-        rows = [r.to_json() for r in self.rows]
-        if self.cofactor > 1:
-            rows.insert(-1, _cofactor_row(self.cofactor).to_json())
         return {
             "degree": self.degree,
             "inf_mult": self.inf_mult,
             "diagonal_mass": self.diagonal_mass,
             "diagonal_ratio": str(self.diagonal_ratio),
-            "rows": rows,
+            "rows": [r.to_json() for r in self.rows],
             "tail_bound": self.tail_bound,
             "prime_cutoff": self.prime_cutoff,
             "height": self.height_interval.to_json(),
@@ -137,12 +133,6 @@ class GlobalReport:
             "identity_slack": self.identity_slack,
             "dstar_product_formula": self.dstar_product_formula,
         }
-
-
-def _cofactor_row(c: int) -> PlaceRow:
-    # the unlisted primes of d*, all of them unit primes, as one row
-    zero, dstar = LogValue.zero(), LogValue.exact_log(-1, c)
-    return PlaceRow(c, zero, zero, dstar, dstar)
 
 
 def global_fekete(
@@ -162,36 +152,35 @@ def global_fekete(
     with G(w) the adelic sum of weight values at the support point and
     R(w) the adelic sum of its round-metric terms (the log of its
     projective norm at each place); it must vanish within identity_slack.
-    The primes of d* that relevant_places leaves out share one exact
-    cofactor row, whose place is the int C: |num(d*)| over the product of
-    p^v_p(d*) that the finite rows' log_dstar entries give, in the same
-    fold.  Its pairing and log_dstar are -log C, as each such prime is a
-    unit prime that adds only its d* term, and its Mahler entries are
-    exact zeros.
-    The product formula for the pairwise difference product is checked
-    exactly on the printed rows and reported as a flag: their d* terms
-    must divide |num(d*)| and give den(d*) in full, and no listed prime
-    may divide the C they leave; d* is never factored.
+    The primes of d* that relevant_places leaves out share the row of the
+    base place C, what the other finite rows' d* terms leave of |num(d*)|:
+    a unit place, so its Mahler entries are exact zeros and its pairing
+    and log_dstar are -log C.  dstar_product_formula checks the printed
+    rows exactly: they rebuild |d*|, at pairwise coprime places.
     """
     rel = relevant_places(Z, g, tail_eps / 2.0)
     d = Z.degree
     rows, diags = [], []
-    listed = Fraction(1)  # the product of p^v_p(d*) over the finite rows
-    for v in rel.places:
+    listed = Fraction(1)  # the product of b^v_b(d*) over the finite rows
+
+    def fold(v):
+        nonlocal listed
         data = LocalData(Z, g, v)
         row, diag = data.row()
         rows.append(row)
         diags.extend(diag)
-        if k := row.log_dstar.coeff:  # -v_p(d*); None at ARCH
+        if k := row.log_dstar.coeff:  # -v_b(d*); None at ARCH
             listed *= Fraction(v.prime) ** -k
+        return data
+
+    for v in rel.places[:-1]:
+        fold(v)
+    # what the rows leave of |num(d*)| is C, the last finite row's base place
+    if (cofactor := abs(Z.d_star.numerator) // listed.numerator) > 1:
+        fold(Place(cofactor, base=True))
+    data = fold(ARCH)
+    formula = listed == abs(Z.d_star) and _coprime([r.place for r in rows[:-1]])
     pairings = [r.fekete for r in rows]
-    # what the rows leave of |num(d*)| is C; its pairing goes just before the
-    # archimedean one, which stays last; its other terms are exact zeros
-    cofactor, rest = divmod(abs(Z.d_star.numerator), listed.numerator)
-    formula = rest == 0 and listed.denominator == Z.d_star.denominator
-    if cofactor > 1:
-        pairings.insert(-1, _cofactor_row(cofactor).fekete)
-        formula = formula and all(cofactor % r.place.prime for r in rows[:-1])
     # the largest |pairing| + error; exact zeros give 0
     sup = max(abs(x) + e for x, e in map(LogValue._as_float, pairings))
 

@@ -51,13 +51,12 @@ def _lin(a: int, x, b: int, y, c: int = 0) -> Fraction:
 class PlaceRow:
     """Per-place line of a global report.
 
-    All four entries are LogValues: exact at finite places, error
-    bounded floats at the archimedean place.  place is a Place, or the int
-    cofactor C of a report's cofactor row (see global_fekete), which holds
-    the unlisted primes of d* together.
+    All four entries are LogValues: exact at finite places (at a base
+    place b, a rational times log b, the sum of the rows of b's primes),
+    error bounded floats at the archimedean place.
     """
 
-    place: Place | int
+    place: Place
     mahler_round: LogValue
     mahler_weighted: LogValue
     fekete: LogValue
@@ -95,7 +94,8 @@ class LocalData:
 
     @property
     def unit_prime(self) -> bool:
-        """Whether v is a prime not dividing Z.end_coeffs: every support point a unit or 0."""
+        """Whether v is a finite place (a prime or a base place) not
+        dividing Z.end_coeffs: every support point a unit or 0."""
         return not self.v.is_archimedean and self.Z.end_coeffs % self.v.prime != 0
 
     @cached_property
@@ -122,10 +122,11 @@ class LocalData:
     @cached_property
     def _weights(self) -> tuple[Fraction, Fraction]:
         # (weight, diag_weight) over log p: at a unit prime the ramp is half +
-        # shift at the units and infinity, shift - half at the zero roots, one
+        # shift at the units and infinity, shift - half at the zero roots, and
+        # a flat one (half 0, as at a base place) is shift everywhere: one
         # Fraction from the root counts; else each factor's Newton polygon
-        Z, comp, I = self.Z, self.g.finite(self.v.prime), self.Z.inf_mult
-        if self.unit_prime:
+        Z, comp, I = self.Z, self.g._at(self.v), self.Z.inf_mult
+        if self.unit_prime or not comp.half:
             (u1, z1), (u2, z2) = Z.root_counts
             return (_lin(u1 + I - z1, comp.half, u1 + I + z1, comp.shift),
                     _lin(u2 + I * I - z2, comp.half, u2 + I * I + z2, comp.shift))

@@ -144,6 +144,11 @@ class Weight:
                 return comp
         return _ramp(p) if self.branching else FiniteWeight(p)
 
+    def _at(self, v: Place) -> FiniteWeight:
+        # the component at finite place v, built only at a prime: at a base
+        # place, whose primes are not listed one by one, the weight reads zero
+        return FiniteWeight(v.prime) if v.base else self.finite(v.prime)
+
     def tail_sum_bound(self, prime_floor: int) -> float:
         """Certified bound on sum over primes p > prime_floor of sup |g_p|."""
         if not self.branching:
@@ -168,7 +173,7 @@ class Weight:
         """Upper bound on |g_v| over the whole space of points at v."""
         if v.is_archimedean:
             return max(abs(self.arch.sup), abs(self.arch.inf))
-        comp = self.finite(v.prime)
+        comp = self._at(v)
         c = max(abs(comp.sup_coeff), abs(comp.inf_coeff))
         return float(c) * math.log(v.prime)
 
@@ -183,7 +188,7 @@ def weight_eval(g: Weight, v: Place, x) -> LogValue:
     if v.is_archimedean:
         val = g.arch(x)
         return LogValue.real(val, _arch_sum_err(1.0 + g.sup_abs(v) + abs(val)))
-    comp = g.finite(v.prime)
+    comp = g._at(v)
     if not isinstance(x, BerkPoint) or x.prime != v.prime:
         raise DomainError("point does not live at place %s" % v)
     return LogValue.exact_log(comp.value_coeff(x), v.prime)
@@ -233,7 +238,7 @@ def radii(g: Weight, v: Place) -> Radii:
         # inf is g's value on the unit circle, sup the shift itself
         low = LogValue.real(g.arch.inf, _arch_sum_err(1.0 + g.sup_abs(v) + abs(g.arch.inf)))
         return Radii(place=v, log_outer=-low, log_inner=LogValue.real(-g.arch.sup))
-    comp = g.finite(v.prime)
+    comp = g._at(v)
     return Radii(
         place=v,
         log_outer=LogValue.exact_log(-comp.inf_coeff, v.prime),

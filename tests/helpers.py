@@ -22,11 +22,13 @@ def sympy_sqf(f: IntPoly) -> list[tuple[IntPoly, int]]:
 
 
 def dstar_cofactor(Z: EffectiveDivisor) -> int:
-    """The cofactor oracle: |num(d*)| over the product of p^v_p(d*) for the
-    primes p of Z.primes, the C of a report whose weight lists no prime."""
-    ds, out = Z.d_star, abs(Z.d_star.numerator)
-    for p in Z.primes:
-        out //= p ** max(val_p(ds, p), 0)
+    """The cofactor oracle: |num(d*)| with every element of Z.primes, a
+    prime or a base element, divided out, the C of a report whose weight
+    lists no prime."""
+    out = abs(Z.d_star.numerator)
+    for b in Z.primes:
+        while out % b == 0:
+            out //= b
     return out
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +24,25 @@ def test_dstar_json(capsys):
     assert places == {"inf", "2"}
     two = next(r for r in data["log_table"] if r["place"] == "2")
     assert two["log_abs"] == {"coeff": "-8", "log_base": 2}
+
+
+def test_dstar_of_a_semiprime_takes_bounded_time(capsys):
+    # N z^2 + z - N, N = p q of 60 digits: d* = -(4 N^2 + 1) / N^2, and the
+    # table's rows are one per place of its coprime base, N^2 a base place
+    # of its own; nothing factors N, so the command answers at once
+    N = (10 ** 30 + 57) * (3 * 10 ** 29 + 7)
+    t = time.perf_counter()
+    code, out, _ = run_cli(capsys, "dstar", "--poly=%d,1,%d" % (-N, N))
+    assert time.perf_counter() - t < 1.0
+    assert code == 0
+    data = json.loads(out)
+    assert data["product_formula_ok"] is True
+    assert data["log_table"][0]["place"] == "inf"
+    rebuilt = Fraction(1)
+    for row in data["log_table"][1:]:
+        rebuilt *= Fraction(int(row["place"])) ** Fraction(row["log_abs"]["coeff"])
+    assert rebuilt == 1 / abs(Fraction(data["dstar"])) == Fraction(N ** 2, 4 * N ** 2 + 1)
+    assert str(N ** 2) in [row["place"] for row in data["log_table"]]
 
 
 def test_height_json(capsys):

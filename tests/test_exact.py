@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from sympy import Poly, factorint, integer_nthroot, isprime, nextprime, primerange
+from sympy import Poly, factorint, isprime, nextprime, primerange
 from sympy import resultant as sympy_resultant
 from sympy.abc import z
 
@@ -19,15 +19,15 @@ from adelic.exact import (
     LogValue,
     content_primitive,
     discriminant,
-    factorize,
     float_sum,
     newton_polygon,
     resultant,
     squarefree_decomposition,
     val_p,
 )
-from adelic.exact import (_MR_BASES, _MR_GRADES, _arch_sum_err, _fermat, _gcd, _modular_resultant,
-                          _primes_below, _primitive, _strong_prp, _subresultants, _up)
+from adelic.exact import (_MR_BASES, _MR_GRADES, _arch_sum_err, _coprime_base, _gcd,
+                          _modular_resultant, _primes_below, _primitive, _strong_prp,
+                          _subresultants, _trial_division, _up)
 
 from helpers import sympy_sqf
 
@@ -51,88 +51,57 @@ def test_val_p_is_additive():
         assert val_p(a * b, p) == val_p(a, p) + val_p(b, p)
 
 
-def _check_factorize(n):
-    got = factorize(n)
-    assert got == {int(p): int(e) for p, e in factorint(abs(n)).items()}
-    assert list(got) == sorted(got)
-    return got
-
-
-def test_factorize_known_values():
-    assert factorize(360) == {2: 3, 3: 2, 5: 1}
-    assert factorize(1) == {}
-    assert factorize(-7) == {7: 1}
-    assert factorize(-2 ** 5 * 32771 ** 2) == {2: 5, 32771: 2}
-    with pytest.raises(DomainError):
-        factorize(0)
+def test_trial_division_known_values():
+    assert _trial_division(360) == ({2: 3, 3: 2, 5: 1}, 1)
+    assert _trial_division(1) == ({}, 1)
+    assert _trial_division(7) == ({7: 1}, 1)
+    assert _trial_division(2 ** 5 * 32771 ** 2) == ({2: 5}, 32771 ** 2)
 
 
 _SMALL_PRIME = st.integers(1, 2 ** 15 - 20).map(nextprime)
 _MID_PRIME = st.integers(2 ** 15, 10 ** 10).map(nextprime)
-_BIG_PRIME = st.integers(10 ** 11, 10 ** 12).map(nextprime)
+_BIG_PRIME = st.integers(10 ** 11, 10 ** 40).map(nextprime)
 
 
 @given(st.lists(st.tuples(_SMALL_PRIME, st.integers(1, 3)), max_size=4),
-       st.lists(_MID_PRIME, max_size=2), st.one_of(st.just(1), _BIG_PRIME))
-def test_factorize_matches_factorint_on_products(small, mid, big):
-    n = big
+       st.lists(st.tuples(st.one_of(_MID_PRIME, _BIG_PRIME), st.integers(0, 3),
+                          st.integers(0, 3)), max_size=4))
+def test_coprime_base_matches_factorint_on_products(small, large):
+    # n and x share large primes at unrelated exponents: the base of what
+    # trial division leaves of n, refined against x, splits those primes
+    # into pairwise coprime elements dividing n and x to exact powers
+    n, x, want = 1, 1, {}
     for p, e in small:
         n *= p ** e
-    for p in mid:
-        n *= p
-    _check_factorize(n)
+    for p, a, b in large:
+        n, x = n * p ** a, x * p ** b
+        want[p] = want.get(p, 0) + a
+    got, rest = _trial_division(n)
+    assert got == {int(p): int(e) for p, e in factorint(n // rest).items()}
+    assert rest == math.prod(p ** e for p, e in want.items())
+    base = _coprime_base([rest], [x, n * x, 0])
+    primes = [{p for p in want if b % p == 0} for b in base]
+    assert sum(map(len, primes)) == len(set().union(*primes))
+    assert set().union(*primes) == {p for p, e in want.items() if e}
+    for b in base:
+        for y in (rest, x, n * x):
+            while y % b == 0:
+                y //= b
+            assert math.gcd(y, b) == 1, (b, y)
 
 
-def test_factorize_powers_and_edges():
+def test_trial_division_powers_and_edges():
     p, q = nextprime(2 ** 15), nextprime(10 ** 6)
     for n in (p ** 2, p ** 7, q ** 3, nextprime(10 ** 12) ** 3, (p * q) ** 2,
               # around 2^30: primes below and above, and p * q just above
               2 ** 30 - 35, 2 ** 30 - 1, 2 ** 30 + 1, 2 ** 30 + 3, 32771 * 32779,
               2 ** 61 - 1):
-        _check_factorize(n)
-
-
-def test_factorize_carmichael_fermat_and_corpus():
-    # Carmichael numbers, the last 6000307 * 12000613 * 18000919
-    for n in (561, 41041, 825265, 321197185, 5394826801, 1296198694153288947529):
-        _check_factorize(n)
-    # two primes close together split by the Fermat step
-    p = nextprime(10 ** 15)
-    q = nextprime(p)
-    assert _fermat(p * q) in (p, q)
-    assert _check_factorize(-p * q) == {p: 1, q: 1}
-    # the p11 * p12 cofactor of a degree-8..12 d* numerator
-    _check_factorize(4 * 23 * 463 * 34556353459 * 359469240971)
-
-
-def test_factorize_calls_isprime_only_above_the_trial_bound(monkeypatch):
-    seen = []
-    real = adelic.exact.isprime
-
-    def recording(m):
-        seen.append(m)
-        return real(m)
-
-    monkeypatch.setattr(adelic.exact, "isprime", recording)
-    for n in (2 ** 30 - 35, 3 * 32749 * 32719, 2 ** 30 + 3, 32771 * 32779 * 7):
-        _check_factorize(n)
-    assert seen and min(seen) >= 2 ** 30
-
-
-def test_factorize_falls_back_to_ecm(monkeypatch):
-    calls = []
-    real = adelic.exact.ecm
-
-    def recording(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(adelic.exact, "ecm", recording)
-    monkeypatch.setattr(adelic.exact, "_RHO_STEPS", 4)
-    n = nextprime(10 ** 9) * nextprime(3 * 10 ** 10)
-    assert len(str(n)) == 20
-    _check_factorize(n)
-    assert calls
+        want = {int(p): int(e) for p, e in factorint(n).items()}
+        got, rest = _trial_division(n)
+        assert got == {p: e for p, e in want.items() if p < 2 ** 15}
+        assert rest == math.prod(p ** e for p, e in want.items() if p >= 2 ** 15)
+        # below 2^30 the rest is 1 or prime
+        assert rest >= 2 ** 30 or rest == 1 or isprime(rest)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 2 ** 15, 10 ** 6])
@@ -265,25 +234,6 @@ def test_isprime_matches_sympy(a, b, kind):
     n = {"prime": nextprime(a), "semiprime": nextprime(a) * nextprime(b),
          "any": a | 1}[kind]
     assert adelic.exact.isprime(n) == isprime(n)
-
-
-@given(st.integers(0, 2 ** 400), st.sampled_from([2, 3, 5, 7, 11]))
-def test_integer_nthroot_matches_sympy(m, e):
-    r, exact = integer_nthroot(m, e)
-    assert adelic.exact.integer_nthroot(m, e) == (int(r), exact)
-    assert adelic.exact.integer_nthroot(int(r) ** e, e) == (int(r), True)
-
-
-@given(st.integers(10 ** 9, 10 ** 15).map(nextprime),
-       st.integers(10 ** 9, 10 ** 15).map(nextprime), st.integers(0, 99))
-def test_ecm_splits_semiprimes(p, q, seed):
-    n = p * q
-    d = None
-    B1 = 2000
-    while d is None:  # factorint's escalation, from a smaller B1
-        d = adelic.exact.ecm(n, B1, 50, seed)
-        B1 *= 5
-    assert 1 < d < n and n % d == 0
 
 
 def test_resultant_known_values():

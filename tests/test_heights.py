@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -13,8 +14,9 @@ from adelic.divisors import divisor_from_poly
 from adelic.exact import DomainError, IntPoly, LogValue, float_sum, val_p
 from adelic.heights import HeightInterval, global_fekete, height
 from adelic.local import LocalData
-from adelic.places import Place, relevant_places
-from adelic.weights import ArchWeight, FiniteWeight, Weight, ex5_weight, std_weight, trivial_weight
+from adelic.places import Place, product_formula_check, relevant_places
+from adelic.weights import (ArchWeight, FiniteWeight, Weight, ex5_weight, radii, std_weight,
+                            trivial_weight)
 
 from helpers import LOG2, dstar_cofactor, random_divisor, rational_root_divisor
 
@@ -118,20 +120,19 @@ def test_uniform_sup_oracles():
 
 def _aggregates_by_refolding(report):
     # height_interval, fekete_total_ratio, fekete_arch, fekete_max_finite and
-    # uniform_sup recomputed from report.rows and report.cofactor, one walk
-    # each: the cofactor row's pairing -log C joins the finite pairings
+    # uniform_sup recomputed from report.rows alone, one walk each: the row
+    # of the cofactor C is an ordinary row
     d, rows = report.degree, report.rows
     h = LogValue.real(*float_sum(r.mahler_weighted for r in rows)).scaled(Fraction(1, d))
     h = HeightInterval(h.value, h.err, report.tail_bound)
     pairings = [r.fekete for r in rows]
-    cof = [LogValue.exact_log(-1, report.cofactor)] if report.cofactor > 1 else []
-    total = float_sum(pairings + cof)[0] / d ** 2
+    total = float_sum(pairings)[0] / d ** 2
     arch = [r.fekete._as_float()[0] / d ** 2 for r in rows if r.place.is_archimedean]
     finite = 0.0
-    for x in [r.fekete for r in rows if not r.place.is_archimedean] + cof:
+    for x in [r.fekete for r in rows if not r.place.is_archimedean]:
         finite = max(finite, abs(x._as_float()[0]) / d ** 2)
     sup = 4.0 * report.tail_bound
-    for x in pairings + cof:
+    for x in pairings:
         if x.is_exact and x.coeff == 0:
             continue
         v, e = x._as_float()
@@ -184,23 +185,27 @@ def test_uniform_sup_unit_roots_closed_form():
 
 
 def test_report_json_roundtrips():
-    Z = divisor_from_poly([-2, 0, 1], inf_mult=1)
-    rep = global_fekete(Z, std_weight())
-    blob = json.dumps(rep.to_json())
-    back = json.loads(blob)
-    # the output layouts of a report's top level and of its height
-    assert list(back) == [
-        "degree", "inf_mult", "diagonal_mass", "diagonal_ratio", "rows", "tail_bound",
-        "prime_cutoff", "height", "fekete_total_ratio", "fekete_arch", "fekete_max_finite",
-        "uniform_sup", "identity_residual", "identity_slack", "dstar_product_formula"]
-    assert list(back["height"]) == ["value", "err", "tail", "lo", "hi"]
-    assert back["degree"] == 3
-    assert back["inf_mult"] == 1
-    assert back["diagonal_ratio"] == "1/3"
-    assert len(back["rows"]) == len(rep.rows)
-    assert back["height"]["lo"] <= back["height"]["value"] <= back["height"]["hi"]
-    finite_rows = [r for r in back["rows"] if r["place"] != "inf"]
-    assert all("coeff" in r["fekete"] for r in finite_rows)
+    # sqrt 2 and infinity, and an input whose C row is in rows
+    for coeffs, inf_mult, cof in (([-2, 0, 1], 1, 1),
+                                  ([-26, 26, 21, -29, -9, 17, 23], 0, 45247 * 206251)):
+        Z = divisor_from_poly(coeffs, inf_mult=inf_mult)
+        rep = global_fekete(Z, std_weight())
+        assert rep.cofactor == cof
+        back = json.loads(json.dumps(rep.to_json()))
+        # the output layouts of a report's top level and of its height
+        assert list(back) == [
+            "degree", "inf_mult", "diagonal_mass", "diagonal_ratio", "rows", "tail_bound",
+            "prime_cutoff", "height", "fekete_total_ratio", "fekete_arch", "fekete_max_finite",
+            "uniform_sup", "identity_residual", "identity_slack", "dstar_product_formula"]
+        assert list(back["height"]) == ["value", "err", "tail", "lo", "hi"]
+        assert back["degree"] == Z.degree
+        assert back["inf_mult"] == inf_mult
+        assert back["diagonal_ratio"] == str(Z.small_diagonal_ratio)
+        # one JSON row per row, the cofactor's included
+        assert [r["place"] for r in back["rows"]] == [str(r.place) for r in rep.rows]
+        assert back["height"]["lo"] <= back["height"]["value"] <= back["height"]["hi"]
+        finite_rows = [r for r in back["rows"] if r["place"] != "inf"]
+        assert all("coeff" in r["fekete"] for r in finite_rows)
 
 
 @pytest.mark.parametrize("weight", [std_weight, trivial_weight, ex5_weight])
@@ -332,11 +337,13 @@ def test_cofactor_row_against_full_factorization():
         for g in (std_weight(), trivial_weight()):
             rep = global_fekete(Z, g)
             assert rep.cofactor == cof
-            listed = {r.place.prime for r in rep.rows if not r.place.is_archimedean}
+            listed = {r.place.prime for r in rep.rows[:-1] if not r.place.base}
             assert listed == _full_listing(Z) - set(C)
+            # C's row is the one base place, just before the archimedean row
+            assert [r.place.prime for r in rep.rows if r.place.base] == [cof] * (cof > 1)
             rows = rep.to_json()["rows"]
             assert rows[-1]["place"] == "inf"
-            assert len(rows) == len(rep.rows) + (cof > 1)
+            assert len(rows) == len(rep.rows)
             if cof > 1:
                 row = rows[-2]
                 assert row["place"] == str(cof) and list(row) == list(rows[0])
@@ -433,18 +440,131 @@ def _dense64():
     [-5, -23, 8, 18, 29, 3, -11, 26, -7, 3, 25, 17, 13, 28, 14],
 ], ids=["dense64", "deg14"])
 def test_reports_factor_only_the_end_coefficients(monkeypatch, coeffs):
+    # a report and a height trial-divide lc, gcd(num(d*), end_coeffs) and
+    # num(d*), and nothing else: not d*'s denominator, not a coefficient
     import adelic.divisors
 
     seen = []
-    real = adelic.divisors.factorize
+    real = adelic.divisors._trial_division
 
     def recording(n):
         seen.append(n)
         return real(n)
 
-    monkeypatch.setattr(adelic.divisors, "factorize", recording)
+    monkeypatch.setattr(adelic.divisors, "_trial_division", recording)
     Z = divisor_from_poly(coeffs)
     rep = global_fekete(Z, std_weight())
     height(Z, std_weight())
+    num = abs(Z.d_star.numerator)
+    assert seen == [Z.finite_part.lc, math.gcd(num, Z.end_coeffs), num]
     assert rep.cofactor > 1 and rep.dstar_product_formula
-    assert seen and all(Z.finite_part.lc % n == 0 or Z.end_coeffs % n == 0 for n in seen)
+
+
+#: p the first prime above 10^30 and q the first above 3 10^29: N = p q has
+#: 60 digits, and no public call factors it
+_P60, _Q60 = 10 ** 30 + 57, 3 * 10 ** 29 + 7
+_N60 = _P60 * _Q60
+_P, _Q = sympy.nextprime(2 ** 20), sympy.nextprime(2 ** 25)
+
+
+def _base_row_inputs():
+    # (coefficients, {prime: exponent} of every base element but C): lc and
+    # end coefficients carrying b = p^a q^c with p, q > 2^15
+    out = []
+    for a, c in ((1, 1), (2, 1), (1, 3)):
+        b = _P ** a * _Q ** c
+        out.append(([-b, 1, b], [b]))  # lc and the constant term
+        out.append(([b, 3, 0, b ** 2], [b]))  # lc b^2, the constant b
+        out.append(([7 * b, 5, b * 11], [b]))  # with primes below 2^15
+    out.append(([-_N60, 1, _N60], [_N60]))
+    return out
+
+
+def _primes_of(b):
+    # factorint as the oracle; N60's primes are known by construction
+    return {_P60: 1, _Q60: 1} if b == _N60 else sympy.factorint(b)
+
+
+@pytest.mark.parametrize("coeffs, bases", _base_row_inputs())
+def test_base_rows_sum_the_rows_of_their_primes(coeffs, bases):
+    # under std and trivial each base row is the sum of the per-prime rows
+    # of its primes: at each prime p of b, every entry is v_p(b) times the
+    # base row's coefficient of log b, so the two sum to the same value
+    Z = divisor_from_poly(coeffs)
+    for g in (std_weight(), trivial_weight()):
+        rep = global_fekete(Z, g)
+        assert rep.dstar_product_formula and rep.identity_residual <= rep.identity_slack
+        got = [r for r in rep.rows if r.place.base and r.place.prime != rep.cofactor]
+        assert [r.place.prime for r in got] == bases
+        for row in got:
+            for p, e in _primes_of(row.place.prime).items():
+                prow, _ = LocalData(Z, g, Place(p)).row()
+                for name in ("mahler_round", "mahler_weighted", "fekete", "log_dstar"):
+                    x, y = getattr(row, name), getattr(prow, name)
+                    assert y.coeff == e * x.coeff, (p, name)
+    # height reads the same rows
+    assert height(Z, std_weight()) == global_fekete(Z, std_weight()).height_interval
+
+
+@pytest.mark.parametrize("coeffs, bases", _base_row_inputs())
+def test_base_rows_carry_no_weight_under_ex5(coeffs, bases):
+    # under ex5 the weight reads zero at a base place, whose primes all lie
+    # above the prime cutoff, so tail_bound holds their weight terms
+    Z = divisor_from_poly(coeffs)
+    rep = global_fekete(Z, ex5_weight(), 1e-2)
+    assert rep.dstar_product_formula and rep.identity_residual <= rep.identity_slack
+    got = [r for r in rep.rows if r.place.base and r.place.prime != rep.cofactor]
+    assert [r.place.prime for r in got] == bases
+    for row in got:
+        data = LocalData(Z, ex5_weight(), row.place)
+        assert data.weight.coeff == data.diag_weight.coeff == 0
+        r = radii(ex5_weight(), row.place)
+        assert r.log_outer.coeff == r.log_inner.coeff == 0 == ex5_weight().sup_abs(row.place)
+        assert row.mahler_weighted == row.mahler_round
+        assert min(_primes_of(row.place.prime)) > rep.prime_cutoff
+
+
+def test_base_places_lose_the_sieved_primes():
+    # a cutoff above p = 32771 lists p as a sieved prime and takes it out of
+    # b = p^2 q: what is left is the proven prime q, with a row of its own
+    p, q = sympy.nextprime(2 ** 15), _Q
+    b = p ** 2 * q
+    Z = divisor_from_poly([-b, 1, b])
+    assert b in Z.primes
+    rep = global_fekete(Z, ex5_weight(), 5e-5)
+    assert p < rep.prime_cutoff < q
+    places = [r.place for r in rep.rows]
+    assert Place(p) in places and Place(q) in places
+    assert all(v.prime == rep.cofactor for v in places if v.base)
+    assert rep.dstar_product_formula and rep.identity_residual <= rep.identity_slack
+    # an override at q takes q out just the same
+    g = dataclasses.replace(std_weight(), overrides=(FiniteWeight(q, Fraction(1, 4)),))
+    places = relevant_places(divisor_from_poly([-_P * q, 1, _P * q]), g).places
+    assert Place(_P) in places and Place(q) in places and not any(v.base for v in places)
+
+
+def _within(seconds, call):
+    t = time.perf_counter()
+    out = call()
+    assert time.perf_counter() - t < seconds
+    return out
+
+
+def test_semiprime_reports_take_bounded_time():
+    # N z^2 + z - N with a 60-digit semiprime N: no call factors N, so each
+    # answers in well under a second, d* included; under ex5 the default
+    # tail_eps needs primes past PRIME_LIMIT and is refused as fast
+    def Z():
+        return divisor_from_poly([-_N60, 1, _N60])
+
+    for g in (std_weight(), trivial_weight()):
+        _within(1.0, lambda: height(Z(), g))
+        rep = _within(1.0, lambda: global_fekete(Z(), g))
+        assert rep.dstar_product_formula
+        assert Place(_N60, base=True) in [r.place for r in rep.rows]
+    for call in (height, global_fekete):
+        _within(1.0, lambda: call(Z(), ex5_weight(), 1e-3))
+        with pytest.raises(DomainError, match="above the limit"):
+            _within(1.0, lambda: call(Z(), ex5_weight()))
+    assert _within(1.0, lambda: product_formula_check(_N60))
+    assert _within(1.0, lambda: product_formula_check(Fraction(_N60, 2 ** 10 * _P60 ** 3)))

@@ -4,15 +4,16 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from sympy import factorint, nextprime
 
 from adelic.divisors import divisor_from_poly
-from adelic.exact import DomainError
+from adelic.exact import _MR_LIMIT, DomainError, _val
 from adelic.heights import global_fekete, height
 from adelic.places import (
     ARCH,
     Place,
+    _base_places,
     log_abs,
-    log_abs_float,
     product_formula_check,
     relevant_places,
 )
@@ -26,6 +27,15 @@ def test_place_construction_and_order():
     assert sorted([ARCH, Place(5), Place(2)]) == [Place(2), Place(5), ARCH]
     with pytest.raises(DomainError):
         Place(6)
+    # a base place sorts after every prime and before ARCH, and prints as
+    # its integer
+    b = Place(6, base=True)
+    assert str(b) == "6" and not b.is_archimedean and b != Place(2)
+    assert sorted([ARCH, b, Place(7), Place(4, base=True)]) == [
+        Place(7), Place(4, base=True), b, ARCH]
+    for n in (1, 0, 2.0, None):
+        with pytest.raises(DomainError):
+            Place(n, base=True)
 
 
 def test_log_abs_exact_values():
@@ -39,7 +49,8 @@ def test_log_abs_exact_values():
 
 def test_log_abs_float_big_integers():
     n = 10 ** 400 + 7
-    val, err = log_abs_float(Fraction(n))
+    v = log_abs(Fraction(n), ARCH)
+    val, err = v.value, v.err
     assert abs(val - 400 * math.log(10)) < 1e-9
     assert err < 1e-12
 
@@ -57,12 +68,12 @@ def test_log_abs_float_holds_the_log_of_a_ratio_of_huge_integers():
     for _ in range(2000):
         d = rng.randrange(10 ** 299, 10 ** 300)
         q = Fraction(3 * d + rng.randrange(-d // 10, d // 10), 2 * d)
-        val, err = log_abs_float(q)
-        assert abs(val - _log_mp(q)) <= err < 1e-15
+        v = log_abs(q, ARCH)
+        assert abs(v.value - _log_mp(q)) <= v.err < 1e-15
     # beyond the float range the quotient is shifted by 2^k and k log 2 added
     for q in (Fraction(3 ** 1000 + 1, 7 ** 200), Fraction(7 ** 200, 3 ** 1000 + 1)):
-        val, err = log_abs_float(q)
-        assert abs(val - _log_mp(q)) <= err < 1e-12
+        v = log_abs(q, ARCH)
+        assert abs(v.value - _log_mp(q)) <= v.err < 1e-12
 
 
 def test_report_log_dstar_holds_its_value():
@@ -81,9 +92,35 @@ def test_product_formula_rationals():
     assert product_formula_check(Fraction(1))
 
 
+def test_product_formula_base_against_factorint():
+    # the places product_formula_check reads: each prime below 2^15 of
+    # num(q) and den(q) on its own, then what is left of each, a prime when
+    # proven and else a base place.  q is a random rational, which
+    # factorint splits, times powers of primes above 2^15, so the oracle
+    # knows every prime: the places are pairwise coprime and hold each
+    # prime of q once
+    rng = random.Random(31)
+    big = [nextprime(2 ** 15), nextprime(10 ** 9), nextprime(10 ** 25), nextprime(10 ** 40)]
+    for _ in range(60):
+        q = Fraction(rng.randint(-10 ** 6, 10 ** 6) or 1, rng.randint(1, 10 ** 6))
+        want = {**factorint(abs(q.numerator)), **factorint(q.denominator)}
+        for p in big:
+            if k := rng.choice([0, 0, 1, 2, -1, -2]):
+                q *= Fraction(p) ** k
+                want[p] = k
+        places = _base_places(q)
+        assert places == sorted(places) and product_formula_check(q)
+        got = [{p for p in want if v.prime % p == 0} for v in places]
+        assert sum(map(len, got)) == len(want) and set().union(*got) == set(want)
+        for v, ps in zip(places, got):
+            # a prime place is a prime below _MR_LIMIT, which isprime proves
+            assert v.base == (v.prime not in ps or v.prime > _MR_LIMIT)
+            assert v.prime < 2 ** 15 or v.prime == math.prod(p ** abs(_val(q, p)) for p in ps)
+
+
 def test_log_abs_float_of_zero_is_refused():
-    with pytest.raises(DomainError, match="log of zero"):
-        log_abs_float(0)
+    with pytest.raises(DomainError, match="absolute value of zero"):
+        log_abs(0, ARCH)
 
 
 @pytest.mark.parametrize("v", [ARCH, Place(2)], ids=str)

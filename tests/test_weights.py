@@ -281,7 +281,7 @@ def test_import_leaves_scipy_unloaded():
 def test_runtime_leaves_sympy_unloaded(tmp_path):
     # sympy is the tests' oracle only: with it blocked, build the weights,
     # run reports and heights, an equidist run through the CLI, and a
-    # factorization that reaches ECM
+    # report on N z^2 + z - N for a 60-digit semiprime N, a base place
     code = (
         "import sys\n"
         "sys.modules['sympy'] = None\n"
@@ -292,10 +292,9 @@ def test_runtime_leaves_sympy_unloaded(tmp_path):
         "    adelic.global_fekete(Z, g, 1e-3), adelic.height(Z, g, 1e-3)\n"
         "assert adelic.cli.main(['equidist', '--family', 'preimages:-2', '--n-min', '1',\n"
         f"                        '--n-max', '4', '--out', {str(tmp_path / 'e.json')!r}]) == 0\n"
-        "adelic.exact._RHO_STEPS = 4\n"
-        "n = 4 * 23 * 463 * 34556353459 * 359469240971\n"
-        "assert adelic.exact.factorize(n) == {2: 2, 23: 1, 463: 1, 34556353459: 1,\n"
-        "                                     359469240971: 1}\n"
+        "N = (10 ** 30 + 57) * (3 * 10 ** 29 + 7)\n"
+        "rep = adelic.global_fekete(adelic.divisor_from_poly([-N, 1, N]), ws[1])\n"
+        "assert rep.dstar_product_formula and str(N) in [str(r.place) for r in rep.rows]\n"
         "print(sorted(m for m, v in sys.modules.items() if m.startswith('sympy') and v))\n"
     )
     src = os.path.dirname(os.path.dirname(adelic.__file__))
