@@ -16,17 +16,17 @@ One path takes every polynomial, in three steps:
   from them.  numpy.roots is also the fallback if the sweeps do not settle.
   The estimates are lifted through the chain in floats, u -> (p +- sqrt u)/q;
 - the numpy rung, for a polynomial of degree at least 24 whose coefficients
-  and those of f' are exact in binary64 (at most 2^53), at every estimate
-  where the a priori term of the evaluation error leaves its radius below
-  tol (_reach): f and f' at every centre still moving by one compensated
-  Horner pass in float64 arrays, with a stated error bound (_comp_horner,
-  _horner_ratio; Graillat, Langlois & Louvet 2009, Graillat &
-  Menissier-Morain 2012).  A centre whose radius is not below tol, whose
-  values are not finite, or that leaves the range where the error-free
-  transformations are exact (p~(max(1, |z|)) <= 2^900, no nonzero component
-  of z or of a Horner partial below 2^-480) is left to the exact rung.  On
-  dense inputs (lc 50) the two rungs take the same time at degree 16-20, at
-  24 the numpy one is 11% faster, at 192 about ten times;
+  and those of f' are exact in binary64 (at most 2^53): f and f' at every
+  centre still moving by one compensated Horner pass in float64 arrays,
+  with a stated error bound (_comp_horner, _horner_ratio; Graillat, Langlois
+  & Louvet 2009, Graillat & Menissier-Morain 2012).  A centre stops
+  unmoved where the bound's a priori term alone puts its radius at tol or
+  above, where its values are not finite, or where it leaves the range in
+  which the error-free transformations are exact (p~(max(1, |z|)) <=
+  2^900, no nonzero component of z or of a Horner partial below 2^-480).
+  Every centre whose radius is not below tol is left to the exact rung.
+  On dense inputs (lc 50) the two rungs take the same time at degree
+  16-20, at 24 the numpy one is 11% faster, at 192 about ten times;
 - the exact rung, for every centre the numpy rung did not certify: f/f'
   evaluated exactly at each double, a dyadic rational, over the Gaussian
   integers along the whole chain (_ratio, _exact_ratio).
@@ -95,10 +95,12 @@ def _certified_roots(f: IntPoly, tol: float) -> list[tuple[complex, float]]:
         for q, p in reversed(chain):
             r = np.sqrt(pts)
             pts = np.concatenate([(p + r) / q, (p - r) / q])
-        reach, A = _reach(pts, cs, tol)
         pts, rads = _snap(pts), np.full(len(pts), np.inf)
-        if len(reach):
-            _sweep(pts, rads, reach, functools.partial(_horner_ratio, A))
+        # the numpy rung needs the coefficients of f and f' exact in binary64
+        # (past 2^1024 they have no double at all)
+        if (len(cs) - 1 >= _NUMPY_MIN_DEGREE
+                and max(abs(c) * max(j, 1) for j, c in enumerate(cs)) <= 1 << 53):
+            _sweep(pts, rads, np.arange(len(pts)), functools.partial(_horner_ratio, _columns(cs), tol))
         terms = [(j, c) for j, c in enumerate(base) if c or not j][::-1]
         dterms = [(j - 1, j * c) for j, c in enumerate(base) if j and (c or j == 1)][::-1]
         _sweep(pts, rads, np.flatnonzero(~(rads < tol)), functools.partial(_exact_ratio, chain, terms, dterms))
@@ -357,41 +359,27 @@ def _sweep(pts, rads, todo, ratio):
         todo = todo[move]
 
 
-def _horner_ratio(A, z):
+def _horner_ratio(A, tol, z):
     # the numpy rung's f/f' at the doubles z by _comp_horner, with the radius
-    # d (|f^| + e_f) / (|f^'| - e_f'), rounded up, or inf
+    # d (|f^| + e_f) / (|f^'| - e_f'), rounded up, or inf.  That radius is
+    # at least d e_f / |f^'|, and e_f at least the a priori term, which does
+    # not shrink as a centre moves to its root: where d e_f >= tol |f^'| the
+    # step is 0 and the radius inf, so the centre stops unmoved and the exact
+    # rung takes it from there
+    d = len(A) - 1
     (f, fp), (ef, efp) = _comp_horner(A, z)
     with np.errstate(all="ignore"):
-        den = _down(_abs(fp), efp)
-        return f / fp, np.where(den > 0, _up_each((len(A) - 1) * _up_each(_abs(f), ef) / den), np.inf)
+        afp = _abs(fp)
+        den = _down(afp, efp)
+        rad = np.where(den > 0, _up_each(d * _up_each(_abs(f), ef) / den), np.inf)
+        out = d * ef >= tol * afp
+        return np.where(out, 0.0, f / fp), np.where(out, np.inf, rad)
 
 
 def _exact_ratio(chain, terms, dterms, z):
     # the exact rung's f/f' and radius at the doubles z, one _ratio each
     n, rad = zip(*(_ratio(x, chain, terms, dterms) for x in z.tolist()))
     return np.array(n), np.array(rad)
-
-
-def _reach(pts, cs, tol):
-    # the indices of the estimates the numpy rung takes, with the _columns
-    # it evaluates: none unless the degree is at least _NUMPY_MIN_DEGREE and
-    # the coefficients of f and f' are exact in binary64 (past 2^1024 they
-    # have no double at all), else those within reach.  A radius there is at
-    # least d e_f / |f'|, and e_f at least _comp_horner's a priori term
-    # 2 gamma_(6d+6) gamma_(4d+3) p~(max(1, |z|)), which does not shrink as a
-    # centre moves to its root; it is taken in plain floats at the estimates,
-    # an overflow or a NaN reading as out of reach
-    d = len(cs) - 1
-    if d < _NUMPY_MIN_DEGREE or max(abs(c) * max(j, 1) for j, c in enumerate(cs)) > 1 << 53:
-        return np.arange(0), None
-    A = _columns(cs)
-    R = np.maximum(_abs(pts), 1.0)
-    fp, tilde = np.zeros_like(pts), np.zeros(len(pts))
-    with np.errstate(all="ignore"):
-        for a, b in A:
-            fp, tilde = fp * pts + b, tilde * R + abs(a)
-        floor = d * _second_order(d) * tilde / _abs(fp)
-    return np.flatnonzero(floor < tol), A
 
 
 def _columns(cs):
@@ -401,11 +389,6 @@ def _columns(cs):
     A[:, 0] = cs[::-1]
     A[1:, 1] = [j * c for j, c in enumerate(cs)][:0:-1]
     return A
-
-
-def _second_order(d):
-    # the factor of p~(R) in _comp_horner's error bound at degree d
-    return 2.0 * _gamma(6 * d + 6) * _gamma(4 * d + 3)
 
 
 def _abs(z):
@@ -510,7 +493,7 @@ def _comp_horner(A, z):
     for row in np.abs(A):
         tilde = tilde * R + row[:, None]
     with np.errstate(all="ignore"):
-        err = _up_each(_gamma(1) * _abs(vals), _second_order(d) * tilde)
+        err = _up_each(_gamma(1) * _abs(vals), 2.0 * _gamma(6 * d + 6) * _gamma(4 * d + 3) * tilde)
     ok = (low.min(axis=(0, 1)) > -480) & np.isfinite(vals).all(axis=0) & (tilde <= 2.0 ** 900).all(axis=0)
     return vals, np.where(ok, err, np.inf)
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import ClassVar
 
 from .berkovich import INF_POINT, BerkPoint, chordal_arch, hsia_kernel
-from .exact import DomainError, LogValue, _arch_sum_err
+from .exact import DomainError, LogValue, _arch_sum_err, require_prime
 from .places import Place
 
 __all__ = ["ArchWeight", "FiniteWeight", "Weight", "trivial_weight", "std_weight",
@@ -331,7 +331,7 @@ def equilibrium_energy(g: Weight, v: Place) -> float:
 
 def equilibrium_coeff(g: Weight, p: int) -> Fraction:
     """Exact coefficient of log p in the equilibrium energy at p."""
-    comp = g.finite(p)
+    comp = g.finite(require_prime(p))
     point = comp.measure_point
     base = hsia_kernel(p, point, point)
     if base.is_minus_infinity:
@@ -350,7 +350,8 @@ def normalize(g: Weight, v: Place) -> Weight:
     if v.is_archimedean:
         arch = replace(g.arch, shift=g.arch.shift + 0.5 * g.arch.energy)
         return replace(g, name=name, arch=arch)
+    shift = equilibrium_coeff(g, v.prime) / 2
     comp = g.finite(v.prime)
-    comp = replace(comp, shift=comp.shift + equilibrium_coeff(g, v.prime) / 2)
+    comp = replace(comp, shift=comp.shift + shift)
     others = tuple(c for c in g.overrides if c.prime != v.prime)
     return replace(g, name=name, overrides=others + (comp,))

@@ -118,11 +118,6 @@ def test_product_formula_base_against_factorint():
             assert v.prime < 2 ** 15 or v.prime == math.prod(p ** abs(_val(q, p)) for p in ps)
 
 
-def test_log_abs_float_of_zero_is_refused():
-    with pytest.raises(DomainError, match="absolute value of zero"):
-        log_abs(0, ARCH)
-
-
 @pytest.mark.parametrize("v", [ARCH, Place(2)], ids=str)
 def test_log_abs_of_zero_is_refused(v):
     with pytest.raises(DomainError, match="absolute value of zero"):

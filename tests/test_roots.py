@@ -1,7 +1,9 @@
 import cmath
 import hashlib
+import inspect
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -380,15 +382,16 @@ def _preimage(depth):
 
 def _routing(monkeypatch, f, starts=None):
     # certify f past the cache; the numpy rung's sweeps, those whose
-    # evaluator is _horner_ratio, as (estimates, todo), the estimates copied
-    # as _sweep moves them in place, and the exact rung's points, with the
-    # estimates replaced by starts if given
+    # evaluator is _horner_ratio, as (estimates, centres, radii) before and
+    # after, copied as _sweep moves them in place, and the exact rung's
+    # points, with the estimates replaced by starts if given
     sweeps, sweep = [], roots._sweep
 
     def record(pts, rads, todo, ratio):
+        before = pts.copy()
+        sweep(pts, rads, todo, ratio)
         if ratio.func is roots._horner_ratio:
-            sweeps.append((pts.copy(), todo))
-        return sweep(pts, rads, todo, ratio)
+            sweeps.append((before, pts.copy(), rads.copy()))
 
     monkeypatch.setattr(roots, "_sweep", record)
     calls = _count_calls(monkeypatch, "_ratio")
@@ -398,18 +401,26 @@ def _routing(monkeypatch, f, starts=None):
     return disks, sweeps, [z for z, *_ in calls]
 
 
+def _assert_routed(sweeps, points, certified, handed):
+    # the numpy sweep certifies `certified` centres and stops the other
+    # `handed` unmoved, the a priori term putting their radii out of reach;
+    # the exact rung's first evaluation of each is at its estimate exactly
+    (before, after, rads), = sweeps
+    done = rads < 1e-13
+    assert done.sum() == certified and len(done) - done.sum() == handed
+    assert (after[~done] == before[~done]).all()
+    assert points[:handed] == before[~done].tolist()
+
+
 def test_numpy_rung_routes_each_centre(monkeypatch):
     # the depth-6 preimage of z^2 - 2 fits in 2^53 (coefficients near 2^42),
     # but the a priori term of the compensated Horner error puts 42 of its
-    # 64 radii above tol at the lifted estimates: one sweep takes the other
-    # 22, and only the 42 take the exact rung
+    # 64 radii above tol at the lifted estimates: the sweep certifies the
+    # other 22, and only the 42 take the exact rung
     f = _preimage(6)
     assert max(abs(c) * max(j, 1) for j, c in enumerate(f.coeffs)) <= 2 ** 53
     disks, sweeps, points = _routing(monkeypatch, f)
-    (pts, todo), = sweeps
-    assert len(todo) == 22
-    skipped = np.delete(pts, todo)
-    assert len(points) >= 42 and all(np.abs(skipped - z).min() < 1e-9 for z in points)
+    _assert_routed(sweeps, points, 22, 42)
     with mpmath.workdps(60):
         oracle = [2 * mpmath.cospi(mpmath.mpf(2 * k + 1) / 128) for k in range(64)]
     assert_disks_hold_roots(f, disks, oracle)
@@ -418,16 +429,15 @@ def test_numpy_rung_routes_each_centre(monkeypatch):
 def test_numpy_rung_routes_a_close_pair(monkeypatch):
     # z^80 - 2 (2z - 1)^2, no chain, has two roots 6.4e-13 apart about 1/2
     # (Mignotte), where |f'| is so small that the a priori term is out of
-    # reach; from estimates at its roots the sweep takes the other 78, and
-    # only the pair takes the exact rung
+    # reach; from estimates at its roots the sweep certifies the other 78,
+    # and only the pair takes the exact rung
     cs = [-2, 8, -8] + [0] * 77 + [1]
     f = IntPoly.make(cs)
     disks = certified_roots(f)
     oracle = _upper_half_oracle(cs, disks)
     disks, sweeps, points = _routing(monkeypatch, f, [complex(r) for r in oracle])
-    (_, todo), = sweeps
-    assert len(todo) == 78
-    assert len(points) >= 2 and all(abs(z - 0.5) < 1e-12 for z in points)
+    _assert_routed(sweeps, points, 78, 2)
+    assert all(abs(z - 0.5) < 1e-12 for z in points)
     assert_disks_hold_roots(f, disks, oracle)
 
 
@@ -569,6 +579,49 @@ def test_aberth_fallback_is_numpy_roots(monkeypatch):
     disks = roots._certified_roots.__wrapped__(f, 1e-13)
     assert eig == [96]
     assert_disks_hold_roots(f, disks, _upper_half_oracle(cs, disks))
+
+
+def _returns_ran(fn, *args):
+    # fn(*args), and each return statement of fn that ran, with the line
+    # before it, by a line tracer on fn's frames
+    src, first = inspect.getsourcelines(fn)
+    ran = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno - first)
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is fn.__code__ else None)
+    try:
+        out = fn(*args)
+    finally:
+        sys.settrace(None)
+    return out, [(src[k - 1].strip(), src[k].strip()) for k in sorted(ran)
+                 if src[k].strip().startswith("return")]
+
+
+def test_aberth_gives_up_on_a_zero_end_coefficient():
+    out, ran = _returns_ran(roots._aberth, np.array([0.0, 1.0, 1.0]), np.array([1 + 1j, -1 + 0j]))
+    assert out is None and ran == [("if not (a[0] and a[d]):", "return None")]
+
+
+def test_aberth_gives_up_on_a_value_that_is_not_finite():
+    # z^3 + 1 from a start at infinity: the first sweep's values are not
+    # finite, and the sweeps stop there, not for want of steps
+    start = np.array([complex(math.inf, 0.0), 1j, -1j])
+    out, ran = _returns_ran(roots._aberth, np.array([1.0, 0.0, 0.0, 1.0]), start)
+    assert out is None and len(ran) == 1
+    guard, ret = ran[0]
+    assert "isfinite" in guard and ret == "return None"
+
+
+def test_exact_ratio_past_the_double_range_is_inf():
+    # f = z + 3 2^1023 at z = 1: f/f' has no double, and _ratio returns inf
+    # for it and the radius from the OverflowError
+    out, ran = _returns_ran(roots._ratio, 1.0 + 0j, [], [(1, 1), (0, 3 << 1023)], [(0, 1)])
+    assert out == (complex(math.inf), math.inf)
+    assert ran[-1] == ("except OverflowError:", "return complex(math.inf), math.inf")
 
 
 def test_abs_is_libm_hypot():

@@ -185,6 +185,17 @@ def test_normalize_at_a_finite_place():
         assert equilibrium_energy(gn, Place(p)) == equilibrium_energy(g, Place(p)) == 0.0
 
 
+def test_equilibrium_at_a_base_place_is_refused_before_building_a_component():
+    # 10403 = 101 * 103 as a base place under ex5: both calls refuse it as
+    # not a prime before _ramp caches a component for it
+    v = Place(10403, base=True)
+    size = adelic.weights._ramp.cache_info().currsize
+    for call in (equilibrium_energy, normalize):
+        with pytest.raises(DomainError, match="not a prime"):
+            call(ex5_weight(), v)
+    assert adelic.weights._ramp.cache_info().currsize == size
+
+
 def test_potential_kernel_arch():
     g = trivial_weight()
     v = potential_kernel(g, ARCH, 1.0, -1.0)
