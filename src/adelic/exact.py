@@ -1,8 +1,9 @@
 """Exact integer and rational building blocks.
 
 This module is the arithmetic bedrock of the package: p-adic valuations,
-primality (a numpy sieve, Miller-Rabin to as many of the first 13 prime
-bases as n's size needs, then BPSW), trial division below 2^15 and a
+primality proven below 3.3e24 (a numpy sieve, then Miller-Rabin to as
+many of the first 13 prime bases as n's size needs; nothing is called
+prime at or above that bound), trial division below 2^15 and a
 coprime base by gcds in place of factorization, so no call's effort grows
 without bound with integer size, primitive integer polynomials,
 squarefree decomposition (Yun's algorithm over a heuristic gcd), one
@@ -135,9 +136,14 @@ def _arch_sum_err(size: float, lip: float = 0.0, n: int = 1) -> float:
 
 
 def require_prime(p: int) -> int:
-    if not isinstance(p, int) or p < 2 or not isprime(p):
-        raise DomainError(f"not a prime: {p!r}")
-    return p
+    """p, if isprime proves it prime; else DomainError, naming _MR_LIMIT
+    for a p at or above it."""
+    if isinstance(p, int) and isprime(p):
+        return p
+    if isinstance(p, int) and p >= _MR_LIMIT:
+        raise DomainError(f"not a proven prime: {p} is not below {_MR_LIMIT},"
+                          " the bound below which primality is proven")
+    raise DomainError(f"not a prime: {p!r}")
 
 
 def val_p(q: Rational, p: int) -> int:
@@ -188,7 +194,8 @@ def _primes_below(n: int) -> list[int]:
 #: The first 13 primes: trial divisors and Miller-Rabin bases of isprime.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 #: Below this, the 13 bases above prove primality (Sorenson & Webster,
-#: Math. Comp. 86 (2017)); at and above it isprime runs BPSW.
+#: Math. Comp. 86 (2017)); at and above it isprime proves nothing, so no
+#: Place, valuation or Berkovich point is built at a prime there.
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 #: (bound, k): below bound the first k bases prove primality, as each bound
 #: is the least strong pseudoprime to all of the first k bases (Jaeschke,
@@ -200,23 +207,19 @@ _MR_GRADES = ((1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4),
 
 
 def isprime(n: int) -> bool:
-    """Whether n is prime: read from the sieve where it reaches, else trial
-    division by _MR_BASES, then strong probable-prime tests below
-    _MR_LIMIT (deterministic there) to as many of _MR_BASES as n's grade
-    in _MR_GRADES needs, and BPSW above it (Baillie & Wagstaff, Math.
-    Comp. 35 (1980)): a base-2 strong test and a strong Lucas test with
-    Selfridge's parameters."""
-    if n < 2:
+    """Whether n is a proven prime: read from the sieve where it reaches,
+    else trial division by _MR_BASES, then strong probable-prime tests to
+    as many of _MR_BASES as n's grade in _MR_GRADES needs, a proof below
+    _MR_LIMIT.  At and above _MR_LIMIT nothing is proven: False."""
+    if n < 2 or n >= _MR_LIMIT:
         return False
     if n < len(_sieve):
         return bool(_sieve[n])
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n < _MR_LIMIT:
-        k = next(k for bound, k in _MR_GRADES if n < bound)
-        return all(_strong_prp(n, a) for a in _MR_BASES[:k])
-    return _strong_prp(n, 2) and _strong_lucas_prp(n)
+    k = next(k for bound, k in _MR_GRADES if n < bound)
+    return all(_strong_prp(n, a) for a in _MR_BASES[:k])
 
 
 def _strong_prp(n: int, a: int) -> bool:
@@ -231,56 +234,6 @@ def _strong_prp(n: int, a: int) -> bool:
     for _ in range(s - 1):
         x = x * x % n
         if x == n - 1:
-            return True
-    return False
-
-
-def _jacobi(a: int, n: int) -> int:
-    # the Jacobi symbol (a/n) for odd n > 0
-    a %= n
-    t = 1
-    while a:
-        while not a & 1:
-            a >>= 1
-            if n & 7 in (3, 5):
-                t = -t
-        a, n = n, a
-        if a & 3 == 3 and n & 3 == 3:
-            t = -t
-        a %= n
-    return t if n == 1 else 0
-
-
-def _strong_lucas_prp(n: int) -> bool:
-    # n odd, no prime below 43, is a strong Lucas probable prime for
-    # Selfridge's D: the first of 5, -7, 9, -11, ... with (D/n) = -1,
-    # P = 1, Q = (1 - D)/4
-    if math.isqrt(n) ** 2 == n:
-        return False  # no such D exists for a square
-    D = 5
-    while (j := _jacobi(D, n)) != -1:
-        if j == 0:
-            return False  # |D| < n shares a factor with n
-        D = -D - 2 if D > 0 else -D + 2
-    Q = (1 - D) // 4
-    d, s = n + 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    # U_k, V_k and Q^k mod n, k running over the leading bits of d
-    U, V, Qk = 1, 1, Q % n
-    for bit in bin(d)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
-        if bit == "1":
-            U, V = U + V, D * U + V  # twice U_{k+1} and V_{k+1}
-            U = (U + n if U & 1 else U) >> 1
-            V = (V + n if V & 1 else V) >> 1
-            U, V, Qk = U % n, V % n, Qk * Q % n
-    if U == 0 or V == 0:
-        return True
-    for _ in range(s - 1):
-        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
-        if V == 0:
             return True
     return False
 

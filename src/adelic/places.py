@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .exact import (
-    _MR_LIMIT, _SMALL, DomainError, LogValue, Rational, _index, _primes_below, _trial_division,
-    _val, isprime, require_prime)
+    DomainError, LogValue, Rational, _index, _primes_below, _trial_division, _val, isprime,
+    require_prime)
 
 if TYPE_CHECKING:
     from .divisors import EffectiveDivisor
@@ -74,12 +74,6 @@ class Place:
 ARCH = Place(None)
 
 
-def _proven(n: int) -> bool:
-    # whether n, with no prime below 2^15 unless it is one, is a proven
-    # prime: isprime is a proof below _MR_LIMIT
-    return n < _SMALL or (n < _MR_LIMIT and isprime(n))
-
-
 def log_abs(q: Rational, v: Place) -> LogValue:
     """log of the v-adic absolute value of a nonzero rational."""
     q = Fraction(q)
@@ -111,7 +105,7 @@ def _base_places(q: Fraction) -> list[Place]:
         small, rest = _trial_division(n)
         out += map(Place._of_prime, small)
         if rest > 1:
-            out.append(Place._of_prime(rest) if _proven(rest) else Place(rest, base=True))
+            out.append(Place._of_prime(rest) if isprime(rest) else Place(rest, base=True))
     return sorted(out)
 
 
@@ -180,12 +174,12 @@ def relevant_places(
         tail = g.tail_sum_bound(cutoff)
     primes, bases = set(ps), set()
     for n in Z.primes:
-        if not _proven(n):
+        if not isprime(n):
             for p in ps:
                 while n % p == 0:
                     n //= p
         if n > 1:
-            (primes if _proven(n) else bases).add(n)
+            (primes if isprime(n) else bases).add(n)
     # every prime here is sieved, trial-divided or proven above: no second isprime
     places = (*map(Place._of_prime, sorted(primes)),
               *(Place(b, base=True) for b in sorted(bases)), ARCH)

@@ -333,10 +333,7 @@ def equilibrium_coeff(g: Weight, p: int) -> Fraction:
     """Exact coefficient of log p in the equilibrium energy at p."""
     comp = g.finite(require_prime(p))
     point = comp.measure_point
-    base = hsia_kernel(p, point, point)
-    if base.is_minus_infinity:
-        raise DomainError("equilibrium measure at p=%d sits at a rigid point" % p)
-    return base.coeff - 2 * comp.value_coeff(point)
+    return hsia_kernel(p, point, point).coeff - 2 * comp.value_coeff(point)
 
 
 def normalize(g: Weight, v: Place) -> Weight:

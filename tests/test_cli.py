@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from adelic.cli import _SUITES, main
+from adelic.exact import _MR_LIMIT
 
 
 def run_cli(capsys, *argv):
@@ -73,14 +74,20 @@ def test_fekete_all_places(capsys):
 
 
 def test_fekete_ex5_at_a_large_prime(capsys):
-    # 2^521 - 1 is prime; p^2 overflows a float there
-    p = 2 ** 521 - 1
+    # the largest prime below the bound where primality is proven: its
+    # branch count takes the mpmath route
+    p = 3317044064679887385961813
     code, out, _ = run_cli(capsys, "fekete", "--poly=-2,0,1",
                            "--weight", "ex5", "--place", str(p))
     assert code == 0
     data = json.loads(out)
     assert data["fekete"]["log_base"] == p
     assert data["exact"] is True
+    # 2^521 - 1 is prime, but above the bound: refused as unproven
+    code, out, err = run_cli(capsys, "fekete", "--poly=-2,0,1",
+                             "--weight", "ex5", "--place", str(2 ** 521 - 1))
+    assert code == 2 and out == ""
+    assert str(_MR_LIMIT) in err
 
 
 def test_equidist_preimages_start_at_n_min(capsys, tmp_path):

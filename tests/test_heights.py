@@ -481,7 +481,8 @@ def _base_row_inputs():
 
 
 def _primes_of(b):
-    # factorint as the oracle; N60's primes are known by construction
+    # factorint as the oracle; N60's primes are known by construction, and
+    # lie above the bound below which Place(p) proves p prime
     return {_P60: 1, _Q60: 1} if b == _N60 else sympy.factorint(b)
 
 
@@ -498,7 +499,7 @@ def test_base_rows_sum_the_rows_of_their_primes(coeffs, bases):
         assert [r.place.prime for r in got] == bases
         for row in got:
             for p, e in _primes_of(row.place.prime).items():
-                prow, _ = LocalData(Z, g, Place(p)).row()
+                prow, _ = LocalData(Z, g, Place._of_prime(p)).row()
                 for name in ("mahler_round", "mahler_weighted", "fekete", "log_dstar"):
                     x, y = getattr(row, name), getattr(prow, name)
                     assert y.coeff == e * x.coeff, (p, name)

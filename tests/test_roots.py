@@ -583,7 +583,8 @@ def test_aberth_fallback_is_numpy_roots(monkeypatch):
 
 def _returns_ran(fn, *args):
     # fn(*args), and each return statement of fn that ran, with the line
-    # before it, by a line tracer on fn's frames
+    # before it, by a line tracer on fn's frames; a tracer already running
+    # (a coverage run's) is put back after
     src, first = inspect.getsourcelines(fn)
     ran = set()
 
@@ -592,11 +593,12 @@ def _returns_ran(fn, *args):
             ran.add(frame.f_lineno - first)
         return local
 
+    outer = sys.gettrace()
     sys.settrace(lambda frame, event, arg: local if frame.f_code is fn.__code__ else None)
     try:
         out = fn(*args)
     finally:
-        sys.settrace(None)
+        sys.settrace(outer)
     return out, [(src[k - 1].strip(), src[k].strip()) for k in sorted(ran)
                  if src[k].strip().startswith("return")]
 

@@ -15,6 +15,7 @@ from adelic.exact import DomainError
 from adelic.places import ARCH, Place
 from adelic.weights import (
     ArchWeight,
+    FiniteWeight,
     _default_branch_count,
     equilibrium_energy,
     ex5_weight,
@@ -148,6 +149,20 @@ def test_weight_eval_and_radii():
             assert ra.log_outer.value == -g.arch.inf and ra.log_inner.value == -g.arch.sup
             low = arch_weight_mp(g.arch, 1.0)  # the least value, on the unit circle
             assert abs(ra.log_outer.value + low) <= ra.log_outer.err < 1e-14
+
+
+def test_weight_closed_forms():
+    # a ramp reads half + shift at infinity
+    comp = FiniteWeight(5, Fraction(1, 3), Fraction(1, 7))
+    assert comp.value_coeff(BerkPoint.type_i(5, INF_POINT)) == Fraction(10, 21)
+    # std has no finite component, so no prime needs listing
+    assert std_weight().prime_cutoff(1e-3) == 1
+    # the kernel is -inf on equal type-I points at a finite place
+    x = BerkPoint.type_i(5, Fraction(1, 5))
+    assert potential_kernel(ex5_weight(), Place(5), x, x).is_minus_infinity
+    # the ex5 ramp is symmetric, so its outer and inner radii are reciprocal
+    r = radii(ex5_weight(), Place(5))
+    assert r.outer > 1 > r.inner and abs(r.outer * r.inner - 1) <= 4 * math.ulp(1.0)
 
 
 def test_unknown_arch_measure_is_refused():
