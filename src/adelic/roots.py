@@ -15,18 +15,22 @@ One path takes every polynomial, in three steps:
   75), and those are polished by the same sweeps when a chain is lifted
   from them.  numpy.roots is also the fallback if the sweeps do not settle.
   The estimates are lifted through the chain in floats, u -> (p +- sqrt u)/q;
-- the numpy rung, for a polynomial of degree at least 24 whose coefficients
-  and those of f' are exact in binary64 (at most 2^53): f and f' at every
-  centre still moving by one compensated Horner pass in float64 arrays,
-  with a stated error bound (_comp_horner, _horner_ratio; Graillat, Langlois
-  & Louvet 2009, Graillat & Menissier-Morain 2012).  A centre stops
-  unmoved where the bound's a priori term alone puts its radius at tol or
-  above, where its values are not finite, or where it leaves the range in
-  which the error-free transformations are exact (p~(max(1, |z|)) <=
-  2^900, no nonzero component of z or of a Horner partial below 2^-480).
-  Every centre whose radius is not below tol is left to the exact rung.
-  On dense inputs (lc 50) the two rungs take the same time at degree
-  16-20, at 24 the numpy one is 11% faster, at 192 about ten times;
+- the numpy rung, for a polynomial of degree at least 24 whose chain
+  constants and the coefficients of its base b and of b' are exact in
+  binary64 (at most 2^53): f/f' at every centre still moving by structure,
+  f/f' = b(u_L) / (b'(u_L) prod 2 q_l w_l), the levels w_l = q_l u_l - p_l,
+  u_(l+1) = w_l^2 in double words with a running error bound (_levels),
+  then b and b' at u_L by one compensated Horner pass in float64 arrays
+  that crosses each run of zero coefficients with one compensated power,
+  with a stated error bound over the disk about u^_L that holds u_L
+  (_comp_horner, _horner_ratio; Graillat, Langlois & Louvet 2009, Graillat
+  & Menissier-Morain 2012, Graillat 2009).  A centre stops unmoved where
+  the bound's terms that do not shrink at a root alone put its radius at
+  tol or above, where its values are not finite, or where it leaves the
+  range in which the error-free transformations are exact.  Every centre
+  whose radius is not below tol is left to the exact rung.  On dense
+  inputs (lc 50) the two rungs take the same time at degree 16-20, at 24
+  the numpy one is 11% faster, at 192 about ten times;
 - the exact rung, for every centre the numpy rung did not certify: f/f'
   evaluated exactly at each double, a dyadic rational, over the Gaussian
   integers along the whole chain (_ratio, _exact_ratio).
@@ -96,11 +100,13 @@ def _certified_roots(f: IntPoly, tol: float) -> list[tuple[complex, float]]:
             r = np.sqrt(pts)
             pts = np.concatenate([(p + r) / q, (p - r) / q])
         pts, rads = _snap(pts), np.full(len(pts), np.inf)
-        # the numpy rung needs the coefficients of f and f' exact in binary64
-        # (past 2^1024 they have no double at all)
+        # the numpy rung needs the chain constants and the coefficients of b
+        # and b' exact in binary64 (past 2^1024 they have no double at all)
         if (len(cs) - 1 >= _NUMPY_MIN_DEGREE
-                and max(abs(c) * max(j, 1) for j, c in enumerate(cs)) <= 1 << 53):
-            _sweep(pts, rads, np.arange(len(pts)), functools.partial(_horner_ratio, _columns(cs), tol))
+                and max([abs(c) * max(j, 1) for j, c in enumerate(base)]
+                        + [abs(x) for level in chain for x in level]) <= 1 << 53):
+            _sweep(pts, rads, np.arange(len(pts)),
+                   functools.partial(_horner_ratio, chain, _columns(base), tol))
         terms = [(j, c) for j, c in enumerate(base) if c or not j][::-1]
         dterms = [(j - 1, j * c) for j, c in enumerate(base) if j and (c or j == 1)][::-1]
         _sweep(pts, rads, np.flatnonzero(~(rads < tol)), functools.partial(_exact_ratio, chain, terms, dterms))
@@ -359,21 +365,92 @@ def _sweep(pts, rads, todo, ratio):
         todo = todo[move]
 
 
-def _horner_ratio(A, tol, z):
-    # the numpy rung's f/f' at the doubles z by _comp_horner, with the radius
-    # d (|f^| + e_f) / (|f^'| - e_f'), rounded up, or inf.  That radius is
-    # at least d e_f / |f^'|, and e_f at least the a priori term, which does
+def _horner_ratio(chain, A, tol, z):
+    # the numpy rung's f/f' at the doubles z: the levels of the chain by
+    # _levels, then the base b and b' at u_L by _comp_horner, its columns A,
+    # over the disk about u^_L that holds u_L, and f/f' = b(u_L) / (b'(u_L)
+    # prod 2 q_l w_l); the step takes b^ + b^' lo for b(u^ + lo), so that it
+    # keeps the lo of u_L.  The radius is d (|f^| + e_f) / (|f^'| - e_f'),
+    # rounded up, or inf: its denominator is the product of lower bounds
+    # |b^'| - e_b' and 2 q_l (|w^_l| - e_w_l), each product rounded down.
+    # That radius is at least d e_f / |f^'|, and e_f at least terms that do
     # not shrink as a centre moves to its root: where d e_f >= tol |f^'| the
-    # step is 0 and the radius inf, so the centre stops unmoved and the exact
-    # rung takes it from there
-    d = len(A) - 1
-    (f, fp), (ef, efp) = _comp_horner(A, z)
+    # step is 0 and the radius inf, so the centre stops unmoved and the
+    # exact rung takes it from there
+    d = (len(A) - 1) << len(chain)
     with np.errstate(all="ignore"):
+        u, lo, du, ws = _levels(chain, z)
+        (f, bp), (ef, efp) = _comp_horner(A, u, du)
+        fp, den = bp, _down(_abs(bp), efp)
+        for (q, _), (w, low) in zip(chain, ws):
+            fp = fp * (2 * q * w)
+            den = np.nextafter(den * np.maximum(low, 0.0), -np.inf)
+            den = np.nextafter(den * (2 * q), -np.inf)
         afp = _abs(fp)
-        den = _down(afp, efp)
         rad = np.where(den > 0, _up_each(d * _up_each(_abs(f), ef) / den), np.inf)
         out = d * ef >= tol * afp
-        return np.where(out, 0.0, f / fp), np.where(out, np.inf, rad)
+        return np.where(out, 0.0, (f + bp * lo) / fp), np.where(out, np.inf, rad)
+
+
+def _levels(chain, z):
+    """The chain's levels at the doubles z, in double words.
+
+    From u_0 = z, each level (q, p) makes w = q u - p and then u <- w^2
+    (_level), its values held as pairs hi + lo of (2, m) arrays of real and
+    imaginary parts, renormalized by TwoSum so that |lo| <= u |hi| in each
+    component, beside a running bound D >= |u - hi - lo| (Higham, Accuracy
+    and Stability, 2nd ed., sec. 3.3).  Returns u^_L = hi and lo, complex,
+    the bound D + |lo| of |u_L - u^_L| (0 with no level, u_L = z), and each
+    level's w^ = hi with a lower bound of |w|.  The TwoProducts are exact
+    while every hi component is at most 2^900 and, unless 0, at least
+    2^-480; past that range the bound is inf.
+    """
+    U = np.array([z.real, z.imag]), np.zeros((2, len(z)))
+    D, ok, ws = np.zeros(len(z)), np.ones(len(z), dtype=bool), []
+    for q, p in chain:
+        W, ew, U, D = _level(q, p, U, D)
+        ws.append((W[0][0] + 1j * W[0][1], _down(np.hypot(*W[0]), ew)))
+        ok &= _in_range(W[0]) & _in_range(U[0])
+    (uh, ul) = U
+    du = np.where(ok, _up_each(D, np.hypot(*ul)), np.inf) if chain else 0.0
+    return uh[0] + 1j * uh[1], ul[0] + 1j * ul[1], du, ws
+
+
+def _level(q, p, U, D):
+    """One level of _levels: from u = (hi, lo) with |u - hi - lo| <= D, w =
+    q u - p and w^2 as double words, with e_w >= |w - hi - lo| and the new
+    D.  With u = 2^-53:
+
+    - w: q hi is split exactly by a TwoProduct and p subtracted by a
+      TwoSum; the three terms left, the product's error and q lo, each at
+      most u q |hi| a component, and the TwoSum's, at most u |w^| or so, are
+      added with three roundings, so they leave at most 16 u^2 (q |u^| +
+      |w^|), and e_w = q D + that; w = u exactly when q = 1 and p = 0;
+    - w^2: by _dw_mul, at most 42 u^2 |w^|^2 from (hi + lo)^2, and |w^2 -
+      (hi + lo)^2| <= e_w (2 |hi + lo| + e_w), so D = 2 |w^| e_w + e_w^2 +
+      64 u^2 |w^|^2, the constants covering the rounding of D itself.
+    """
+    if q == 1 and p == 0:
+        W, ew = U, D
+    else:
+        uh, ul = U
+        P, E = _two_prod(float(q), uh)
+        S = P.copy()
+        S[0] -= p
+        lo = E + q * ul
+        lo[0] += _two_sum_err(P[0], -p, S[0])
+        wh = S + lo
+        W = wh, _two_sum_err(S, lo, wh)
+        ew = _up_each(q * D, 16 * _gamma(1) ** 2 * (q * np.hypot(*uh) + np.hypot(*wh)))
+    aw = _up_each(np.hypot(*W[0]))
+    return W, ew, _dw_mul(W, W), _up_each(ew * (2 * aw + ew), 64 * _gamma(1) ** 2 * aw * aw)
+
+
+def _in_range(x):
+    # every component of x, (2, m), finite, at most 2^900 and, unless 0,
+    # at least 2^-480
+    a = np.abs(x)
+    return ((a <= 2.0 ** 900) & ((a >= 2.0 ** -480) | (a == 0))).all(axis=0)
 
 
 def _exact_ratio(chain, terms, dterms, z):
@@ -418,56 +495,134 @@ def _two_sum_err(a, b, s):
     return (a - (s - bb)) + (b - bb)
 
 
-def _comp_horner(A, z):
-    """Compensated Horner values of the columns of A at the doubles z.
+def _two_prod(a, b):
+    # a b = p + e exactly (Dekker 1971), while nothing overflows or underflows
+    p = a * b
+    ah, al = _veltkamp(a)
+    bh, bl = _veltkamp(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
-    A is (d + 1) x k float, row j holding the coefficients of z^(d - j) of k
-    polynomials, each an integer of at most 53 bits.  Returns the k x m
-    complex values p^ and k x m upper bounds e of |p(z) - p^|, inf where a
-    value is not finite or leaves the range below.
 
-    The pass is Horner's, s_d = a_d, s_i = fl(s_(i+1) z + a_i), in float64
-    pairs with each rounding error caught exactly: z s_(i+1) by four
+def _dw_mul(x, y):
+    """The product of double words x = (xh, xl) and y = (yh, yl), complex.
+
+    Each part is a (2, m) array of real and imaginary parts, with |xl| <= u
+    |xh| and |yl| <= u |yh| in each component.  Returns (hi, lo), so
+    renormalized, with |(xh + xl)(yh + yl) - hi - lo| <= 42 u^2 |xh| |yh|
+    while the TwoProducts are exact: xh yh is four TwoProducts and two
+    TwoSums; the seven terms left of each component, their errors and the
+    cross products xh yl, xl yh, sum to at most 4u |xh| |yh| and are added
+    with at most seven roundings each, sqrt2 gamma_7 4u < 40 u^2, and xl yl
+    is dropped (Joldes, Muller & Popescu, ACM TOMS 44 (2017), for the
+    double-word products).
+    """
+    (xh, xl), (yh, yl) = x, y
+    X = np.concatenate([xh, xh])
+    Y = np.array([yh[0], -yh[1], yh[1], yh[0]])
+    P, E = _two_prod(X, Y)
+    S = P[::2] + P[1::2]
+    C = X * np.array([yl[0], -yl[1], yl[1], yl[0]]) + np.concatenate([xl, xl]) * Y
+    lo = _two_sum_err(P[::2], P[1::2], S) + E[::2] + E[1::2] + (C[::2] + C[1::2])
+    hi = S + lo
+    return hi, _two_sum_err(S, lo, hi)
+
+
+def _dw_powers(z, ks):
+    # z^k for each k of ks as double words, by squarings shared across the
+    # ks and products of them: |z^k - hi - lo| <= 42 (k - 1) u^2 |z|^k, as
+    # the relative bounds of the factors add, and _dw_mul adds 42 u^2 to
+    # them, up to terms of order u^3; and where every factor was _in_range
+    sq, out = [(np.array([z.real, z.imag]), np.zeros((2, len(z))))], {}
+    ok = _in_range(sq[0][0])
+    for k in ks:
+        while 1 << len(sq) <= k:
+            sq.append(_dw_mul(sq[-1], sq[-1]))
+            ok &= _in_range(sq[-1][0])
+        acc, *bits = [s for i, s in enumerate(sq) if k >> i & 1]
+        for s in bits:
+            acc = _dw_mul(acc, s)
+            ok &= _in_range(acc[0])
+        out[k] = acc
+    return out, ok
+
+
+def _comp_horner(A, z, dz):
+    """Compensated Horner values of b and b' over disks about the doubles z.
+
+    A is _columns(b): (d + 1) x 2 float, row j holding the coefficients of
+    z^(d - j) of b and b', each an integer of at most 53 bits.  Returns,
+    one column per double of z, the complex values p^ at z and upper bounds
+    e of |p(v) - p^| for every v within dz of z, inf where a value is not
+    finite or leaves the range below.
+
+    The pass is Horner's over the rows with a nonzero coefficient (and the
+    last), s_t = fl(s_(t-1) y + a), y = z^k for a step of k rows, in
+    float64 pairs with each rounding error caught exactly: s y by four
     TwoProducts (Dekker's split, there being no FMA) and two TwoSums, the
-    sum with a_i by a TwoSum (Graillat, Langlois & Louvet, Japan J. Indust.
+    sum with a by a TwoSum (Graillat, Langlois & Louvet, Japan J. Indust.
     Appl. Math. 26 (2009); Graillat & Menissier-Morain, Inform. and Comput.
-    216 (2012), for complex z).  Then s_(i+1) z + a_i = s_i + w_i exactly,
-    so p(z) = s_0 + c, c = sum w_i z^i, and p^ = fl(s_0 + c^) with c^ the
-    plain complex Horner value of the rounded w^_i.  With u = 2^-53:
+    216 (2012), for complex z).  A step across a run of zeros, k > 1, takes
+    y^ = hi of the compensated power z^k (_dw_powers; Graillat, IEEE Trans.
+    Comput. 58 (2009)) and adds s lo to the error it catches.  Then s y + a
+    = s_t + w_t + r_t, r_t = s (z^k - hi - lo) alone not caught, so p(z) =
+    s_n + c + sum r_t z^(e_t), c = sum w_t z^(e_t), e_t the exponent at
+    step t, and p^ = fl(s_n + c^) with c^ the plain complex Horner value of
+    the rounded w^_t.  With u = 2^-53, n steps of which J are runs:
 
-    - |w_i| <= |Re w_i| + |Im w_i| <= (2u + u^2) (|x_r| + |x_i|)(|z_r| +
-      |z_i|) + u |h_r + a_i| <= 6u (|s_(i+1)| |z| + |a_i|), writing x =
-      s_(i+1) and h = fl(x z), |h| <= (1 + sqrt2 gamma_2) |x| |z| (Higham,
-      Accuracy and Stability, 2nd ed., Lemma 3.5);
-    - |s_i| <= (1 + u)^(4 (d - i)) p~_i(|z|), p~_i(r) = sum_(j >= i)
-      |a_j| r^(j - i), so sum |w_i| |z|^i <= 6u (d + 1)(1 + gamma_4d) p~(|z|);
-    - rounding w^_i adds gamma_3 of the same sums, and Horner on them
-      gamma_4d (a complex product sqrt2 gamma_2, a sum u, per step), so
-      |c - c^| <= gamma_(4d+3) 6u (d + 1)(1 + gamma_4d) p~(|z|);
-    - fl(s_0 + c^) rounds each component once: u |p^|.
+    - |w_t| <= |Re w_t| + |Im w_t| <= (2u + u^2) (|x_r| + |x_i|)(|y_r| +
+      |y_i|) + u |h_r + a| (+ u |x| |y| for s lo on a run) <= 6u (|x| |y| +
+      |a|), or 7u on a run, writing x = s_(t-1) and h = fl(x y), |h| <= (1 +
+      sqrt2 gamma_2) |x| |y| (Higham, Accuracy and Stability, 2nd ed.,
+      Lemma 3.5), and |y| <= (1 + gamma_2) |z|^k;
+    - |s_t| <= (1 + u)^(4 (d - e_t)) p~_t(|z|), p~_t(r) = sum_(j >= e_t)
+      |a_j| r^(j - e_t), as a run of k >= 2 rounds at most 6 <= 4k times, so
+      sum |w_t| |z|^(e_t) <= (6n + 6 + J) u (1 + gamma_4d) p~(|z|);
+    - rounding w^_t adds gamma_3 of the same sums (gamma_4 on a run), and
+      Horner on them gamma_4 a step (a complex product sqrt2 gamma_2, a sum
+      u; the relative error of y^ adds gamma_2 on a run), so |c - c^| <=
+      gamma_(4n+2J+3) (6n + 6 + J) u (1 + gamma_4d) p~(|z|);
+    - sum |r_t| |z|^(e_t) <= 42 u^2 sum (k_t - 1) (1 + gamma_4d) p~(|z|),
+      and sum (k_t - 1) = d - n;
+    - fl(s_n + c^) rounds each component once: u |p^|;
+    - for v within dz of z, |p(v) - p(z)| <= dz max |p'| over the disk,
+      at most dz b~'(R) for b and dz (d - 1) b~'(R) for b', R >= max(1, |z|
+      + dz), b~' being the second column's p~.
 
-    So e = u |p^| + 2 gamma_(6d+6) gamma_(4d+3) p~(R): the factor 2 covers
-    (1 + gamma_4d) and the gamma_2d by which p~ is evaluated low in floats
-    at R >= max(1, |z|), and as p~(R) >= R^(d-1), the most by which an error
-    of c^ is multiplied, also the at most 2^-1075 per operation that an
-    underflow adds.  The TwoProducts are exact while
+    So e = u |p^| + (2 gamma_(6n+6+J) gamma_(4n+2J+3) + 128 (d - n) u^2)
+    p~(R) + 2 dz b~'(R), or 2 dz (d - 1) b~'(R): the factors 2 cover (1 +
+    gamma_4d) and the gamma_2d by which p~ is evaluated low in floats at R
+    (a step of k rows a product by libm's R^k, within 1 ulp, and n + J <=
+    d), and as p~(R) >= R^(d-1), the most by which an error of c^ is
+    multiplied, also the at most 2^-1075 per operation that an underflow
+    adds.  On a dense b, n = d and J = 0.  The TwoProducts are exact while
     every product is finite and no nonzero factor is below 2^-480 (a
     product's error then is a multiple of 2^-1074): the range guard asks
-    p~(R) <= 2^900, which bounds every |s_i|, and every nonzero component of
-    z and of each s_i at least 2^-480.
+    p~(R) <= 2^900, which bounds every |s_t| and |z|^k, and every nonzero
+    component of z, of each z^k and of each s_t at least 2^-480.
     """
     d, k = len(A) - 1, A.shape[1]
     m = len(z)
-    Y = np.array([[z.real, z.real], [-z.imag, z.imag]])[:, :, None, :]
-    YH, YL = _veltkamp(Y)
+    rows = (np.flatnonzero(A[1:d].any(axis=1)) + 1).tolist() + [d]
+    runs = [j - i for i, j in zip([0] + rows, rows)]
+    pw, fits = _dw_powers(z, sorted(set(runs) - {1}))
+    pw[1] = np.array([z.real, z.imag]), None
+
+    def layout(h):
+        # (h_r, h_r), (-h_i, h_i), the factor of the products XX Y below
+        return np.array([[h[0], h[0]], [-h[1], h[1]]])[:, :, None, :]
+
+    ys = {r: (layout(h), *_veltkamp(layout(h)), None if lo is None else layout(lo))
+          for r, (h, lo) in pw.items()}
     coeff = np.zeros((d + 1, 2, k, 1))
     coeff[:, 0, :, 0] = A
-    # XX = (x_r, x_i), (x_i, x_r) for x = s_(i+1), so that XX Y holds
-    # (x_r z_r, x_i z_r), (-x_i z_i, x_r z_i); CC likewise for c^
+    # XX = (x_r, x_i), (x_i, x_r) for x = s_(t-1), so that XX Y holds
+    # (x_r y_r, x_i y_r), (-x_i y_i, x_r y_i); CC likewise for c^
     XX, CC = np.zeros((2, 2, 2, k, m))
     XX[0, 0] = XX[1, 1] = A[0][:, None]
-    low = np.broadcast_to(np.frexp(Y)[1].min(axis=(0, 1, 2)), (2, k, m)).copy()
-    for j in range(1, d + 1):
+    # the powers' range is in fits
+    low = np.broadcast_to(np.frexp(ys[1][0])[1].min(axis=(0, 1, 2)), (2, k, m)).copy()
+    for j, r in zip(rows, runs):
+        Y, YH, YL, LO = ys[r]
         XH, XL = _veltkamp(XX)
         P = XX * Y
         E = XH * YH - P
@@ -475,11 +630,15 @@ def _comp_horner(A, z):
         E += XL * YH
         E += XL * YL
         H = P[0] + P[1]
+        W = E[0] + E[1]
+        if LO is not None:
+            C = XX * LO
         X = np.add(H, coeff[j], out=XX[0])
         XX[1] = X[::-1]
-        W = E[0] + E[1]
         W += _two_sum_err(P[0], P[1], H)
         W += _two_sum_err(H, coeff[j], X)
+        if LO is not None:
+            W += C[0] + C[1]
         P = CC * Y
         C = np.add(P[0], P[1], out=CC[0])
         C += W
@@ -488,13 +647,18 @@ def _comp_horner(A, z):
     X, C = XX[0], CC[0]
     F = X + C
     vals = F[0] + 1j * F[1]
-    R = np.maximum(_up_each(_abs(z)), 1.0)
-    tilde = np.zeros((k, m))
-    for row in np.abs(A):
-        tilde = tilde * R + row[:, None]
+    R = np.maximum(_up_each(_abs(z), dz), 1.0)
+    tilde, absA = np.zeros((k, m)), np.abs(A)[:, :, None]
+    n, J = len(rows), sum(r > 1 for r in runs)
     with np.errstate(all="ignore"):
-        err = _up_each(_gamma(1) * _abs(vals), 2.0 * _gamma(6 * d + 6) * _gamma(4 * d + 3) * tilde)
-    ok = (low.min(axis=(0, 1)) > -480) & np.isfinite(vals).all(axis=0) & (tilde <= 2.0 ** 900).all(axis=0)
+        for j, r in zip([0] + rows, [1] + runs):
+            tilde = tilde * (R if r == 1 else R ** r) + absA[j]
+        a_priori = (2.0 * _gamma(6 * n + 6 + J) * _gamma(4 * n + 2 * J + 3)
+                    + 128.0 * (d - n) * _gamma(1) ** 2)
+        disk = 2.0 * dz * np.array([[1.0], [d - 1.0]]) * tilde[1]
+        err = _up_each(_gamma(1) * _abs(vals), a_priori * tilde + disk)
+    ok = (fits & (low.min(axis=(0, 1)) > -480) & np.isfinite(vals).all(axis=0)
+          & (tilde <= 2.0 ** 900).all(axis=0))
     return vals, np.where(ok, err, np.inf)
 
 

@@ -142,12 +142,16 @@ class Weight:
         for comp in self.overrides:
             if comp.prime == p:
                 return comp
-        return _ramp(p) if self.branching else FiniteWeight(p)
+        return _ramp(p) if self.branching else FiniteWeight(require_prime(p))
 
     def _at(self, v: Place) -> FiniteWeight:
         # the component at finite place v, built only at a prime: at a base
-        # place, whose primes are not listed one by one, the weight reads zero
-        return FiniteWeight(v.prime) if v.base else self.finite(v.prime)
+        # place, whose primes are not listed one by one, the weight reads
+        # zero, and so it does at a prime without branching or overrides,
+        # whose place has been checked (finite would check it again)
+        if v.base or not (self.branching or self.overrides):
+            return FiniteWeight(v.prime)
+        return self.finite(v.prime)
 
     def tail_sum_bound(self, prime_floor: int) -> float:
         """Certified bound on sum over primes p > prime_floor of sup |g_p|."""
@@ -293,8 +297,9 @@ def _default_branch_count(p: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _ramp(p: int) -> FiniteWeight:
-    # the ex5 component at p, of half-width 1/(2 m_p)
-    return FiniteWeight(p, Fraction(1, 2 * _default_branch_count(p)))
+    # the ex5 component at p, of half-width 1/(2 m_p); a number Place
+    # refuses is refused before anything is built or cached
+    return FiniteWeight(p, Fraction(1, 2 * _default_branch_count(require_prime(p))))
 
 
 def ex5_weight() -> Weight:

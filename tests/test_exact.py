@@ -475,6 +475,12 @@ def test_newton_polygon_known_values():
     assert newton_polygon(IntPoly.make([-1, 0, 0, 0, 1]), 3) == [Fraction(0)] * 4
 
 
+def test_newton_polygon_of_a_constant_is_empty():
+    # a nonzero constant has no roots, whatever its valuation
+    for c, p in ((12, 2), (1, 3), (-7, 7)):
+        assert newton_polygon(IntPoly.make([c]), p) == []
+
+
 def test_newton_polygon_sums_to_constant_valuation():
     rng = random.Random(13)
     for _ in range(60):

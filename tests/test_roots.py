@@ -192,11 +192,7 @@ def _dense(rng, d, lc=50):
 
 def _exact_value(cs, z):
     # sum cs[j] z^j at the double z, as a Gaussian rational (re, im)
-    x, y = Fraction(z.real), Fraction(z.imag)
-    re = im = Fraction(0)
-    for a in reversed(cs):
-        re, im = re * x - im * y + a, re * y + im * x
-    return re, im
+    return _gauss_value(cs, _gauss(z))
 
 
 def _derivative(cs):
@@ -242,7 +238,7 @@ def test_compensated_horner_bound_holds():
         zs += [cmath.rect(lo * 2.0 ** -rng.uniform(0, 40), rng.uniform(-math.pi, math.pi))
                for _ in range(8)]
         zs += [complex(-lo, 0.0) * (1 - 2.0 ** -20), complex(0.0, lo) * (1 - 2.0 ** -20)]
-        vals, errs = roots._comp_horner(roots._columns(cs), np.array(zs))
+        vals, errs = roots._comp_horner(roots._columns(cs), np.array(zs), 0.0)
         for pcs, row, err in zip((cs, _derivative(cs)), vals, errs):
             for z, v, e in zip(zs, row.tolist(), err.tolist()):
                 assert math.isfinite(e), z
@@ -253,7 +249,7 @@ def test_compensated_horner_bound_holds():
                     size = Fraction(v.real) ** 2 + Fraction(v.imag) ** 2
                     widest = max(widest, float(gap * 2 ** 106 / size))
         beyond = np.array([complex(2 * hi, 0.0), complex(0.0, -2 * hi)])
-        assert np.isinf(roots._comp_horner(roots._columns(cs), beyond)[1]).all()
+        assert np.isinf(roots._comp_horner(roots._columns(cs), beyond, 0.0)[1]).all()
     assert widest > 10 ** 2
 
 
@@ -261,8 +257,134 @@ def test_compensated_horner_guards_tiny_partials():
     # z^40 + 1 at z = 2^-30: the Horner partials z^k fall below 2^-480, where
     # a TwoProduct's error term could underflow, so the err is inf
     cs = [1] + [0] * 39 + [1]
-    vals, errs = roots._comp_horner(roots._columns(cs), np.array([2.0 ** -30 + 0j, 0.5 + 0.5j]))
+    zs = np.array([2.0 ** -30 + 0j, 0.5 + 0.5j])
+    vals, errs = roots._comp_horner(roots._columns(cs), zs, 0.0)
     assert math.isinf(errs[0, 0]) and math.isfinite(errs[0, 1])
+
+
+def _gauss(x):
+    # the double x as a Gaussian rational (re, im)
+    return Fraction(x.real), Fraction(x.imag)
+
+
+def _gauss_square(w):
+    return w[0] * w[0] - w[1] * w[1], 2 * w[0] * w[1]
+
+
+def _gauss_value(cs, v):
+    # sum cs[j] v^j at the Gaussian rational v
+    re = im = Fraction(0)
+    for a in reversed(cs):
+        re, im = re * v[0] - im * v[1] + a, re * v[1] + im * v[0]
+    return re, im
+
+
+def _within(exact, parts, err):
+    # |exact - sum of parts| <= err, exactly, for complex doubles parts
+    re = exact[0] - sum(Fraction(x.real) for x in parts)
+    im = exact[1] - sum(Fraction(x.imag) for x in parts)
+    return re * re + im * im <= Fraction(err) ** 2
+
+
+def _column(pairs, i):
+    # the i-th complex double of each (2, m) array of real and imaginary parts
+    return [complex(a[0, i], a[1, i]) for a in pairs]
+
+
+@pytest.mark.parametrize("q,p", [(1, 0), (1, 2), (3, -1), (12, -7)])
+def test_chain_level_bounds_hold(q, p):
+    # one level of _levels from renormalized double words hi + lo at
+    # distance 0 or D from the exact u, along (3, 4)/5 turned by k pi/2: the
+    # exact w = q u - p and w^2 lie within e_w and the new D of the pairs
+    # returned.  At distance 0 only the rounding terms cover them (w = u
+    # exactly at (1, 0), so D holds the square's alone), past it the
+    # propagated q D and 2 |w| e_w + e_w^2
+    rng = random.Random(100 * q + p)
+    m = 24
+    hi = np.array([[rng.uniform(-2.0, 2.0) for _ in range(m)] for _ in range(2)])
+    lo = hi * np.array([[rng.uniform(-0.5, 0.5) * 2.0 ** -53 for _ in range(m)] for _ in range(2)])
+    turns = [(3, 4), (-4, 3), (-3, -4), (4, -3)]
+    for dist in (0.0, 2.0 ** -60):
+        D = dist * np.hypot(*hi)
+        (wh, wl), ew, (uh, ul), D2 = roots._level(q, p, (hi, lo), D)
+        for i in range(m):
+            c, s = turns[i % 4]
+            off = Fraction(D[i]) / 5
+            u = (Fraction(hi[0, i]) + Fraction(lo[0, i]) + c * off,
+                 Fraction(hi[1, i]) + Fraction(lo[1, i]) + s * off)
+            w = (q * u[0] - p, q * u[1])
+            assert _within(w, _column((wh, wl), i), ew[i])
+            assert _within(_gauss_square(w), _column((uh, ul), i), D2[i])
+
+
+def test_compensated_powers_hold_their_bound():
+    # z^k by _dw_powers within 42 (k - 1) u^2 |z|^k of the exact power, at
+    # seeded points about the unit circle and for runs up to the cap; a
+    # power whose squarings, or only its last product, leave the
+    # TwoProducts' range is not in range
+    rng = random.Random(42)
+    ks = [2, 3, 7, 64, 126, 255, 511]
+    zs = [cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(-math.pi, math.pi)) for _ in range(6)]
+    powers, ok = roots._dw_powers(np.array(zs), ks)
+    assert ok.all()
+    for k in ks:
+        hi, lo = powers[k]
+        for i, z in enumerate(zs):
+            exact = (Fraction(1), Fraction(0))
+            x, n = _gauss(z), k
+            while n:
+                if n & 1:
+                    exact = (exact[0] * x[0] - exact[1] * x[1], exact[0] * x[1] + exact[1] * x[0])
+                x, n = _gauss_square(x), n >> 1
+            size = math.sqrt(float(exact[0] ** 2 + exact[1] ** 2))
+            assert _within(exact, _column((hi, lo), i), 42 * (k - 1) * 2.0 ** -106 * size)
+    with np.errstate(all="ignore"):
+        assert not roots._dw_powers(np.array([2.0 ** -30 + 0j, 2.0 ** 30 + 0j]), [39])[1].any()
+        assert not roots._dw_powers(np.array([2.0 ** -8 + 0j, 2.0 ** 15 + 0j]), [63])[1].any()
+
+
+def test_levels_guard_their_range():
+    # z = 2^-520 is below the TwoProducts' range, so z^2 loses its error
+    # term, though w = z^2 + 1 and its square are in range: the bound is inf
+    _, _, du, _ = roots._levels([(1, 0), (1, -1)], np.array([2.0 ** -520 + 0j, 0.5 + 0j]))
+    assert math.isinf(du[0]) and math.isfinite(du[1])
+
+
+def test_numpy_rung_values_hold_their_bounds():
+    # the numpy rung's b and b' at u_L, _levels then _comp_horner as
+    # _horner_ratio calls them, lie within e_b and e_b' of their exact
+    # values b(u_L), b'(u_L), u_L taken exactly along the chain, at centres
+    # near the roots of chained, sparse and Mignotte inputs and at points
+    # off them; the lower bounds of the |w_l| hold, and the radius is at
+    # least d |f/f'|, f/f' = b(u_L) / (b'(u_L) prod 2 q_l w_l).  Near a root
+    # u |b^| is far below the error that evaluating b at the double u^_L,
+    # not at u_L, makes, and that the zero-run step would make without its
+    # s lo term: only the disk terms and the compensated power cover them
+    rng = random.Random(7)
+    for f in (IntPoly.make([-1] + [0] * 511 + [1]), IntPoly.make([-2] + [0] * 126 + [1]),
+              IntPoly.make([-2] + [0] * 123 + [1]), IntPoly.make([-2, 8, -8] + [0] * 83 + [1]),
+              _preimage(5), _preimage(6), _preimage(7), _preimage(8)):
+        chain, base = roots._chain(f.coeffs)
+        d = f.degree
+        centres = [z for z, _ in certified_roots(f)][::max(1, d // 8)]
+        zs = np.array(centres + [z + cmath.rect(abs(z) * 10.0 ** rng.uniform(-15, -3),
+                                                rng.uniform(0, 7)) for z in centres])
+        A = roots._columns(base)
+        u, lo, du, ws = roots._levels(chain, zs)
+        (b, bp), (eb, ebp) = roots._comp_horner(A, u, du)
+        _, rads = roots._horner_ratio(chain, A, math.inf, zs)
+        for i, z in enumerate(zs.tolist()):
+            v, prod = _gauss(z), Fraction(1)
+            for (q, p), (w_, low) in zip(chain, ws):
+                w = (q * v[0] - p, q * v[1])
+                size = w[0] * w[0] + w[1] * w[1]
+                assert size >= Fraction(max(low[i], 0.0)) ** 2
+                prod *= 4 * q * q * size
+                v = _gauss_square(w)
+            fv, gv = _gauss_value(base, v), _gauss_value(_derivative(base), v)
+            assert _within(fv, [b[i]], eb[i]) and _within(gv, [bp[i]], ebp[i]), (f, z)
+            fsize, gsize = fv[0] ** 2 + fv[1] ** 2, gv[0] ** 2 + gv[1] ** 2
+            assert d * d * fsize <= Fraction(rads[i]) ** 2 * gsize * prod
 
 
 def test_numpy_rung_radius_is_the_henrici_bound():
@@ -334,14 +456,15 @@ def _centres_digest(disks):
 
 
 def test_rung_selection(monkeypatch):
-    # a dense input of degree 96 and z^256 - 1 never take the exact
-    # evaluation, and estimate their roots by numpy.roots only on a base
-    # below _BINI_MIN_DEGREE (z^256 - 1's is z - 1); z^256 - 1's centres
-    # are pinned to what the exact rung returned before the numpy rung took
-    # it (its radii are the numpy rung's, from float operations).  An input
-    # below the crossover, the depth-7 preimage of z^2 - 2 and a coefficient
-    # above 2^53 take only the exact rung, and their disks are pinned to
-    # what it returned (x86-64, CPython 3.11)
+    # a dense input of degree 96, z^256 - 1 and the depth-7 preimage of
+    # z^2 - 2 (coefficients past 2^53, its chain constants and base u - 2
+    # not) never take the exact evaluation, and estimate their roots by
+    # numpy.roots only on a base below _BINI_MIN_DEGREE (z - 1, u - 2); the
+    # centres of the last two are pinned to what the exact rung returned
+    # before the numpy rung took them (their radii are the numpy rung's,
+    # from float operations).  An input below the crossover and a
+    # coefficient above 2^53 take only the exact rung, and their disks are
+    # pinned to what it returned (x86-64, CPython 3.11)
     calls = _count_calls(monkeypatch, "_ratio")
     eig = _count_numpy_roots(monkeypatch)
     certify = roots._certified_roots.__wrapped__  # past the cache
@@ -354,9 +477,14 @@ def test_rung_selection(monkeypatch):
     with mpmath.workdps(60):
         oracle = [mpmath.expjpi(mpmath.mpf(2 * k) / 256) for k in range(256)]
     assert_disks_hold_roots(unit, disks, oracle)
-    cheb = IntPoly.make([-2, 0, 1])
-    for _ in range(6):
-        cheb = (cheb * cheb).add_scalar(-2)
+    cheb = _preimage(7)
+    assert max(map(abs, cheb.coeffs)) > 2 ** 53
+    disks = certify(cheb, 1e-13)
+    assert not calls and eig == [1, 1]
+    assert _centres_digest(disks) == "8c1691295160fb31cf7ca1206e9a0b7161a463d70f2df54156f0d6247b455cee"
+    with mpmath.workdps(60):
+        oracle = [2 * mpmath.cospi(mpmath.mpf(2 * k + 1) / 256) for k in range(128)]
+    assert_disks_hold_roots(cheb, disks, oracle)
     rng = random.Random(64)
     big = [rng.randint(-50, 50) for _ in range(64)] + [50]
     big[0] = 2 ** 60 + 1
@@ -364,7 +492,6 @@ def test_rung_selection(monkeypatch):
     for f, digest in (
             (IntPoly.make([rng.randint(-50, 50) for _ in range(8)] + [50]),
              "06a5c3adf04bd13c5a35bddad027f3023149f82b812f64dc7eb344005dd08e47"),
-            (cheb, "00ee21d4fb00082eb4bf94443c305e531474a2bd063ea132a5e1f1b04569f1cf"),
             (IntPoly.make(big), "af731c7937fa46d59ace3690bdf38b032c22fff308510215808530e42776556c")):
         del calls[:]
         assert _disks_digest(certify(f, 1e-13)) == digest
@@ -413,30 +540,30 @@ def _assert_routed(sweeps, points, certified, handed):
 
 
 def test_numpy_rung_routes_each_centre(monkeypatch):
-    # the depth-6 preimage of z^2 - 2 fits in 2^53 (coefficients near 2^42),
-    # but the a priori term of the compensated Horner error puts 42 of its
-    # 64 radii above tol at the lifted estimates: the sweep certifies the
-    # other 22, and only the 42 take the exact rung
+    # the depth-6 preimage of z^2 - 2 is evaluated along its chain, six
+    # levels with constants 0 and 2 over the base u - 2, so no a priori term
+    # grows with its coefficients (near 2^42): the sweep certifies all 64
+    # centres from the lifted estimates, and none takes the exact rung
     f = _preimage(6)
-    assert max(abs(c) * max(j, 1) for j, c in enumerate(f.coeffs)) <= 2 ** 53
+    assert roots._chain(f.coeffs) == ([(1, 0)] + [(1, 2)] * 5, (-2, 1))
     disks, sweeps, points = _routing(monkeypatch, f)
-    _assert_routed(sweeps, points, 22, 42)
+    _assert_routed(sweeps, points, 64, 0)
     with mpmath.workdps(60):
         oracle = [2 * mpmath.cospi(mpmath.mpf(2 * k + 1) / 128) for k in range(64)]
     assert_disks_hold_roots(f, disks, oracle)
 
 
 def test_numpy_rung_routes_a_close_pair(monkeypatch):
-    # z^80 - 2 (2z - 1)^2, no chain, has two roots 6.4e-13 apart about 1/2
+    # z^86 - 2 (2z - 1)^2, no chain, has two roots 8.0e-14 apart about 1/2
     # (Mignotte), where |f'| is so small that the a priori term is out of
-    # reach; from estimates at its roots the sweep certifies the other 78,
+    # reach; from estimates at its roots the sweep certifies the other 84,
     # and only the pair takes the exact rung
-    cs = [-2, 8, -8] + [0] * 77 + [1]
+    cs = [-2, 8, -8] + [0] * 83 + [1]
     f = IntPoly.make(cs)
     disks = certified_roots(f)
     oracle = _upper_half_oracle(cs, disks)
     disks, sweeps, points = _routing(monkeypatch, f, [complex(r) for r in oracle])
-    _assert_routed(sweeps, points, 78, 2)
+    _assert_routed(sweeps, points, 84, 2)
     assert all(abs(z - 0.5) < 1e-12 for z in points)
     assert_disks_hold_roots(f, disks, oracle)
 
@@ -487,8 +614,8 @@ def test_exact_rung_certifies_a_close_pair(monkeypatch, n, c, a):
                                 -3, 2, 2]])
 def test_zero_root_on_a_chain(g):
     # f = g((3z + 1)^2) with g(1) = 0: its roots 0 and -2/3 pair up about
-    # -1/3 like all the others, so f is certified on its chain and the root
-    # at 0 comes out exact.  f/z has no chain: from its full-degree
+    # -1/3 like all the others, so f is certified on its chain and the
+    # centre at 0 comes out exact.  f/z has no chain: from its full-degree
     # estimates _STEPS steps a centre do not certify the first input, nor
     # the second once all its centres move at once
     s = IntPoly.make([1, 6, 9])
@@ -498,7 +625,7 @@ def test_zero_root_on_a_chain(g):
     assert sum(g) == 0 and roots._chain(f.coeffs)[0] == [(3, -1)]
     assert not roots._chain(f.coeffs[1:])[0]
     disks = roots._certified_roots.__wrapped__(f, 1e-13)
-    assert (0j, 0.0) in disks
+    assert 0j in [z for z, _ in disks]
     with mpmath.workdps(60):
         ts = mpmath.polyroots([mpmath.mpf(c) for c in reversed(g)], maxsteps=200, extraprec=200)
         oracle = [(e * mpmath.sqrt(t) - 1) / 3 for t in ts for e in (1, -1)]
@@ -565,6 +692,17 @@ def test_chain_base_estimates_are_polished():
     assert max(miss[:57]) > 0.1 and max(miss[57:]) < 1e-12
     disks = roots._certified_roots.__wrapped__(f, 1e-13)
     assert_disks_hold_roots(f, disks, oracle)
+
+
+def test_eig_refuses_where_numpy_roots_fails(monkeypatch):
+    # numpy.roots raising LinAlgError (its eigenvalue iteration not
+    # converging) is a refusal, not a crash: z^2 - 2's base z - 2 takes it
+    def fail(p):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np, "roots", fail)
+    with pytest.raises(DomainError, match="too far apart"):
+        roots._certified_roots.__wrapped__(IntPoly.make([-2, 0, 1]), 1e-13)
 
 
 def test_aberth_fallback_is_numpy_roots(monkeypatch):

@@ -17,6 +17,7 @@ from adelic.weights import (
     ArchWeight,
     FiniteWeight,
     _default_branch_count,
+    _ramp,
     equilibrium_energy,
     ex5_weight,
     normalize,
@@ -113,7 +114,19 @@ def test_default_branch_count_large_primes():
         with mpmath.workdps(2 * len(str(p)) + 30):
             assert m - 1 < mpmath.mpf(p) ** 2 * mpmath.ln(p) <= m, p
         assert m == _mp_branch_count(p)
-    assert ex5_weight().finite(p).half == Fraction(1, 2 * m)
+    p = 3317044064679887385961813  # the largest prime below _MR_LIMIT
+    assert ex5_weight().finite(p).half == Fraction(1, 2 * _default_branch_count(p))
+
+
+def test_finite_component_refuses_what_place_refuses():
+    # a composite and a prime past _MR_LIMIT are refused before a component
+    # is built, so _ramp's unbounded cache never holds one
+    before = _ramp.cache_info().currsize
+    for g in (ex5_weight(), std_weight()):
+        for n in (10403, 2 ** 521 - 1):
+            with pytest.raises(DomainError):
+                g.finite(n)
+    assert _ramp.cache_info().currsize == before
 
 
 def test_ex5_tail_bound_and_cutoff():
