@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import DomainError, LogValue, require_prime, val_p
+from .exact import DomainError, LogValue, _rational, require_prime, val_p
 
 __all__ = [
     "INF_POINT",
@@ -58,15 +58,14 @@ class BerkPoint:
     # -- constructors ----------------------------------------------------
     @staticmethod
     def type_i(p: int, value) -> "BerkPoint":
-        require_prime(p)
+        p = require_prime(p)
         if value is INF_POINT:
             return BerkPoint(p, None, None)
-        return BerkPoint(p, Fraction(value), None)
+        return BerkPoint(p, _rational(value), None)
 
     @staticmethod
     def disk(p: int, center, rad_exp) -> "BerkPoint":
-        require_prime(p)
-        return BerkPoint(p, Fraction(center), Fraction(rad_exp))
+        return BerkPoint(require_prime(p), _rational(center), _rational(rad_exp))
 
     # -- structure -------------------------------------------------------
     @property
@@ -166,7 +165,7 @@ def hsia_kernel(p: int, x: BerkPoint, y: BerkPoint) -> LogValue:
     point is exactly 0, and restricted to type I points this is the log of
     the nonarchimedean chordal metric.
     """
-    require_prime(p)
+    p = require_prime(p)
     if x.prime != p or y.prime != p:
         raise DomainError("points do not live over the requested prime")
     if x.is_infinity and y.is_infinity:

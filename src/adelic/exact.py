@@ -56,6 +56,15 @@ def _index(x, what: str) -> int:
         raise DomainError("%s must be an integer, got %r" % (what, x)) from None
 
 
+def _rational(q) -> Fraction:
+    # q as a Fraction (ints, Fractions, finite floats and decimal strings
+    # are); a NaN, an infinity or a non-number is refused
+    try:
+        return Fraction(q)
+    except (ValueError, OverflowError, TypeError):
+        raise DomainError("not a finite rational: %r" % (q,)) from None
+
+
 #: Marker for the valuation of a zero root (plus infinity).  A float so it
 #: compares cleanly against Fraction slopes.
 INF = math.inf
@@ -136,11 +145,12 @@ def _arch_sum_err(size: float, lip: float = 0.0, n: int = 1) -> float:
 
 
 def require_prime(p: int) -> int:
-    """p, if isprime proves it prime; else DomainError, naming _MR_LIMIT
-    for a p at or above it."""
-    if isinstance(p, int) and isprime(p):
+    """p as an int, if isprime proves it prime; else DomainError, naming
+    _MR_LIMIT for a p at or above it."""
+    p = _index(p, "a prime")
+    if isprime(p):
         return p
-    if isinstance(p, int) and p >= _MR_LIMIT:
+    if p >= _MR_LIMIT:
         raise DomainError(f"not a proven prime: {p} is not below {_MR_LIMIT},"
                           " the bound below which primality is proven")
     raise DomainError(f"not a prime: {p!r}")
@@ -148,7 +158,7 @@ def require_prime(p: int) -> int:
 
 def val_p(q: Rational, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
-    return _val(Fraction(q), require_prime(p))
+    return _val(_rational(q), require_prime(p))
 
 
 def _val(q: Rational, p: int) -> int:
@@ -735,7 +745,7 @@ def newton_polygon(f: IntPoly, p: int) -> list:
     algebraic closure of Q_p, from the lower convex hull of the points
     (j, v_p(c_j)).  Zero roots appear as INF entries.  Sorted ascending,
     INF entries last."""
-    require_prime(p)
+    p = require_prime(p)
     if f.degree == 0:
         return []
     pts = [(j, _val(c, p)) for j, c in enumerate(f.coeffs) if c != 0]

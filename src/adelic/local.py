@@ -29,7 +29,7 @@ from .berkovich import INF_POINT
 from .divisors import EffectiveDivisor
 from .exact import DomainError, LogValue, _arch_sum_err, _val, newton_polygon
 from .places import ARCH, Place
-from .roots import arch_support
+from .roots import _abs, arch_support
 from .weights import Weight, zero_weight
 
 __all__ = ["PlaceRow", "mahler_g", "mahler_sharp", "fekete_sum", "fekete_sum_arch_identity",
@@ -209,9 +209,7 @@ class LocalData:
             # rows a..b-1 against columns a+1..n-1: head[low] are the pairs j <= i
             b = min(a + step, n - 1)
             head, low, mi, mj = np.s_[:, :b - a - 1], tri[:b - a, :b - a - 1], m[a:b], m[a + 1:]
-            # libm's hypot, as abs(complex) is; numpy's complex abs is not
-            dz = z[a:b, None] - z[None, a + 1:]
-            diff = np.hypot(dz.real, dz.imag)
+            diff = _abs(z[a:b, None] - z[None, a + 1:])
             if inf:
                 diff[:, -1] = 1.0
             f, e = np.frexp(diff / (s[a:b, None] * s[None, a + 1:]))

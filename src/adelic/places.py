@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .exact import (
-    DomainError, LogValue, Rational, _index, _primes_below, _trial_division, _val, isprime,
-    require_prime)
+    DomainError, LogValue, Rational, _index, _primes_below, _rational, _trial_division, _val,
+    isprime, require_prime)
 
 if TYPE_CHECKING:
     from .divisors import EffectiveDivisor
@@ -43,11 +43,14 @@ class Place:
     base: bool = False
 
     def __post_init__(self):
+        # the int that _index or require_prime returns is stored, so that a
+        # numpy integer is read as the int it is
         if self.base:
-            if _index(self.prime, "a base place") < 2:
+            object.__setattr__(self, "prime", _index(self.prime, "a base place"))
+            if self.prime < 2:
                 raise DomainError(f"a base place is an integer >= 2, got {self.prime!r}")
         elif self.prime is not None:
-            require_prime(self.prime)
+            object.__setattr__(self, "prime", require_prime(self.prime))
 
     @classmethod
     def _of_prime(cls, p: int) -> "Place":
@@ -76,7 +79,7 @@ ARCH = Place(None)
 
 def log_abs(q: Rational, v: Place) -> LogValue:
     """log of the v-adic absolute value of a nonzero rational."""
-    q = Fraction(q)
+    q = _rational(q)
     if q == 0:
         raise DomainError("absolute value of zero")
     if v.is_archimedean:
@@ -89,7 +92,7 @@ def product_formula_check(q: Rational) -> bool:
     factoring: |q| is rebuilt as the product of b^v_b(q) over a coprime
     base of it, the primes below 2^15 of num(q) and den(q) by trial
     division and what is left of each, a prime or a base place."""
-    q = Fraction(q)
+    q = _rational(q)
     if q == 0:
         raise DomainError("product formula needs a nonzero rational")
     places = _base_places(q)

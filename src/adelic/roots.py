@@ -19,18 +19,19 @@ One path takes every polynomial, in three steps:
   constants and the coefficients of its base b and of b' are exact in
   binary64 (at most 2^53): f/f' at every centre still moving by structure,
   f/f' = b(u_L) / (b'(u_L) prod 2 q_l w_l), the levels w_l = q_l u_l - p_l,
-  u_(l+1) = w_l^2 in double words with a running error bound (_levels),
-  then b and b' at u_L by one compensated Horner pass in float64 arrays
-  that crosses each run of zero coefficients with one compensated power,
-  with a stated error bound over the disk about u^_L that holds u_L
-  (_comp_horner, _horner_ratio; Graillat, Langlois & Louvet 2009, Graillat
-  & Menissier-Morain 2012, Graillat 2009).  A centre stops unmoved where
-  the bound's terms that do not shrink at a root alone put its radius at
-  tol or above, where its values are not finite, or where it leaves the
-  range in which the error-free transformations are exact.  Every centre
-  whose radius is not below tol is left to the exact rung.  On dense
-  inputs (lc 50) the two rungs take the same time at degree 16-20, at 24
-  the numpy one is 11% faster, at 192 about ten times;
+  u_(l+1) = w_l^2 in double words with a running error bound D (_levels),
+  then b and b' at u_L's double word by one compensated Horner pass in
+  float64 arrays that crosses each run of zero coefficients with one
+  compensated power, with a stated error bound over the disk of radius D
+  about it, which holds u_L, so that D enters by 2 D b~'(R) alone, second
+  order (_comp_horner, _horner_ratio; Graillat, Langlois & Louvet 2009,
+  Graillat & Menissier-Morain 2012, Graillat 2009).  A centre stops
+  unmoved where the bound's terms that do not shrink at a root alone put
+  its radius at tol or above, where its values are not finite, or where it
+  leaves the range in which the error-free transformations are exact.
+  Every centre whose radius is not below tol is left to the exact rung.
+  On dense inputs (lc 50) the two rungs take the same time at degree
+  16-20, at 24 the numpy one is 11% faster, at 192 about ten times;
 - the exact rung, for every centre the numpy rung did not certify: f/f'
   evaluated exactly at each double, a dyadic rational, over the Gaussian
   integers along the whole chain (_ratio, _exact_ratio).
@@ -100,15 +101,16 @@ def _certified_roots(f: IntPoly, tol: float) -> list[tuple[complex, float]]:
             r = np.sqrt(pts)
             pts = np.concatenate([(p + r) / q, (p - r) / q])
         pts, rads = _snap(pts), np.full(len(pts), np.inf)
+        db = [j * c for j, c in enumerate(base)][1:]
         # the numpy rung needs the chain constants and the coefficients of b
-        # and b' exact in binary64 (past 2^1024 they have no double at all)
+        # and b' exact in binary64 (past 2^1024 they have no double at all);
+        # its columns hold those of b and b', degree descending
         if (len(cs) - 1 >= _NUMPY_MIN_DEGREE
-                and max([abs(c) * max(j, 1) for j, c in enumerate(base)]
-                        + [abs(x) for level in chain for x in level]) <= 1 << 53):
-            _sweep(pts, rads, np.arange(len(pts)),
-                   functools.partial(_horner_ratio, chain, _columns(base), tol))
-        terms = [(j, c) for j, c in enumerate(base) if c or not j][::-1]
-        dterms = [(j - 1, j * c) for j, c in enumerate(base) if j and (c or j == 1)][::-1]
+                and max(map(abs, [*base, *db, *(x for level in chain for x in level)])) <= 1 << 53):
+            A = np.zeros((len(base), 2))
+            A[:, 0], A[1:, 1] = base[::-1], db[::-1]
+            _sweep(pts, rads, np.arange(len(pts)), functools.partial(_horner_ratio, chain, A, tol))
+        terms, dterms = ([(j, c) for j, c in enumerate(g) if c or not j][::-1] for g in (base, db))
         _sweep(pts, rads, np.flatnonzero(~(rads < tol)), functools.partial(_exact_ratio, chain, terms, dterms))
         out += zip(map(complex, pts), rads.tolist())
     if len(out) != d or any(not rad < tol for _, rad in out):
@@ -367,20 +369,19 @@ def _sweep(pts, rads, todo, ratio):
 
 def _horner_ratio(chain, A, tol, z):
     # the numpy rung's f/f' at the doubles z: the levels of the chain by
-    # _levels, then the base b and b' at u_L by _comp_horner, its columns A,
-    # over the disk about u^_L that holds u_L, and f/f' = b(u_L) / (b'(u_L)
-    # prod 2 q_l w_l); the step takes b^ + b^' lo for b(u^ + lo), so that it
-    # keeps the lo of u_L.  The radius is d (|f^| + e_f) / (|f^'| - e_f'),
-    # rounded up, or inf: its denominator is the product of lower bounds
-    # |b^'| - e_b' and 2 q_l (|w^_l| - e_w_l), each product rounded down.
-    # That radius is at least d e_f / |f^'|, and e_f at least terms that do
-    # not shrink as a centre moves to its root: where d e_f >= tol |f^'| the
-    # step is 0 and the radius inf, so the centre stops unmoved and the
-    # exact rung takes it from there
+    # _levels, then the base b and b' at u_L's double word by _comp_horner,
+    # its columns A, over the disk about it that holds u_L, and f/f' =
+    # b(u_L) / (b'(u_L) prod 2 q_l w_l).  The radius is d (|f^| + e_f) /
+    # (|f^'| - e_f'), rounded up, or inf: its denominator is the product of
+    # lower bounds |b^'| - e_b' and 2 q_l (|w^_l| - e_w_l), each product
+    # rounded down.  That radius is at least d e_f / |f^'|, and e_f at least
+    # terms that do not shrink as a centre moves to its root: where d e_f >=
+    # tol |f^'| the step is 0 and the radius inf, so the centre stops
+    # unmoved and the exact rung takes it from there
     d = (len(A) - 1) << len(chain)
     with np.errstate(all="ignore"):
-        u, lo, du, ws = _levels(chain, z)
-        (f, bp), (ef, efp) = _comp_horner(A, u, du)
+        U, D, ws = _levels(chain, z)
+        (f, bp), (ef, efp) = _comp_horner(A, U, D)
         fp, den = bp, _down(_abs(bp), efp)
         for (q, _), (w, low) in zip(chain, ws):
             fp = fp * (2 * q * w)
@@ -389,7 +390,7 @@ def _horner_ratio(chain, A, tol, z):
         afp = _abs(fp)
         rad = np.where(den > 0, _up_each(d * _up_each(_abs(f), ef) / den), np.inf)
         out = d * ef >= tol * afp
-        return np.where(out, 0.0, (f + bp * lo) / fp), np.where(out, np.inf, rad)
+        return np.where(out, 0.0, f / fp), np.where(out, np.inf, rad)
 
 
 def _levels(chain, z):
@@ -399,11 +400,11 @@ def _levels(chain, z):
     (_level), its values held as pairs hi + lo of (2, m) arrays of real and
     imaginary parts, renormalized by TwoSum so that |lo| <= u |hi| in each
     component, beside a running bound D >= |u - hi - lo| (Higham, Accuracy
-    and Stability, 2nd ed., sec. 3.3).  Returns u^_L = hi and lo, complex,
-    the bound D + |lo| of |u_L - u^_L| (0 with no level, u_L = z), and each
-    level's w^ = hi with a lower bound of |w|.  The TwoProducts are exact
-    while every hi component is at most 2^900 and, unless 0, at least
-    2^-480; past that range the bound is inf.
+    and Stability, 2nd ed., sec. 3.3).  Returns u_L's double word U = (hi,
+    lo), the bound D of |u_L - hi - lo| (U = (z, 0) and D = 0 with no
+    level), and each level's w^ = hi with a lower bound of |w|.  The
+    TwoProducts are exact while every hi component is at most 2^900 and,
+    unless 0, at least 2^-480; past that range the bound is inf.
     """
     U = np.array([z.real, z.imag]), np.zeros((2, len(z)))
     D, ok, ws = np.zeros(len(z)), np.ones(len(z), dtype=bool), []
@@ -411,9 +412,7 @@ def _levels(chain, z):
         W, ew, U, D = _level(q, p, U, D)
         ws.append((W[0][0] + 1j * W[0][1], _down(np.hypot(*W[0]), ew)))
         ok &= _in_range(W[0]) & _in_range(U[0])
-    (uh, ul) = U
-    du = np.where(ok, _up_each(D, np.hypot(*ul)), np.inf) if chain else 0.0
-    return uh[0] + 1j * uh[1], ul[0] + 1j * ul[1], du, ws
+    return U, np.where(ok, D, np.inf), ws
 
 
 def _level(q, p, U, D):
@@ -457,15 +456,6 @@ def _exact_ratio(chain, terms, dterms, z):
     # the exact rung's f/f' and radius at the doubles z, one _ratio each
     n, rad = zip(*(_ratio(x, chain, terms, dterms) for x in z.tolist()))
     return np.array(n), np.array(rad)
-
-
-def _columns(cs):
-    # the coefficients of f and f', degree descending, for _comp_horner
-    d = len(cs) - 1
-    A = np.zeros((d + 1, 2))
-    A[:, 0] = cs[::-1]
-    A[1:, 1] = [j * c for j, c in enumerate(cs)][:0:-1]
-    return A
 
 
 def _abs(z):
@@ -527,13 +517,14 @@ def _dw_mul(x, y):
     return hi, _two_sum_err(S, lo, hi)
 
 
-def _dw_powers(z, ks):
-    # z^k for each k of ks as double words, by squarings shared across the
-    # ks and products of them: |z^k - hi - lo| <= 42 (k - 1) u^2 |z|^k, as
-    # the relative bounds of the factors add, and _dw_mul adds 42 u^2 to
-    # them, up to terms of order u^3; and where every factor was _in_range
-    sq, out = [(np.array([z.real, z.imag]), np.zeros((2, len(z))))], {}
-    ok = _in_range(sq[0][0])
+def _dw_powers(U, ks):
+    # v^k for the double word U = (hi, lo), v = hi + lo, and each k of ks,
+    # as double words, by squarings shared across the ks and products of
+    # them: |v^k - hi - lo| <= 42 (k - 1) u^2 |v|^k, as the relative bounds
+    # of the factors add, and _dw_mul adds 42 u^2 to them, up to terms of
+    # order u^3; and where every factor was _in_range
+    sq, out = [U], {}
+    ok = _in_range(U[0])
     for k in ks:
         while 1 << len(sq) <= k:
             sq.append(_dw_mul(sq[-1], sq[-1]))
@@ -546,73 +537,79 @@ def _dw_powers(z, ks):
     return out, ok
 
 
-def _comp_horner(A, z, dz):
-    """Compensated Horner values of b and b' over disks about the doubles z.
+def _comp_horner(A, U, D):
+    """Compensated Horner values of b and b' over disks about double words.
 
-    A is _columns(b): (d + 1) x 2 float, row j holding the coefficients of
-    z^(d - j) of b and b', each an integer of at most 53 bits.  Returns,
-    one column per double of z, the complex values p^ at z and upper bounds
-    e of |p(v) - p^| for every v within dz of z, inf where a value is not
-    finite or leaves the range below.
+    A holds the coefficients of b and b': (d + 1) x 2 float, row j those of
+    x^(d - j), each an integer of at most 53 bits.  U = (hi, lo) holds the
+    double words v = hi + lo, (2, m) arrays of real and imaginary parts with
+    |lo| <= u |hi| in each component.  Returns, one column per v, the
+    complex values p^ at v and upper bounds e of |p(x) - p^| for every x
+    within D of v, inf where a value is not finite or leaves the range below.
 
     The pass is Horner's over the rows with a nonzero coefficient (and the
-    last), s_t = fl(s_(t-1) y + a), y = z^k for a step of k rows, in
-    float64 pairs with each rounding error caught exactly: s y by four
+    last), s_t = fl(s_(t-1) y^ + a), y = v^k for a step of k rows, in
+    float64 pairs with each rounding error caught exactly: s y^ by four
     TwoProducts (Dekker's split, there being no FMA) and two TwoSums, the
     sum with a by a TwoSum (Graillat, Langlois & Louvet, Japan J. Indust.
     Appl. Math. 26 (2009); Graillat & Menissier-Morain, Inform. and Comput.
-    216 (2012), for complex z).  A step across a run of zeros, k > 1, takes
-    y^ = hi of the compensated power z^k (_dw_powers; Graillat, IEEE Trans.
-    Comput. 58 (2009)) and adds s lo to the error it catches.  Then s y + a
-    = s_t + w_t + r_t, r_t = s (z^k - hi - lo) alone not caught, so p(z) =
-    s_n + c + sum r_t z^(e_t), c = sum w_t z^(e_t), e_t the exponent at
-    step t, and p^ = fl(s_n + c^) with c^ the plain complex Horner value of
-    the rounded w^_t.  With u = 2^-53, n steps of which J are runs:
+    216 (2012), for complex v).  y is a double word, U itself for k = 1 and
+    the compensated power v^k across a run of zeros, k > 1 (_dw_powers;
+    Graillat, IEEE Trans. Comput. 58 (2009)); the step takes y^ = its hi
+    and adds s lo to the error it catches, unless that lo is 0 at every v.
+    Then s y + a = s_t + w_t + r_t, r_t = s (v^k - hi - lo) alone not
+    caught (0 for k = 1), so p(v) = s_n + c + sum r_t v^(e_t), c = sum w_t
+    v^(e_t), e_t the exponent at step t, and p^ = fl(s_n + c^) with c^ the
+    plain complex Horner value of the rounded w^_t.  With u = 2^-53, n
+    steps of which J take a y^ that is not y, each run and each step whose
+    y carries a lo:
 
-    - |w_t| <= |Re w_t| + |Im w_t| <= (2u + u^2) (|x_r| + |x_i|)(|y_r| +
-      |y_i|) + u |h_r + a| (+ u |x| |y| for s lo on a run) <= 6u (|x| |y| +
-      |a|), or 7u on a run, writing x = s_(t-1) and h = fl(x y), |h| <= (1 +
-      sqrt2 gamma_2) |x| |y| (Higham, Accuracy and Stability, 2nd ed.,
-      Lemma 3.5), and |y| <= (1 + gamma_2) |z|^k;
-    - |s_t| <= (1 + u)^(4 (d - e_t)) p~_t(|z|), p~_t(r) = sum_(j >= e_t)
-      |a_j| r^(j - e_t), as a run of k >= 2 rounds at most 6 <= 4k times, so
-      sum |w_t| |z|^(e_t) <= (6n + 6 + J) u (1 + gamma_4d) p~(|z|);
-    - rounding w^_t adds gamma_3 of the same sums (gamma_4 on a run), and
-      Horner on them gamma_4 a step (a complex product sqrt2 gamma_2, a sum
-      u; the relative error of y^ adds gamma_2 on a run), so |c - c^| <=
-      gamma_(4n+2J+3) (6n + 6 + J) u (1 + gamma_4d) p~(|z|);
-    - sum |r_t| |z|^(e_t) <= 42 u^2 sum (k_t - 1) (1 + gamma_4d) p~(|z|),
+    - |w_t| <= |Re w_t| + |Im w_t| <= (2u + u^2) (|x_r| + |x_i|)(|y^_r| +
+      |y^_i|) + u |h_r + a| (+ u |x| |y^| for s lo on such a step) <= 6u
+      (|x| |y^| + |a|), or 7u on such a step, writing x = s_(t-1) and h =
+      fl(x y^), |h| <= (1 + sqrt2 gamma_2) |x| |y^| (Higham, Accuracy and
+      Stability, 2nd ed., Lemma 3.5), and |y^| <= (1 + gamma_2) |v|^k;
+    - |s_t| <= (1 + u)^(5 (d - e_t)) p~_t(|v|), p~_t(r) = sum_(j >= e_t)
+      |a_j| r^(j - e_t), as a step rounds 4 times, 5 on one row with a lo
+      (|hi| <= (1 + gamma_1) |v|) and 6 <= 5k on a run of k, so sum |w_t|
+      |v|^(e_t) <= (6n + 6 + J) u (1 + gamma_5d) p~(|v|);
+    - rounding w^_t adds gamma_3 of the same sums (gamma_4 on such a step),
+      and Horner on them gamma_4 a step (a complex product sqrt2 gamma_2, a
+      sum u; the relative error of y^ adds gamma_2 on such a step), so |c -
+      c^| <= gamma_(4n+2J+3) (6n + 6 + J) u (1 + gamma_5d) p~(|v|);
+    - sum |r_t| |v|^(e_t) <= 42 u^2 sum (k_t - 1) (1 + gamma_5d) p~(|v|),
       and sum (k_t - 1) = d - n;
     - fl(s_n + c^) rounds each component once: u |p^|;
-    - for v within dz of z, |p(v) - p(z)| <= dz max |p'| over the disk,
-      at most dz b~'(R) for b and dz (d - 1) b~'(R) for b', R >= max(1, |z|
-      + dz), b~' being the second column's p~.
+    - for x within D of v, |p(x) - p(v)| <= D max |p'| over the disk, at
+      most D b~'(R) for b and D (d - 1) b~'(R) for b', R >= max(1, |hi| +
+      |lo| + D), b~' being the second column's p~.
 
     So e = u |p^| + (2 gamma_(6n+6+J) gamma_(4n+2J+3) + 128 (d - n) u^2)
-    p~(R) + 2 dz b~'(R), or 2 dz (d - 1) b~'(R): the factors 2 cover (1 +
-    gamma_4d) and the gamma_2d by which p~ is evaluated low in floats at R
-    (a step of k rows a product by libm's R^k, within 1 ulp, and n + J <=
-    d), and as p~(R) >= R^(d-1), the most by which an error of c^ is
-    multiplied, also the at most 2^-1075 per operation that an underflow
-    adds.  On a dense b, n = d and J = 0.  The TwoProducts are exact while
-    every product is finite and no nonzero factor is below 2^-480 (a
-    product's error then is a multiple of 2^-1074): the range guard asks
-    p~(R) <= 2^900, which bounds every |s_t| and |z|^k, and every nonzero
-    component of z, of each z^k and of each s_t at least 2^-480.
+    p~(R) + 2 D b~'(R), or 2 D (d - 1) b~'(R): the factors 2 cover (1 +
+    gamma_5d) and the gamma_2d by which p~ is evaluated low in floats at R
+    (a step of k rows a product by libm's R^k, within 1 ulp, and n plus the
+    runs are at most d), and as p~(R) >= R^(d-1), the most by which an
+    error of c^ is multiplied, also the at most 2^-1075 per operation that
+    an underflow adds.  With no lo at k = 1 a dense b has n = d and J = 0.
+    The TwoProducts are exact while every product is finite and no nonzero
+    factor is below 2^-480 (a product's error then is a multiple of
+    2^-1074): the range guard asks p~(R) <= 2^900, which bounds every |s_t|
+    and |v|^k, and every nonzero component of hi, of each power's hi and of
+    each s_t at least 2^-480.
     """
     d, k = len(A) - 1, A.shape[1]
-    m = len(z)
+    m = U[0].shape[1]
     rows = (np.flatnonzero(A[1:d].any(axis=1)) + 1).tolist() + [d]
     runs = [j - i for i, j in zip([0] + rows, rows)]
-    pw, fits = _dw_powers(z, sorted(set(runs) - {1}))
-    pw[1] = np.array([z.real, z.imag]), None
+    pw, fits = _dw_powers(U, sorted(set(runs) - {1}))
+    pw[1] = U
 
     def layout(h):
         # (h_r, h_r), (-h_i, h_i), the factor of the products XX Y below
         return np.array([[h[0], h[0]], [-h[1], h[1]]])[:, :, None, :]
 
-    ys = {r: (layout(h), *_veltkamp(layout(h)), None if lo is None else layout(lo))
-          for r, (h, lo) in pw.items()}
+    ys = {r: (layout(hi), *_veltkamp(layout(hi)), layout(lo) if lo.any() else None)
+          for r, (hi, lo) in pw.items()}
     coeff = np.zeros((d + 1, 2, k, 1))
     coeff[:, 0, :, 0] = A
     # XX = (x_r, x_i), (x_i, x_r) for x = s_(t-1), so that XX Y holds
@@ -647,15 +644,15 @@ def _comp_horner(A, z, dz):
     X, C = XX[0], CC[0]
     F = X + C
     vals = F[0] + 1j * F[1]
-    R = np.maximum(_up_each(_abs(z), dz), 1.0)
+    R = np.maximum(_up_each(np.hypot(*U[0]), _up_each(np.hypot(*U[1]), D)), 1.0)
     tilde, absA = np.zeros((k, m)), np.abs(A)[:, :, None]
-    n, J = len(rows), sum(r > 1 for r in runs)
+    n, J = len(rows), sum(r > 1 or ys[r][3] is not None for r in runs)
     with np.errstate(all="ignore"):
         for j, r in zip([0] + rows, [1] + runs):
             tilde = tilde * (R if r == 1 else R ** r) + absA[j]
         a_priori = (2.0 * _gamma(6 * n + 6 + J) * _gamma(4 * n + 2 * J + 3)
                     + 128.0 * (d - n) * _gamma(1) ** 2)
-        disk = 2.0 * dz * np.array([[1.0], [d - 1.0]]) * tilde[1]
+        disk = 2.0 * D * np.array([[1.0], [d - 1.0]]) * tilde[1]
         err = _up_each(_gamma(1) * _abs(vals), a_priori * tilde + disk)
     ok = (fits & (low.min(axis=(0, 1)) > -480) & np.isfinite(vals).all(axis=0)
           & (tilde <= 2.0 ** 900).all(axis=0))

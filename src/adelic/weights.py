@@ -336,7 +336,7 @@ def equilibrium_energy(g: Weight, v: Place) -> float:
 
 def equilibrium_coeff(g: Weight, p: int) -> Fraction:
     """Exact coefficient of log p in the equilibrium energy at p."""
-    comp = g.finite(require_prime(p))
+    comp = g.finite(p)
     point = comp.measure_point
     return hsia_kernel(p, point, point).coeff - 2 * comp.value_coeff(point)
 

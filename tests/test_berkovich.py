@@ -22,6 +22,7 @@ def test_chordal_arch_known_values():
     assert abs(chordal_arch(0.0, 1.0) - 1 / math.sqrt(2)) < 1e-15
     assert abs(chordal_arch(1j, -1j) - 1.0) < 1e-15
     assert chordal_arch(2.0, 2.0) == 0.0
+    assert chordal_arch(INF_POINT, INF_POINT) == 0.0
 
 
 def test_chordal_arch_symmetry_and_bound():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from sympy import Poly, factorint, isprime, nextprime, primerange
+from sympy import gcd as sympy_gcd
 from sympy import resultant as sympy_resultant
 from sympy.abc import z
 
@@ -197,6 +198,26 @@ def test_gcd_falls_back_after_six_misses(monkeypatch):
     assert h == [-12, 2, 2]  # 2 (z - 2)(z + 3)
     assert cf == [9, 21, 6] and cg == [2, 0, 2]
     assert _gcd([2, 0, 1], [-1, 1]) == ([1], [2, 0, 1], [-1, 1])
+
+
+def test_gcd_fallback_makes_the_leading_coefficient_positive(monkeypatch):
+    # every evaluation 0 is six misses; the subresultant sequence of
+    # (z - 1)(z + 2) and (z - 1)(z + 3) ends in a multiple of z - 1 with a
+    # negative leading coefficient, which the fallback turns positive
+    monkeypatch.setattr(adelic.exact, "_eval", lambda f, x: 0)
+    f, g = [-2, 1, 1], [-3, 2, 1]
+    h, cf, cg = _gcd(f, g)
+    assert (h, cf, cg) == ([-1, 1], [2, 1], [3, 1])
+    want = Poly(sympy_gcd(Poly(f[::-1], z), Poly(g[::-1], z)), z).all_coeffs()[::-1]
+    assert h == [int(c) for c in want]
+
+
+def test_intpoly_str():
+    # the format demos/01_exact_arithmetic.py prints: ascending powers, a
+    # coefficient 1 or -1 left off, a negative term joined by " - "
+    for cs, want in (([-3, 0, 1, -1, 5], "-3 + z^2 - z^3 + 5*z^4"), ([0, -1], "-z"),
+                     ([1, -2, 0, 7], "1 - 2*z + 7*z^3"), ([0, 0, -4], "-4*z^2"), ([9], "9")):
+        assert str(IntPoly.make(cs)) == want
 
 
 def test_isprime_off_the_sieve_below_a_million(monkeypatch):

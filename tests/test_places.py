@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from sympy import factorint, nextprime
 
+from adelic.berkovich import BerkPoint, gauss_point, hsia_kernel
 from adelic.divisors import divisor_from_poly
-from adelic.exact import _MR_LIMIT, DomainError, _val
+from adelic.exact import _MR_LIMIT, DomainError, IntPoly, _val, newton_polygon, val_p
 from adelic.heights import global_fekete, height
 from adelic.places import (
     ARCH,
@@ -18,6 +20,34 @@ from adelic.places import (
     relevant_places,
 )
 from adelic.weights import ex5_weight, std_weight, trivial_weight
+
+
+@pytest.mark.parametrize("call,args", [
+    (val_p, (float("nan"), 5)),
+    (val_p, (math.inf, 5)),
+    (product_formula_check, (float("nan"),)),
+    (log_abs, (math.inf, ARCH)),
+    (BerkPoint.type_i, (5, float("nan"))),
+    (BerkPoint.disk, (5, 0, -math.inf)),
+    (Place, (np.int64(7),)),
+    (val_p, (3 * 7 ** 40, np.int64(7))),
+    (newton_polygon, (IntPoly.make([7 ** 40, 0, 1]), np.int64(7))),
+    (hsia_kernel, (np.int64(7), gauss_point(7), BerkPoint.type_i(7, Fraction(1, 7)))),
+    (BerkPoint.type_i, (np.int64(7), 3)),
+])
+def test_inputs_are_read_or_refused_with_a_domain_error(call, args):
+    # a NaN or an infinity is no rational, and its refusal is a DomainError,
+    # not Fraction's ValueError or OverflowError; a numpy integer is read as
+    # the int it is, as IntPoly.make reads it, so a call with p = int64(7)
+    # gives what it gives with 7, past int64's range too (7^40)
+    if not any(isinstance(a, np.integer) for a in args):
+        with pytest.raises(DomainError):
+            call(*args)
+        return
+    got = call(*args)
+    assert got == call(*(int(a) if isinstance(a, np.integer) else a for a in args))
+    if isinstance(got, Place):
+        assert type(got.prime) is int
 
 
 def test_place_construction_and_order():

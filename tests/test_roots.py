@@ -199,6 +199,25 @@ def _derivative(cs):
     return [j * c for j, c in enumerate(cs)][1:]
 
 
+def _columns(cs):
+    # the columns _comp_horner takes: the coefficients of cs and of its
+    # derivative, degree descending
+    return np.array([list(cs)[::-1], [0] + _derivative(cs)[::-1]], dtype=float).T
+
+
+def _word(zs, lows=None):
+    # the complex doubles zs as double words (hi, lo), (2, m) arrays of real
+    # and imaginary parts, lo 0 or the complex doubles lows
+    lows = np.zeros_like(zs) if lows is None else lows
+    return np.array([zs.real, zs.imag]), np.array([lows.real, lows.imag])
+
+
+def _word_point(U, i):
+    # the i-th double word of U, hi + lo exactly, as a Gaussian rational
+    (hi, lo) = U
+    return Fraction(hi[0, i]) + Fraction(lo[0, i]), Fraction(hi[1, i]) + Fraction(lo[1, i])
+
+
 def _product(*factors):
     f = IntPoly.make([1])
     for g in factors:
@@ -217,16 +236,22 @@ def test_disjointness_needs_a_rounding_margin():
 
 
 def test_compensated_horner_bound_holds():
-    # the exact values of f and f' at seeded doubles, near the roots of
-    # products built for cancellation and out to the range guard, lie within
-    # the stated errs; near the roots the error passes u |f^| many times
-    # over, so only the second-order term covers it there
+    # the exact values of f and f' lie within the stated errs: at seeded
+    # doubles near the roots of products built for cancellation and of
+    # z^16 + 1, whose f'' is not small there, and out to the range guard;
+    # at the double words hi + lo with the same hi and a seeded lo; and,
+    # near the roots, at points 2^-40 |z| from hi + lo along (3, 4)/5
+    # turned by k pi/2, on the disk D.  Near the roots the error passes
+    # u |f^| many times over, so only the second-order term covers it, f'
+    # lo, which a step without its s lo term would miss, is above it, and
+    # on the disk only the disk term covers the distance
     rng = random.Random(24)
     widest = 0.0
     for cs in (_product(*[[-1, 1]] * 16),
                _product(*[[-k, 1] for k in range(1, 16)]),
                _product(*[[1, 0, 1]] * 8),
-               _product(*[[-3, 2]] * 6, *[[5, 0, 2]] * 3)):
+               _product(*[[-3, 2]] * 6, *[[5, 0, 2]] * 3),
+               [1] + [0] * 15 + [1]):
         # the guard's radius: the R with p~(R) = 2^900, by bisection
         lo, hi = 1.0, 2.0 ** 900
         for _ in range(200):
@@ -238,18 +263,25 @@ def test_compensated_horner_bound_holds():
         zs += [cmath.rect(lo * 2.0 ** -rng.uniform(0, 40), rng.uniform(-math.pi, math.pi))
                for _ in range(8)]
         zs += [complex(-lo, 0.0) * (1 - 2.0 ** -20), complex(0.0, lo) * (1 - 2.0 ** -20)]
-        vals, errs = roots._comp_horner(roots._columns(cs), np.array(zs), 0.0)
-        for pcs, row, err in zip((cs, _derivative(cs)), vals, errs):
-            for z, v, e in zip(zs, row.tolist(), err.tolist()):
-                assert math.isfinite(e), z
-                re, im = _exact_value(pcs, z)
-                gap = (re - Fraction(v.real)) ** 2 + (im - Fraction(v.imag)) ** 2
-                assert gap <= Fraction(e) ** 2, (cs, z)
-                if v:
-                    size = Fraction(v.real) ** 2 + Fraction(v.imag) ** 2
-                    widest = max(widest, float(gap * 2 ** 106 / size))
+        zs = np.array(zs)
+        turn = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in zs])
+        lows = (zs.real * turn.real + 1j * zs.imag * turn.imag) * 2.0 ** -54
+        disk = np.where(np.abs(zs) < 100, 2.0 ** -40 * np.abs(zs), 0.0)
+        for U, D in ((_word(zs), 0 * disk), (_word(zs, lows), 0 * disk), (_word(zs, lows), disk)):
+            vals, errs = roots._comp_horner(_columns(cs), U, D)
+            for pcs, row, err in zip((cs, _derivative(cs)), vals, errs):
+                for i, (v, e) in enumerate(zip(row.tolist(), err.tolist())):
+                    assert math.isfinite(e), zs[i]
+                    c, s = [(3, 4), (-4, 3), (-3, -4), (4, -3)][i % 4]
+                    (x, y), off = _word_point(U, i), Fraction(D[i]) / 5
+                    re, im = _gauss_value(pcs, (x + c * off, y + s * off))
+                    gap = (re - Fraction(v.real)) ** 2 + (im - Fraction(v.imag)) ** 2
+                    assert gap <= Fraction(e) ** 2, (cs, zs[i])
+                    if v:
+                        size = Fraction(v.real) ** 2 + Fraction(v.imag) ** 2
+                        widest = max(widest, float(gap * 2 ** 106 / size))
         beyond = np.array([complex(2 * hi, 0.0), complex(0.0, -2 * hi)])
-        assert np.isinf(roots._comp_horner(roots._columns(cs), beyond, 0.0)[1]).all()
+        assert np.isinf(roots._comp_horner(_columns(cs), _word(beyond), np.zeros(2))[1]).all()
     assert widest > 10 ** 2
 
 
@@ -258,7 +290,7 @@ def test_compensated_horner_guards_tiny_partials():
     # a TwoProduct's error term could underflow, so the err is inf
     cs = [1] + [0] * 39 + [1]
     zs = np.array([2.0 ** -30 + 0j, 0.5 + 0.5j])
-    vals, errs = roots._comp_horner(roots._columns(cs), zs, 0.0)
+    vals, errs = roots._comp_horner(_columns(cs), _word(zs), np.zeros(2))
     assert math.isinf(errs[0, 0]) and math.isfinite(errs[0, 1])
 
 
@@ -318,20 +350,24 @@ def test_chain_level_bounds_hold(q, p):
 
 
 def test_compensated_powers_hold_their_bound():
-    # z^k by _dw_powers within 42 (k - 1) u^2 |z|^k of the exact power, at
-    # seeded points about the unit circle and for runs up to the cap; a
-    # power whose squarings, or only its last product, leave the
-    # TwoProducts' range is not in range
+    # v^k by _dw_powers within 42 (k - 1) u^2 |v|^k of the exact power, at
+    # seeded double words v = hi + lo about the unit circle, lo 0 or not,
+    # and for runs up to the cap; a power whose squarings, or only its last
+    # product, leave the TwoProducts' range is not in range
     rng = random.Random(42)
     ks = [2, 3, 7, 64, 126, 255, 511]
-    zs = [cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(-math.pi, math.pi)) for _ in range(6)]
-    powers, ok = roots._dw_powers(np.array(zs), ks)
+    zs = np.array([cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(-math.pi, math.pi))
+                   for _ in range(6)])
+    U = _word(zs, np.array([0j] * 3 + [z * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                       * 2.0 ** -55 for z in zs[3:]]))
+    assert U[1][:, 3:].all()
+    powers, ok = roots._dw_powers(U, ks)
     assert ok.all()
     for k in ks:
         hi, lo = powers[k]
-        for i, z in enumerate(zs):
+        for i in range(len(zs)):
             exact = (Fraction(1), Fraction(0))
-            x, n = _gauss(z), k
+            x, n = _word_point(U, i), k
             while n:
                 if n & 1:
                     exact = (exact[0] * x[0] - exact[1] * x[1], exact[0] * x[1] + exact[1] * x[0])
@@ -339,15 +375,15 @@ def test_compensated_powers_hold_their_bound():
             size = math.sqrt(float(exact[0] ** 2 + exact[1] ** 2))
             assert _within(exact, _column((hi, lo), i), 42 * (k - 1) * 2.0 ** -106 * size)
     with np.errstate(all="ignore"):
-        assert not roots._dw_powers(np.array([2.0 ** -30 + 0j, 2.0 ** 30 + 0j]), [39])[1].any()
-        assert not roots._dw_powers(np.array([2.0 ** -8 + 0j, 2.0 ** 15 + 0j]), [63])[1].any()
+        for zs, k in (([2.0 ** -30 + 0j, 2.0 ** 30 + 0j], 39), ([2.0 ** -8 + 0j, 2.0 ** 15 + 0j], 63)):
+            assert not roots._dw_powers(_word(np.array(zs)), [k])[1].any()
 
 
 def test_levels_guard_their_range():
     # z = 2^-520 is below the TwoProducts' range, so z^2 loses its error
     # term, though w = z^2 + 1 and its square are in range: the bound is inf
-    _, _, du, _ = roots._levels([(1, 0), (1, -1)], np.array([2.0 ** -520 + 0j, 0.5 + 0j]))
-    assert math.isinf(du[0]) and math.isfinite(du[1])
+    _, D, _ = roots._levels([(1, 0), (1, -1)], np.array([2.0 ** -520 + 0j, 0.5 + 0j]))
+    assert math.isinf(D[0]) and math.isfinite(D[1])
 
 
 def test_numpy_rung_values_hold_their_bounds():
@@ -357,9 +393,10 @@ def test_numpy_rung_values_hold_their_bounds():
     # near the roots of chained, sparse and Mignotte inputs and at points
     # off them; the lower bounds of the |w_l| hold, and the radius is at
     # least d |f/f'|, f/f' = b(u_L) / (b'(u_L) prod 2 q_l w_l).  Near a root
-    # u |b^| is far below the error that evaluating b at the double u^_L,
-    # not at u_L, makes, and that the zero-run step would make without its
-    # s lo term: only the disk terms and the compensated power cover them
+    # u |b^| is far below the error that evaluating b at the hi of u_L's
+    # double word, not at hi + lo, makes, and that a step would make
+    # without its s lo term: only the disk terms and the compensated power
+    # cover them
     rng = random.Random(7)
     for f in (IntPoly.make([-1] + [0] * 511 + [1]), IntPoly.make([-2] + [0] * 126 + [1]),
               IntPoly.make([-2] + [0] * 123 + [1]), IntPoly.make([-2, 8, -8] + [0] * 83 + [1]),
@@ -369,9 +406,9 @@ def test_numpy_rung_values_hold_their_bounds():
         centres = [z for z, _ in certified_roots(f)][::max(1, d // 8)]
         zs = np.array(centres + [z + cmath.rect(abs(z) * 10.0 ** rng.uniform(-15, -3),
                                                 rng.uniform(0, 7)) for z in centres])
-        A = roots._columns(base)
-        u, lo, du, ws = roots._levels(chain, zs)
-        (b, bp), (eb, ebp) = roots._comp_horner(A, u, du)
+        A = _columns(base)
+        U, D, ws = roots._levels(chain, zs)
+        (b, bp), (eb, ebp) = roots._comp_horner(A, U, D)
         _, rads = roots._horner_ratio(chain, A, math.inf, zs)
         for i, z in enumerate(zs.tolist()):
             v, prod = _gauss(z), Fraction(1)
@@ -445,6 +482,16 @@ def test_numpy_rung_disks_hold_roots(case):
             r = mpmath.root(a, d)
             oracle = [r * mpmath.expjpi(mpmath.mpf(2 * k) / d) for k in range(d)]
     assert_disks_hold_roots(f, disks, oracle)
+
+
+def test_chained_radii_are_second_order_in_the_levels():
+    # z^122 - 2 is the base u^61 - 2 over one level u = z^2, evaluated at
+    # u's double word hi + lo: the error of the levels enters the radii only
+    # by the disk term 2 D b~'(R), D of order u^2, so they sum below 6e-13
+    # (a first-order term |lo| in the disk would double them, to 1.07e-12);
+    # test_numpy_rung_disks_hold_roots[pow:122] checks the disks
+    disks = roots._certified_roots.__wrapped__(IntPoly.make([-2] + [0] * 121 + [1]), 1e-13)
+    assert sum(r for _, r in disks) < 6e-13
 
 
 def _disks_digest(disks):
